@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (argparse's convention).  All output is deterministic:
 terms are canonically sorted and JSON keys are sorted.  The environment
-variable WORDBELL_MAX_DEGREE caps every size argument (default 12).
+variable WORDBELL_MAX_DEGREE caps every size argument (default 12); a value
+that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ TRIANGLE_SEQUENCES = {
 COLUMN_SEQUENCES = {"bell": ONES, "lists": FACTORIAL, "level2": BELL}
 
 
-def _max_degree() -> int:
+def _max_degree(parser) -> int:
     raw = os.environ.get("WORDBELL_MAX_DEGREE", "12")
     try:
         return int(raw)
     except ValueError:
-        return 12
+        parser.error(f"WORDBELL_MAX_DEGREE must be an integer, got {raw!r}")
 
 
 def _emit(parser, args, text: str) -> None:
@@ -65,7 +66,7 @@ def _parse_seq(parser, text: str) -> ColorSequence:
 
 
 def _check_bound(parser, value: int, name: str) -> int:
-    cap = _max_degree()
+    cap = _max_degree(parser)
     if value < 0:
         parser.error(f"{name} must be nonnegative")
     if value > cap:
@@ -147,16 +148,25 @@ def _parse_partition(parser, text: str, seq: ColorSequence | None):
     try:
         data = json.loads(text)
         if seq is None:
-            return SetPartition(tuple(tuple(b) for b in data))
-        return ColoredSetPartition(
-            tuple((tuple(block), color) for block, color in data), seq
-        )
+            blocks = tuple(tuple(b) for b in data)
+            entries = [x for b in blocks for x in b]
+        else:
+            blocks = tuple((tuple(block), color) for block, color in data)
+            entries = [x for block, color in blocks for x in (*block, color)]
+        # bool is an int subclass, so true/false would pass as 1/0 otherwise
+        if any(type(x) is not int for x in entries):
+            raise TypeError("block entries and colors must be integers")
+        return SetPartition(blocks) if seq is None else ColoredSetPartition(blocks, seq)
     except (ValueError, TypeError) as exc:
         parser.error(f"bad partition literal: {exc}")
 
 
 def _cmd_realize(parser, args) -> int:
-    L = _check_bound(parser, args.truncation, "truncation") if args.truncation else None
+    L = None
+    if args.truncation is not None:
+        if args.truncation < 1:
+            parser.error("truncation must be at least 1")
+        L = _check_bound(parser, args.truncation, "truncation")
     if args.kind in ("phi", "monomial"):
         if not args.partition or L is None:
             parser.error(f"realize {args.kind} requires --partition and --truncation")
@@ -180,6 +190,8 @@ def _cmd_realize(parser, args) -> int:
         if args.n is None or args.k is None:
             parser.error("realize cycleBell requires --n and --k")
         n = _check_bound(parser, args.n, "n")
+        if not 0 <= args.k <= n:
+            parser.error("need 0 <= k <= n")
         poly = realization.cycle_bell(n, args.k)
     else:  # pragma: no cover
         parser.error(f"unknown realize kind {args.kind!r}")

@@ -14,6 +14,12 @@ and the block-to-alphabet assignment are constrained.)
 Truncation soundness: two homogeneous degree-n word polynomials over the
 infinite alphabets agree iff they agree at truncation L = n, since a degree-n
 monomial involves at most n distinct letters of each alphabet.
+
+The shuffle kernel: ``_interleave_patterns(n, m)`` caches one itemgetter per
+interleaving, which maps u + v to the shuffled word in C.  ``_cleared``
+turns operands (a whole series at once) into integer numerators over one
+common denominator, the kernel adds plain ints, and ``_settled`` drops the
+zeros and divides once at the end, keeping integral coefficients as int.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 
 from .combinatorics import (
     ColoredSetPartition,
@@ -148,26 +155,15 @@ def complete_s(n: int, alphabet) -> LinComb:
     refinement sum over all set partitions but scales far better.
     """
     key = tuple(alphabet)
-    cached = _COMPLETE_SERIES.get(key)
-    if cached is not None and len(cached) > n:
-        return cached[n]
-    # Extend a private copy and publish it with one assignment, so concurrent
-    # readers only ever see fully built prefixes.
-    series = list(cached) if cached else [word_one()]
+    series = _COMPLETE_SERIES.setdefault(key, [word_one()])
     while len(series) <= n:
         m = len(series)
-        total: dict = {}
+        terms, den = _cleared(series)
+        acc: dict = {}
         for j in range(1, m + 1):
-            phi_j = LinComb._raw(
-                WORD, {(letter,) * j: 1 for letter in key}
-            )
-            _shuffle_into_scaled(total, phi_j, series[m - j], j * math.factorial(j))
-        coeffs = {}
-        for w, c in total.items():
-            v = Fraction(c, m)
-            coeffs[w] = v.numerator if v.denominator == 1 else v
-        series.append(LinComb._raw(WORD, coeffs))
-    _COMPLETE_SERIES[key] = series
+            scale = j * math.factorial(j)
+            _shuffle_acc(acc, [((letter,) * j, scale) for letter in key], terms[m - j])
+        series.append(_settled(acc, den * m))
     return series[n]
 
 
@@ -177,47 +173,61 @@ def complete_s(n: int, alphabet) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _interleave_patterns(n: int, m: int) -> tuple:
-    total = range(n + m)
+    # One gather per interleaving of an n-letter word u with an m-letter word
+    # v: letter i of u + v goes to position order[i], so the gather reads the
+    # inverse permutation, and applied to u + v it returns the shuffled word.
+    # With an empty word the one interleaving is u + v itself.
+    if not n or not m:
+        return (tuple,)
     out = []
-    for I in combinations(total, n):
-        chosen = set(I)
-        out.append((I, tuple(p for p in total if p not in chosen)))
+    for I in combinations(range(n + m), n):
+        order = I + tuple(p for p in range(n + m) if p not in I)
+        out.append(itemgetter(*sorted(range(n + m), key=order.__getitem__)))
     return tuple(out)
 
 
-def _shuffle_words(u: Word, v: Word) -> dict:
-    n, m = len(u), len(v)
-    if n == 0:
-        return {v: 1}
-    if m == 0:
-        return {u: 1}
-    out: dict = {}
-    w = [None] * (n + m)
-    for I, J in _interleave_patterns(n, m):
-        for pos, letter in zip(I, u):
-            w[pos] = letter
-        for pos, letter in zip(J, v):
-            w[pos] = letter
-        key = tuple(w)
-        out[key] = out.get(key, 0) + 1
-    return out
+def _cleared(polys) -> tuple[list[list], int]:
+    """The polynomials as (word, integer numerator) lists over one common
+    denominator, which is returned with them."""
+    den = math.lcm(*{c.denominator for p in polys for c in p._terms.values()})
+    return [
+        [(w, c.numerator * (den // c.denominator)) for w, c in p.items()]
+        for p in polys
+    ], den
+
+
+def _settled(acc: dict, den: int) -> LinComb:
+    """The word polynomial acc / den: zeros dropped, integral values as int."""
+    out = {}
+    for w, c in acc.items():
+        if c:
+            q, r = divmod(c, den)
+            out[w] = Fraction(c, den) if r else q
+    return LinComb._raw(WORD, out)
+
+
+def _shuffle_acc(acc: dict, xs, ys) -> None:
+    """The shuffle kernel: acc += xs shuffle ys on integer (word, coeff) lists."""
+    get = acc.get
+    for u, cu in xs:
+        n = len(u)
+        for v, cv in ys:
+            c = cu * cv
+            uv = u + v
+            for gather in _interleave_patterns(n, len(v)):
+                w = gather(uv)
+                acc[w] = get(w, 0) + c
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear shuffle product of word polynomials."""
     if x.basis != WORD or y.basis != WORD:
         raise BasisError("shuffle is defined on word polynomials")
-    out: dict = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            c = cu * cv
-            for w, mult in _shuffle_words(u, v).items():
-                acc = out.get(w, 0) + c * mult
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
-    return LinComb._raw(WORD, out)
+    (xs,), dx = _cleared([x])
+    (ys,), dy = _cleared([y])
+    acc: dict = {}
+    _shuffle_acc(acc, xs, ys)
+    return _settled(acc, dx * dy)
 
 
 def shuffle_scatter(composition, words) -> Word | None:
@@ -283,31 +293,14 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
 # series of word polynomials (for scaled alphabets and shuffle powers)
 
 
-def _shuffle_into(out: dict, x: LinComb, y: LinComb) -> None:
-    _shuffle_into_scaled(out, x, y, 1)
-
-
-def _shuffle_into_scaled(out: dict, x: LinComb, y: LinComb, scale) -> None:
-    for u, cu in x.items():
-        for v, cv in y.items():
-            c = cu * cv * scale
-            for w, mult in _shuffle_words(u, v).items():
-                acc = out.get(w, 0) + c * mult
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
-
-
 def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[LinComb]:
+    xs, dx = _cleared(a[: order + 1])
+    ys, dy = _cleared(b[: order + 1])
     sums: list[dict] = [{} for _ in range(order + 1)]
-    for i, ca in enumerate(a[: order + 1]):
-        if not ca:
-            continue
-        for j in range(min(order - i, len(b) - 1) + 1):
-            if b[j]:
-                _shuffle_into(sums[i + j], ca, b[j])
-    return [LinComb._raw(WORD, d) for d in sums]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys[: order + 1 - i]):
+            _shuffle_acc(sums[i + j], x, y)
+    return [_settled(acc, dx * dy) for acc in sums]
 
 
 def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:

@@ -102,6 +102,33 @@ def test_usage_errors_exit_2():
     assert run_cli(["expand", "wordBell", "--n", "3", "--k", "9"]).returncode == 2
 
 
+def test_realize_truncation_zero_exit_2():
+    result = run_cli(["realize", "phi", "--partition", "[[1,2]]", "--truncation", "0"])
+    assert result.returncode == 2
+    assert "truncation" in result.stderr and "requires" not in result.stderr
+
+
+def test_partition_rejects_booleans():
+    result = run_cli(["realize", "phi", "--partition", "[[true]]", "--truncation", "2"])
+    assert result.returncode == 2
+    colored = ["--partition", "[[[1],true]]", "--seq", "1,1,1", "--truncation", "2"]
+    assert run_cli(["realize", "phi", *colored]).returncode == 2
+    colored[1] = "[[[1],1]]"
+    assert run_cli(["realize", "phi", *colored]).returncode == 0
+
+
+def test_realize_cycle_bell_checks_k():
+    assert run_cli(["realize", "cycleBell", "--n", "3", "--k", "9"]).returncode == 2
+    assert run_cli(["realize", "cycleBell", "--n", "3", "--k", "-1"]).returncode == 2
+    assert run_cli(["realize", "cycleBell", "--n", "3", "--k", "2"]).returncode == 0
+
+
+def test_unparsable_max_degree_exit_2():
+    result = run_cli(["table", "bell", "3"], env={"WORDBELL_MAX_DEGREE": "twelve"})
+    assert result.returncode == 2
+    assert "WORDBELL_MAX_DEGREE" in result.stderr
+
+
 def test_max_degree_cap():
     result = run_cli(["table", "bell", "9"], env={"WORDBELL_MAX_DEGREE": "6"})
     assert result.returncode == 2

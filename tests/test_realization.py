@@ -1,6 +1,9 @@
 """Tests for the word polynomial realization and shuffle machinery."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbell.combinatorics import (
     IDEMPOTENT,
@@ -22,10 +25,12 @@ from wordbell.realization import (
     cycle_specialization,
     cycle_word,
     expand_monomial,
+    expand_s_on,
     expand_phi,
     expand_psi,
     letters,
     scaled_complete,
+    series_shuffle_mul,
     shuffle,
     shuffle_composite,
     shuffle_scatter,
@@ -112,6 +117,87 @@ def test_shuffle_basics():
     b = LinComb.term("Word", word(2))
     got = shuffle(a, b)
     assert got == LinComb("Word", {word(1, 2): 1, word(2, 1): 1})
+
+
+def _oracle_shuffle_words(u, v) -> dict:
+    # au shuffle bv = a (u shuffle bv) + b (au shuffle v)
+    if not u or not v:
+        return {u + v: 1}
+    out: dict = {}
+    for head, rest in ((u[0], (u[1:], v)), (v[0], (u, v[1:]))):
+        for tail, c in _oracle_shuffle_words(*rest).items():
+            out[(head,) + tail] = out.get((head,) + tail, 0) + c
+    return out
+
+
+def _oracle_shuffle(x, y) -> LinComb:
+    out: dict = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            for w, mult in _oracle_shuffle_words(u, v).items():
+                out[w] = out.get(w, 0) + cu * cv * mult
+    return LinComb("Word", out)
+
+
+# Two letters from each of two alphabets, so that random terms collide and
+# cancel; Fraction coefficients include integral ones such as 4/2.
+_words = st.lists(
+    st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=3
+).map(tuple)
+_coeffs = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+)
+_polys = st.lists(st.tuples(_words, _coeffs), max_size=4).map(
+    lambda terms: LinComb("Word", terms)
+)
+
+
+def _assert_settled(poly):
+    for _, c in poly.items():
+        assert c != 0
+        if c.denominator == 1:
+            assert type(c) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_shuffle_matches_first_letter_recursion(x, y):
+    got = shuffle(x, y)
+    assert got == _oracle_shuffle(x, y)
+    _assert_settled(got)
+
+
+def test_shuffle_cancellation_and_empty_word():
+    a = LinComb.term("Word", word(1))
+    b = LinComb.term("Word", word(2))
+    got = shuffle(a - b, a + b)  # the ab and ba terms cancel
+    assert got == LinComb("Word", {word(1, 1): 2, word(2, 2): -2})
+    _assert_settled(got)
+    half = LinComb.term("Word", (), Fraction(1, 2))
+    assert shuffle(half, half) == LinComb.term("Word", (), Fraction(1, 4))
+    got = shuffle(a * Fraction(4, 2), half)  # Fraction(2, 1) times 1/2
+    assert got == a
+    _assert_settled(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_polys, max_size=3), st.lists(_polys, max_size=3), st.integers(0, 3))
+def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
+    got = series_shuffle_mul(a, b, order)
+    assert len(got) == order + 1
+    for n, coeff in enumerate(got):
+        want = word_zero()
+        for i in range(min(n, len(a) - 1) + 1):
+            if n - i < len(b):
+                want = want + shuffle(a[i], b[n - i])
+        assert coeff == want
+        _assert_settled(coeff)
+
+
+def test_complete_s_is_one_block_s_function():
+    A = [(1, 1), (1, 2), (2, 1)]
+    for n in range(0, 6):
+        assert complete_s(n, A) == expand_s_on(SetPartition.single_block(n), A)
 
 
 def test_shuffle_matches_dual_product():
