@@ -3,7 +3,7 @@
 Four incarnations of the same combinatorics live here:
 
 * classical complete/partial Bell polynomials as exact symbolic polynomials
-  in a1, a2, ... and their fast numeric evaluation;
+  in a1, a2, ... and their exact evaluation by triangular recurrences;
 * word Bell polynomials in the Phi basis, generated by the ladder operator
   that adjoins a new largest element to a block;
 * their normalized images on the dual (Psi) side for any color sequence;
@@ -108,7 +108,7 @@ def seq_values(a):
 
 
 def eval_partial_bell_direct(a, n: int, k: int) -> Fraction:
-    """B_{n,k}(a) summed over integer partitions (no fast paths)."""
+    """B_{n,k}(a) summed over integer partitions: the independent oracle."""
     if k < 0 or k > n:
         return Fraction(0)
     if n == 0:
@@ -132,43 +132,55 @@ def eval_partial_bell_direct(a, n: int, k: int) -> Fraction:
     return total
 
 
-def eval_partial_bell(a, n: int, k: int) -> Fraction:
-    """Exact B_{n,k}(a), routing through the a1-normalizations when they apply.
+def partial_bell_band(a, kmax: int, dmax: int) -> list[list[int | Fraction]]:
+    """The band B_{k+d,k}(a), k <= kmax, d <= dmax: row k is B_{k,k}, ..., B_{k+dmax,k}.
 
-    a1 not in {0, 1} reduces to B_{n,k}(1, a2/a1, ...) scaled by a1^k; a1 = 0
-    shifts to B_{n-k,k} of the sequence a_{j+1}/(j+1).  Both reductions agree
-    with the direct evaluation (tested), so they are safe fast paths.
+    Comtet's triangular recurrence B_{n,k} = sum_i C(n-1, i-1) a_i B_{n-i,k-1}
+    reads only a_1, ..., a_{dmax+1}.  It runs on the integers q a, for q the lcm
+    of their denominators, and divides row k by q^k at the end, since
+    B_{n,k}(q a) = q^k B_{n,k}(a).  Entries are int when integral.
     """
+    value = seq_values(a)
+    vals = [value(i) for i in range(1, dmax + 2)]
+    q = math.lcm(*(v.denominator for v in vals))
+    scaled = [v.numerator * (q // v.denominator) for v in vals]
+    rows = [[1] + [0] * dmax]
+    for k in range(1, kmax + 1):
+        prev = rows[-1]
+        rows.append([
+            sum(math.comb(k + d - 1, j) * scaled[j] * prev[d - j] for j in range(d + 1))
+            for d in range(dmax + 1)
+        ])
+    band = []
+    for k, row in enumerate(rows):
+        qk = q**k
+        band.append([v // qk if v % qk == 0 else Fraction(v, qk) for v in row])
+    return band
+
+
+def eval_partial_bell(a, n: int, k: int) -> Fraction:
+    """Exact B_{n,k}(a) as a Fraction, one entry of :func:`partial_bell_band`;
+    reads only a_1, ..., a_{n-k+1}."""
     if k < 0 or k > n:
         return Fraction(0)
-    if n == 0:
-        return Fraction(1) if k == 0 else Fraction(0)
+    return Fraction(partial_bell_band(a, k, n - k)[k][n - k])
+
+
+def complete_bell_column(a, nmax: int) -> list[int | Fraction]:
+    """A_0(a), ..., A_nmax(a) by the binomial recurrence
+    A_{m+1} = sum_i C(m, i) a_{i+1} A_{m-i}; int entries for an integral
+    sequence.  Reads only a_1, ..., a_nmax."""
     value = seq_values(a)
-    a1 = value(1)
-    if a1 == 0:
-        if n < k:
-            return Fraction(0)
-        shifted = lambda m: value(m + 1) / (m + 1)
-        return (
-            Fraction(math.factorial(n), math.factorial(n - k))
-            * eval_partial_bell_direct(shifted, n - k, k)
-        )
-    if a1 != 1:
-        normalized = lambda m: value(m) / a1
-        return a1**k * eval_partial_bell_direct(normalized, n, k)
-    return eval_partial_bell_direct(value, n, k)
+    vals = [v.numerator if v.denominator == 1 else v for v in map(value, range(1, nmax + 1))]
+    column = [1]
+    for m in range(nmax):
+        column.append(sum(math.comb(m, i) * vals[i] * column[m - i] for i in range(m + 1)))
+    return column
 
 
 def eval_complete_bell(a, n: int) -> Fraction:
-    """A_n(a) by the binomial recurrence A_{m+1} = sum C(m,i) a_{i+1} A_{m-i}."""
-    value = seq_values(a)
-    table = [Fraction(1)]
-    for m in range(n):
-        nxt = Fraction(0)
-        for i in range(m + 1):
-            nxt += math.comb(m, i) * value(i + 1) * table[m - i]
-        table.append(nxt)
-    return table[n]
+    """Exact A_n(a) as a Fraction: the last entry of :func:`complete_bell_column`."""
+    return Fraction(complete_bell_column(a, n)[n])
 
 
 def eval_complete_bell_via_gf(a, n: int) -> Fraction:

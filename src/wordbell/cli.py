@@ -47,11 +47,18 @@ def _max_degree(parser) -> int:
 
 
 def _emit(parser, args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not getattr(args, "out", None):
         sys.stdout.write(text)
+        return
+    # write beside the target, then rename over it: never a half-written file
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _json(payload) -> str:
@@ -81,22 +88,17 @@ def _cmd_table(parser, args) -> int:
         parser.error("table custom requires --seq")
     rows = None
     column = None
-    if kind in TRIANGLE_SEQUENCES:
-        seq = TRIANGLE_SEQUENCES[kind]
-        rows = [
-            [int(bell.eval_partial_bell(seq, n, k)) for k in range(1, n + 1)]
-            for n in range(1, nmax + 1)
-        ]
-    elif kind in COLUMN_SEQUENCES:
-        seq = COLUMN_SEQUENCES[kind]
-        column = [int(bell.eval_complete_bell(seq, n)) for n in range(nmax + 1)]
+    if kind in COLUMN_SEQUENCES:
+        column = bell.complete_bell_column(COLUMN_SEQUENCES[kind], nmax)
     else:
-        seq = _parse_seq(parser, args.seq)
-        rows = [
-            [int(bell.eval_partial_bell(seq, n, k)) for k in range(1, n + 1)]
-            for n in range(1, nmax + 1)
-        ]
-        column = [int(bell.eval_complete_bell(seq, n)) for n in range(nmax + 1)]
+        if kind in TRIANGLE_SEQUENCES:
+            seq = TRIANGLE_SEQUENCES[kind]
+        else:
+            seq = _parse_seq(parser, args.seq)
+            column = bell.complete_bell_column(seq, nmax)
+        # row k of the band holds B_{k+d,k}, so B_{n,k} sits at band[k][n-k]
+        band = bell.partial_bell_band(seq, nmax, max(nmax - 1, 0))
+        rows = [[band[k][n - k] for k in range(1, n + 1)] for n in range(1, nmax + 1)]
     if args.format == "json":
         payload = {"kind": kind, "nmax": nmax}
         if rows is not None:

@@ -61,11 +61,6 @@ def int_partitions(n: int, max_part: int | None = None) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
-def int_partitions_len(n: int, k: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n into exactly k parts."""
-    return [lam for lam in int_partitions(n) if len(lam) == k]
-
-
 def perm_lex_unrank(m: int, rank: int) -> tuple[int, ...]:
     """The rank-th permutation of (1, ..., m) in lexicographic order (0-based)."""
     if not 0 <= rank < math.factorial(m):

@@ -139,9 +139,15 @@ class LinComb:
             return NotImplemented
         if not scalar:
             return LinComb.zero(self.basis)
-        return LinComb._raw(
-            self.basis, {k: c * scalar for k, c in self._terms.items()}
-        )
+        if scalar.denominator == 1:  # an int, or an integral Fraction
+            scalar = scalar.numerator
+            return LinComb._raw(self.basis, {k: c * scalar for k, c in self._terms.items()})
+        # a proper fraction: store each product as int when it is one
+        out = {}
+        for k, c in self._terms.items():
+            v = c * scalar
+            out[k] = v.numerator if v.denominator == 1 else v
+        return LinComb._raw(self.basis, out)
 
     __rmul__ = __mul__
 
@@ -150,30 +156,9 @@ class LinComb:
             return NotImplemented
         return self * (1 / Fraction(scalar))
 
-    def map_keys(self, fn: Callable[[Hashable], Hashable]) -> "LinComb":
-        """Linear relabeling of basis keys (images may collide)."""
-        out: dict = {}
-        for key, coeff in self._terms.items():
-            new = fn(key)
-            acc = out.get(new, 0) + coeff
-            if acc:
-                out[new] = acc
-            else:
-                del out[new]
-        return LinComb._raw(self.basis, out)
-
     def retag(self, basis: str) -> "LinComb":
         """Same coefficients, different basis tag (explicit conversion only)."""
         return LinComb._raw(basis, dict(self._terms))
-
-
-def accumulate(data: dict, key: Hashable, coeff: Scalar) -> None:
-    """Add ``coeff`` to ``data[key]`` in place, dropping exact zeros."""
-    acc = data.get(key, 0) + coeff
-    if acc:
-        data[key] = acc
-    elif key in data:
-        del data[key]
 
 
 class TPoly:

@@ -347,20 +347,29 @@ def cycle_specialization(sigma: CyclePermutation) -> LinComb:
     return LinComb.term(WORD, cycle_word(sigma))
 
 
-def _all_permutations(n: int):
-    from itertools import permutations as _perms
-
-    for line in _perms(range(1, n + 1)):
-        yield CyclePermutation.from_one_line(line)
+def _permutations_with_cycles(n: int, k: int, cycles: tuple = (), m: int = 1):
+    """The permutations of {1..n} with exactly k cycles, each once, by the
+    insertion rule behind c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k): element m
+    opens a new cycle or follows one of the m - 1 smaller elements in its
+    cycle.  A branch stops as soon as k cycles are out of its reach."""
+    if m > n:
+        if len(cycles) == k:
+            yield CyclePermutation(cycles)
+        return
+    if len(cycles) < k:
+        yield from _permutations_with_cycles(n, k, cycles + ((m,),), m + 1)
+    if len(cycles) + n - m >= k:
+        for c, cyc in enumerate(cycles):
+            for pos in range(1, len(cyc) + 1):
+                grown = cycles[:c] + (cyc[:pos] + (m,) + cyc[pos:],) + cycles[c + 1:]
+                yield from _permutations_with_cycles(n, k, grown, m + 1)
 
 
 def cycle_bell(n: int, k: int) -> LinComb:
     """Word Bell polynomial specialized to cycle words: the sum of w[sigma]
     over permutations of size n with exactly k cycles."""
     out: dict = {}
-    for sigma in _all_permutations(n):
-        if sigma.cycle_count != k:
-            continue
+    for sigma in _permutations_with_cycles(n, k):
         w = cycle_word(sigma)
         out[w] = out.get(w, 0) + 1
     return LinComb._raw(WORD, out)

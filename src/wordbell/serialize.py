@@ -20,7 +20,6 @@ from .combinatorics import (
     SetPartition,
 )
 from .lincomb import LinComb, TPoly
-from .sympoly import SparsePoly
 
 
 def key_to_jsonable(key):
@@ -90,11 +89,3 @@ def tpoly_to_jsonable(p: TPoly, sequence: str | None = None) -> dict:
             lincomb_to_jsonable(c, sequence) for c in p.coeffs
         ]
     }
-
-
-def sympoly_to_jsonable(p: SparsePoly) -> dict:
-    terms = []
-    for mono, coeff in p.sorted_items():
-        num, den = _coeff_parts(coeff)
-        terms.append({"exponents": list(mono), "num": num, "den": den})
-    return {"terms": terms}

@@ -172,10 +172,6 @@ def eval_sym(p: SparsePoly, x: VirtualAlphabet) -> Fraction:
     return Fraction(p.evaluate(x.c))
 
 
-def h_value(x: VirtualAlphabet, n: int) -> Fraction:
-    return x.h(n)
-
-
 # ---------------------------------------------------------------------------
 # alphabet operations
 

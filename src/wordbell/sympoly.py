@@ -84,13 +84,6 @@ class SparsePoly:
     def sorted_items(self):
         return sorted(self._terms.items())
 
-    def constant_term(self) -> Scalar:
-        return self._terms.get((), 0)
-
-    def max_var(self) -> int:
-        """Largest variable index that occurs (0 for constants)."""
-        return max((len(m) for m in self._terms), default=0)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -11,6 +11,7 @@ from wordbell.bell import (
     beta,
     colored_psi_bell,
     colored_psi_complete,
+    complete_bell_column,
     complete_bell_poly,
     deriv,
     deriv_via_monomial,
@@ -23,8 +24,10 @@ from wordbell.bell import (
     h_in_c,
     identity_suite,
     morphism_diagram_report,
+    partial_bell_band,
     partial_bell_poly,
     psi_atom,
+    shuffle_bell_series,
     shuffle_complete_bell,
     shuffle_partial_bell,
     word_bell_tpoly,
@@ -163,6 +166,60 @@ def test_fast_paths_agree_with_direct():
                     )
 
 
+GRID_SEQUENCES = {
+    "integral": [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9],
+    "rational": [Fraction(2, 3), Fraction(-1, 2), 5, Fraction(7, 4), 0, Fraction(-3, 5), 1]
+    + [Fraction(m, m + 3) for m in range(1, 7)],
+    "a1 = 0": [0, 2, Fraction(-1, 3), 4, 0, 1, Fraction(5, 2), -2, 3, 1, 0, 7, 1],
+    "negative a1": [-2, 3, Fraction(1, 2), -1, 6, 0, 2, -3, Fraction(4, 3), 1, 5, -1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SEQUENCES))
+def test_band_matches_direct_on_grid(name):
+    a = GRID_SEQUENCES[name]
+    band = partial_bell_band(a, 12, 12)
+    for n in range(13):
+        for k in range(n + 1):
+            want = eval_partial_bell_direct(a, n, k)
+            assert band[k][n - k] == want
+            assert eval_partial_bell(a, n, k) == want
+    # integral entries are ints; for the integral sequence that is every entry
+    assert all(type(v) is int for row in band for v in row if v.denominator == 1)
+
+
+def test_eval_partial_bell_returns_fraction():
+    for a in (ONES, [1, 2, 3], [Fraction(1, 2)] * 4):
+        for n, k in ((0, 0), (3, 0), (4, 2), (4, 4), (2, 3)):
+            assert type(eval_partial_bell(a, n, k)) is Fraction
+    assert type(eval_complete_bell(ONES, 5)) is Fraction
+    assert eval_partial_bell(ONES, 4, 2) / math.factorial(4) == Fraction(7, 24)
+
+
+def test_triangle_reads_only_its_prefix():
+    def bounded(limit):
+        def a(i):
+            if not 1 <= i <= limit:
+                raise IndexError(f"a_{i} read, only a_1..a_{limit} allowed")
+            return i * i - 3
+        return a
+
+    for n in range(10):
+        for k in range(n + 1):
+            got = eval_partial_bell(bounded(n - k + 1), n, k)
+            assert got == eval_partial_bell_direct(lambda i: i * i - 3, n, k)
+    partial_bell_band(bounded(4), 6, 3)
+    complete_bell_column(bounded(5), 5)
+
+
+def test_complete_column_is_exact_and_integral():
+    column = complete_bell_column(FACTORIAL, 10)
+    assert all(type(v) is int for v in column)
+    assert column == [eval_complete_bell_via_gf(FACTORIAL, n) for n in range(11)]
+    a = GRID_SEQUENCES["rational"]
+    assert complete_bell_column(a, 8) == [eval_complete_bell_via_gf(a, n) for n in range(9)]
+
+
 def test_complete_recurrence_vs_gf():
     rng = random.Random(5)
     for _ in range(5):
@@ -297,6 +354,15 @@ def test_shuffle_bell_families():
         for p in set_partitions(n):
             want = want + expand_phi(p, n)
         assert total == want
+
+
+def test_shuffle_bell_series_keeps_int_coefficients():
+    A = letters(1, 2)
+    generators = [None, expand_phi(SetPartition.single_block(1), 2)]
+    powered = shuffle_bell_series(generators, 2, 2)
+    # (a1 + a2) shuffled with itself is 2 a1a1 + 2 a1a2 + 2 a2a1 + 2 a2a2; over 2!
+    assert powered[2] == LinComb("Word", {(x, y): 1 for x in A for y in A})
+    assert all(type(c) is int for _, c in powered[2].items())
 
 
 def test_shuffle_bell_rejects_inhomogeneous():

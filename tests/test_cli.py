@@ -150,3 +150,41 @@ def test_out_file(tmp_path):
     assert main(["expand", "mk", "--n", "2", "--out", str(target)]) == 0
     payload = json.loads(target.read_text())
     assert len(payload["coefficients"]) == 3
+
+
+def test_out_file_is_replaced_atomically(tmp_path, monkeypatch):
+    target = tmp_path / "table.json"
+    target.write_text("stale")
+    assert main(["table", "bell", "5", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["complete"] == [1, 1, 2, 5, 15, 52]
+    assert os.listdir(tmp_path) == ["table.json"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    try:
+        main(["table", "bell", "6", "--out", str(target)])
+    except OSError:
+        pass
+    else:
+        raise AssertionError("the failed rename was swallowed")
+    assert os.listdir(tmp_path) == ["table.json"]
+    assert json.loads(target.read_text())["complete"] == [1, 1, 2, 5, 15, 52]
+
+
+def test_suites_report_the_first_counterexample(monkeypatch):
+    from wordbell import bell, hopf, verify
+    from wordbell.combinatorics import ONES, colored_partitions
+
+    real = bell.eval_partial_bell
+    monkeypatch.setattr(bell, "eval_partial_bell", lambda a, n, k: real(a, n, k) + (a is ONES))
+    item = verify.bell_suite(max_n=1)[0]
+    assert item["status"] == "fail"
+    assert item["counterexample"] == {"kind": "stirling2", "n": 0, "k": 0}
+
+    monkeypatch.setattr(hopf, "tensor_swap", lambda x: x * 2)
+    items = verify.hopf_suite(max_n=2, sequences=(ONES,))
+    item = next(i for i in items if i["identity"].startswith("cocommutativity"))
+    first_key = str(colored_partitions(ONES, 0)[0])
+    assert item["counterexample"] == {"key": first_key, "side": "Phi cocommutativity"}

@@ -316,6 +316,20 @@ def test_cycle_bell_matches_shuffle_bell():
             assert shuffle_partial_bell(family, n, k) == cycle_bell(n, k)
 
 
+def test_cycle_bell_matches_permutation_filter():
+    from itertools import permutations
+
+    for n in range(7):
+        sigmas = [CyclePermutation.from_one_line(line) for line in permutations(range(1, n + 1))]
+        for k in range(n + 2):
+            want: dict = {}
+            for sigma in sigmas:
+                if sigma.cycle_count == k:
+                    w = cycle_word(sigma)
+                    want[w] = want.get(w, 0) + 1
+            assert cycle_bell(n, k) == LinComb("Word", want)
+
+
 def test_scaled_complete_is_shuffle_power():
     A = letters(1, 2)
     # sigma_t(2A) = sigma_t(A)^(shuffle 2): check one coefficient directly
