@@ -200,21 +200,13 @@ def deriv(x: LinComb) -> LinComb:
     """The ladder operator: adjoin n+1 to each block in turn; kills scalars."""
     if x.basis != PHI:
         raise BasisError("the ladder operator acts on the Phi basis")
-    out: dict = {}
-    for key, c in x.items():
-        if not isinstance(key, SetPartition):
-            raise BasisError("the ladder operator is defined on uncolored keys")
-        n = key.size
-        for i in range(key.part_count):
-            blocks = list(key.blocks)
-            blocks[i] = blocks[i] + (n + 1,)
-            new = SetPartition._trusted(tuple(blocks))
-            acc = out.get(new, 0) + c
-            if acc:
-                out[new] = acc
-            else:
-                del out[new]
-    return LinComb._raw(PHI, out)
+    if not all(isinstance(key, SetPartition) for key in x.keys()):
+        raise BasisError("the ladder operator is defined on uncolored keys")
+    return LinComb(PHI, (
+        (SetPartition._trusted(key.blocks[:i] + (b + (key.size + 1,),) + key.blocks[i + 1:]), c)
+        for key, c in x.items()
+        for i, b in enumerate(key.blocks)
+    ))
 
 
 def _append_singleton(x: LinComb) -> LinComb:
@@ -408,28 +400,12 @@ def beta(x: LinComb, seq: ColorSequence) -> LinComb:
         raise BasisError("beta acts on the Psi basis")
     from itertools import product as _product
 
-    out: dict = {}
-    for key, c in x.items():
-        ranges = []
-        possible = True
-        for b in key.blocks:
-            bound = seq(len(b))
-            if bound == 0:
-                possible = False
-                break
-            ranges.append(range(1, bound + 1))
-        if not possible:
-            continue
-        for colors in _product(*ranges):
-            colored = ColoredSetPartition._trusted(
-                tuple(zip(key.blocks, colors)), seq
-            )
-            acc = out.get(colored, 0) + c
-            if acc:
-                out[colored] = acc
-            else:
-                del out[colored]
-    return LinComb._raw(PSI, out)
+    # a block size with no colors (a_m = 0) leaves an empty product: no terms
+    return LinComb(PSI, (
+        (ColoredSetPartition._trusted(tuple(zip(key.blocks, colors)), seq), c)
+        for key, c in x.items()
+        for colors in _product(*(range(1, seq(len(b)) + 1) for b in key.blocks))
+    ))
 
 
 def gamma(x: LinComb) -> Fraction:
@@ -456,6 +432,17 @@ def gamma_beta(x: LinComb, a) -> Fraction:
 def gamma_beta_alpha_h(n: int, a) -> Fraction:
     """The composite of the specialization diagram applied to h_n."""
     return gamma_beta(alpha(h_in_c(n)), a)
+
+
+def report_item(identity: str, range_desc: str, failure) -> dict:
+    """One verification report entry: what was checked, over which range, and
+    the first counterexample (None when the identity held)."""
+    return {
+        "identity": identity,
+        "range": range_desc,
+        "status": "fail" if failure else "pass",
+        "counterexample": failure,
+    }
 
 
 def _random_rational_sequence(rng: random.Random, length: int) -> list[Fraction]:
@@ -491,12 +478,7 @@ def morphism_diagram_report(
                 failure = {"n": n, "route": "materialized", "got": str(materialized)}
                 break
         report.append(
-            {
-                "identity": f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]",
-                "range": f"n <= {max_n}",
-                "status": "fail" if failure else "pass",
-                "counterexample": failure,
-            }
+            report_item(f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]", f"n <= {max_n}", failure)
         )
     rng = random.Random(seed)
     for t in range(rational_trials):
@@ -509,12 +491,7 @@ def morphism_diagram_report(
                 failure = {"n": n, "a": [str(v) for v in a], "got": str(got)}
                 break
         report.append(
-            {
-                "identity": f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]",
-                "range": f"n <= {max_n}",
-                "status": "fail" if failure else "pass",
-                "counterexample": failure,
-            }
+            report_item(f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]", f"n <= {max_n}", failure)
         )
     for seq in sequences:
         failure = None
@@ -536,12 +513,7 @@ def morphism_diagram_report(
             if failure:
                 break
         report.append(
-            {
-                "identity": f"gamma multiplicative [{seq.spec_string()}]",
-                "range": f"total size <= {pair_max}",
-                "status": "fail" if failure else "pass",
-                "counterexample": failure,
-            }
+            report_item(f"gamma multiplicative [{seq.spec_string()}]", f"total size <= {pair_max}", failure)
         )
     return report
 
@@ -580,13 +552,8 @@ def prop_s_form_check(n: int, k: int) -> dict:
         expand_s_on(SetPartition.singletons(k), a_prime),
         scaled_complete(n - k, k, a_second),
     )
-    ok = lhs == rhs
-    return {
-        "identity": "partial Bell as S-function product",
-        "range": f"n={n}, k={k}",
-        "status": "pass" if ok else "fail",
-        "counterexample": None if ok else {"n": n, "k": k},
-    }
+    failure = None if lhs == rhs else {"n": n, "k": k}
+    return report_item("partial Bell as S-function product", f"n={n}, k={k}", failure)
 
 
 def binomiality_check(n: int, k1: int, k2: int) -> dict:
@@ -602,77 +569,15 @@ def binomiality_check(n: int, k1: int, k2: int) -> dict:
     for i in range(n + 1):
         if series_1[i] and series_2[n - i]:
             rhs = rhs + shuffle(series_1[i], series_2[n - i])
-    ok = lhs == rhs
-    return {
-        "identity": "binomiality of partial word Bell polynomials",
-        "range": f"n={n}, k1={k1}, k2={k2}",
-        "status": "pass" if ok else "fail",
-        "counterexample": None if ok else {"n": n, "k1": k1, "k2": k2},
-    }
+    failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
+    return report_item("binomiality of partial word Bell polynomials", f"n={n}, k1={k1}, k2={k2}", failure)
 
 
-def convolution_check(n: int, k: int, truncation: int = 2) -> dict:
+def _convolution_batch(max_n: int, max_k: int, truncation: int = 2) -> list[dict]:
     """The alphabet-sum convolution, with the index shift that balances the
     degrees: S_(k singletons)(A') shuffle B_{n,k}(A'') equals
     sum_i B_{i,k}(A''_1) shuffle B_{n+k-i,k}(A''_2) for A'' = A''_1 + A''_2.
     """
-    a_prime = letters(1, truncation)
-    a_one = letters(2, truncation)
-    a_two = letters(3, truncation)
-    a_union = a_one + a_two
-    top = n
-    series_u = mixed_bell_series(a_prime, a_union, k, top)
-    series_1 = mixed_bell_series(a_prime, a_one, k, top)
-    series_2 = mixed_bell_series(a_prime, a_two, k, top)
-    lhs = shuffle(expand_s_on(SetPartition.singletons(k), a_prime), series_u[n])
-    rhs = word_zero()
-    for i in range(k, n + 1):
-        j = n + k - i
-        if j < k or j > top:
-            continue
-        if series_1[i] and series_2[j]:
-            rhs = rhs + shuffle(series_1[i], series_2[j])
-    ok = lhs == rhs
-    return {
-        "identity": "convolution over an alphabet sum",
-        "range": f"n={n}, k={k}, L={truncation}",
-        "status": "pass" if ok else "fail",
-        "counterexample": None if ok else {"n": n, "k": k},
-    }
-
-
-def composition_check(n: int, k1: int, k2: int, truncation: int = 2) -> dict:
-    """Composing partial word Bell polynomials telescopes:
-
-    B_{n,k1}(args F_m = B^{A'}_{k2+m-1,k2}(A'')) equals
-    (k1 k2)! / (k1! k2!^{k1}) times B^{A'}_{n-k1+k1k2, k1k2}(A'').
-    """
-    a_prime = letters(1, truncation)
-    a_second = letters(2, truncation)
-    top_arg = k2 + n - 1
-    base = mixed_bell_series(a_prime, a_second, k2, top_arg)
-    args = [word_zero()]
-    for m in range(1, n + 1):
-        args.append(base[k2 + m - 1])
-    powered = series_shuffle_power(args, k1, n)
-    lhs = powered[n] * Fraction(1, math.factorial(k1))
-    n_target = n - k1 + k1 * k2
-    rhs_series = mixed_bell_series(a_prime, a_second, k1 * k2, n_target)
-    prefactor = Fraction(
-        math.factorial(k1 * k2),
-        math.factorial(k1) * math.factorial(k2) ** k1,
-    )
-    rhs = rhs_series[n_target] * prefactor
-    ok = lhs == rhs
-    return {
-        "identity": "composition of partial word Bell polynomials",
-        "range": f"n={n}, k1={k1}, k2={k2}, L={truncation}",
-        "status": "pass" if ok else "fail",
-        "counterexample": None if ok else {"n": n, "k1": k1, "k2": k2},
-    }
-
-
-def _convolution_batch(max_n: int, max_k: int, truncation: int = 2) -> list[dict]:
     # One series power per (alphabet, k); individual n slices are then cheap.
     report = []
     a_prime = letters(1, truncation)
@@ -693,19 +598,19 @@ def _convolution_batch(max_n: int, max_k: int, truncation: int = 2) -> list[dict
                     continue
                 if series_1[i] and series_2[j]:
                     rhs = rhs + shuffle(series_1[i], series_2[j])
-            ok = lhs == rhs
+            failure = None if lhs == rhs else {"n": n, "k": k}
             report.append(
-                {
-                    "identity": "convolution over an alphabet sum",
-                    "range": f"n={n}, k={k}, L={truncation}",
-                    "status": "pass" if ok else "fail",
-                    "counterexample": None if ok else {"n": n, "k": k},
-                }
+                report_item("convolution over an alphabet sum", f"n={n}, k={k}, L={truncation}", failure)
             )
     return report
 
 
 def _composition_batch(max_n: int, max_k: int) -> list[dict]:
+    """Composing partial word Bell polynomials telescopes:
+
+    B_{n,k1}(args F_m = B^{A'}_{k2+m-1,k2}(A'')) equals
+    (k1 k2)! / (k1! k2!^{k1}) times B^{A'}_{n-k1+k1k2, k1k2}(A'').
+    """
     report = []
     for k1 in range(1, max_k + 1):
         for k2 in range(1, max_k + 1):
@@ -724,15 +629,12 @@ def _composition_batch(max_n: int, max_k: int) -> list[dict]:
             for n in range(k1, max_n + 1):
                 lhs = powered[n] * Fraction(1, math.factorial(k1))
                 rhs = rhs_series[n - k1 + k1 * k2] * prefactor
-                ok = lhs == rhs
-                report.append(
-                    {
-                        "identity": "composition of partial word Bell polynomials",
-                        "range": f"n={n}, k1={k1}, k2={k2}, L={truncation}",
-                        "status": "pass" if ok else "fail",
-                        "counterexample": None if ok else {"n": n, "k1": k1, "k2": k2},
-                    }
-                )
+                failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
+                report.append(report_item(
+                    "composition of partial word Bell polynomials",
+                    f"n={n}, k1={k1}, k2={k2}, L={truncation}",
+                    failure,
+                ))
     return report
 
 

@@ -432,22 +432,35 @@ def standardize(raw_parts, seq: ColorSequence) -> ColoredSetPartition:
 # interleaving, splitting counts, refinement
 
 
+@lru_cache(maxsize=None)
+def interleavings(n: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The C(n+m, n) splits (I, J) of the labels {1, ..., n+m} into an n-set I
+    and its complement J, both increasing, with I in lexicographic order.
+
+    Every interleaving of an n-letter support with an m-letter one is read
+    from this table.  The splits with label 1 in I come first (there are
+    C(n+m-1, n-1) of them for n >= 1), which the half-shuffles rely on.
+    """
+    universe = range(1, n + m + 1)
+    out = []
+    for I in combinations(universe, n):
+        in_i = set(I)
+        out.append((I, tuple(p for p in universe if p not in in_i)))
+    return tuple(out)
+
+
 def interleave_keys(x, y):
     """All x-hat U y-hat over support splittings (with repetitions).
 
     Yields one partition per way of choosing which |x| labels of
-    {1, ..., |x|+|y|} carry x; the results standardize back to x and y.
-    Consumers wanting multiplicities count repetitions; see
-    :func:`matching_unions` for the deduplicated set.
+    {1, ..., |x|+|y|} carry x, in the order of :func:`interleavings`; the
+    results standardize back to x and y.  Consumers wanting multiplicities
+    count repetitions; see :func:`matching_unions` for the deduplicated set.
     """
     colored = isinstance(x, ColoredSetPartition)
     if colored:
         x._check_seq(y)
-    n, m = x.size, y.size
-    universe = range(1, n + m + 1)
-    for I in combinations(universe, n):
-        in_i = set(I)
-        J = tuple(p for p in universe if p not in in_i)
+    for I, J in interleavings(x.size, y.size):
         if colored:
             yield ColoredSetPartition._trusted(
                 tuple(sorted(x.relabel(I) + y.relabel(J), key=lambda p: p[0][0])),

@@ -72,65 +72,36 @@ def phi_product(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of the shifted union of keys."""
     _require(x, PHI)
     _require(y, PHI)
-    out: dict = {}
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            key = kx.shifted_union(ky)
-            acc = out.get(key, 0) + cx * cy
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return LinComb._raw(PHI, out)
+    return LinComb(PHI, (
+        (kx.shifted_union(ky), cx * cy) for kx, cx in x.items() for ky, cy in y.items()
+    ))
 
 
 def phi_coproduct(x: LinComb) -> LinComb:
     """Sum over complementary standardized sub-partitions (tensor output)."""
     _require(x, PHI)
-    out: dict = {}
-    for key, c in x.items():
-        for left, right in part_bipartitions(key):
-            pair = (left, right)
-            acc = out.get(pair, 0) + c
-            if acc:
-                out[pair] = acc
-            else:
-                del out[pair]
-    return LinComb._raw(tensor_tag(PHI), out)
+    return LinComb(tensor_tag(PHI), (
+        (pair, c) for key, c in x.items() for pair in part_bipartitions(key)
+    ))
 
 
 def psi_product(x: LinComb, y: LinComb) -> LinComb:
     """Dual product: sum over support interleavings, with multiplicities."""
     _require(x, PSI)
     _require(y, PSI)
-    out: dict = {}
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            c = cx * cy
-            for key in interleave_keys(kx, ky):
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-    return LinComb._raw(PSI, out)
+    return LinComb(PSI, (
+        (key, cx * cy)
+        for kx, cx in x.items()
+        for ky, cy in y.items()
+        for key in interleave_keys(kx, ky)
+    ))
 
 
 def psi_coproduct(x: LinComb) -> LinComb:
     """Deconcatenation over all prefix/suffix splits of the support."""
     _require(x, PSI)
-    out: dict = {}
-    for key, c in x.items():
-        for j in range(key.size + 1):
-            split = key.split_at(j)
-            if split is None:
-                continue
-            acc = out.get(split, 0) + c
-            if acc:
-                out[split] = acc
-            else:
-                del out[split]
-    return LinComb._raw(tensor_tag(PSI), out)
+    splits = ((key.split_at(j), c) for key, c in x.items() for j in range(key.size + 1))
+    return LinComb(tensor_tag(PSI), ((split, c) for split, c in splits if split is not None))
 
 
 def tensor(x: LinComb, y: LinComb) -> LinComb:
@@ -149,22 +120,19 @@ def tensor_multiply(s: LinComb, t: LinComb, product) -> LinComb:
     if s.basis != t.basis:
         raise BasisError("tensor bases differ")
     base = s.basis.split("⊗")[0]
-    out: dict = {}
-    for (a, b), c1 in s.items():
-        ea, eb = LinComb.term(base, a), LinComb.term(base, b)
-        for (c, d), c2 in t.items():
-            left = product(ea, LinComb.term(base, c))
-            right = product(eb, LinComb.term(base, d))
-            coeff = c1 * c2
-            for kl, cl in left.items():
-                for kr, cr in right.items():
-                    pair = (kl, kr)
-                    acc = out.get(pair, 0) + coeff * cl * cr
-                    if acc:
-                        out[pair] = acc
-                    else:
-                        del out[pair]
-    return LinComb._raw(s.basis, out)
+
+    def terms():
+        for (a, b), c1 in s.items():
+            ea, eb = LinComb.term(base, a), LinComb.term(base, b)
+            for (c, d), c2 in t.items():
+                left = product(ea, LinComb.term(base, c))
+                right = product(eb, LinComb.term(base, d))
+                coeff = c1 * c2
+                for kl, cl in left.items():
+                    for kr, cr in right.items():
+                        yield (kl, kr), coeff * cl * cr
+
+    return LinComb(s.basis, terms())
 
 
 def tensor_swap(t: LinComb) -> LinComb:
@@ -194,15 +162,7 @@ def phi_to_monomial(x: LinComb) -> LinComb:
     """Expand Phi in word monomial functions: Phi_pi = sum of M over coarser."""
     _require(x, PHI)
     _require_uncolored(x)
-    out: dict = {}
-    for key, c in x.items():
-        for q in coarsenings(key):
-            acc = out.get(q, 0) + c
-            if acc:
-                out[q] = acc
-            else:
-                del out[q]
-    return LinComb._raw(MONOMIAL, out)
+    return LinComb(MONOMIAL, ((q, c) for key, c in x.items() for q in coarsenings(key)))
 
 
 @lru_cache(maxsize=None)

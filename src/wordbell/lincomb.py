@@ -27,24 +27,30 @@ def tensor_tag(basis: str) -> str:
     return basis + "⊗" + basis
 
 
+def _add_terms(data: dict, pairs: Iterable) -> dict:
+    """Add the (key, coeff) pairs into ``data`` and drop every key whose sum
+    is 0; returns ``data``.  This is the one sparse update behind every
+    LinComb and SparsePoly operation.  ``pop`` tolerates an absent key, so a
+    zero coefficient needs no check of its own."""
+    get = data.get
+    for key, coeff in pairs:
+        acc = get(key, 0) + coeff
+        if acc:
+            data[key] = acc
+        else:
+            data.pop(key, None)
+    return data
+
+
 class LinComb:
     """Finite rational linear combination of hashable keys, tagged by basis."""
 
     __slots__ = ("basis", "_terms")
 
     def __init__(self, basis: str, terms: Mapping | Iterable = ()):
-        data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            if not coeff:
-                continue
-            acc = data.get(key, 0) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
         self.basis = basis
-        self._terms = data
+        self._terms = _add_terms({}, items)
 
     # -- construction -------------------------------------------------------
 
@@ -117,14 +123,7 @@ class LinComb:
             return other
         if not other._terms:
             return self
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = data.get(key, 0) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return LinComb._raw(self.basis, data)
+        return LinComb._raw(self.basis, _add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):

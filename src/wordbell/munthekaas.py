@@ -6,14 +6,17 @@ noncommutative Bell polynomials.  The block-size morphism from word symmetric
 functions, the Zinbiel half-shuffles on the dual side, the triangular
 polynomial of an upper triangular matrix and the Hessenberg path expansion
 all live here.
+
+The two half-shuffles are complementary slices of one interleaving: the
+keys of ``combinatorics.interleave_keys`` that give label 1 to the left
+factor come first, and their sum is ``hopf.psi_product`` read on Phi tags.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
-from .combinatorics import SetPartition
+from .combinatorics import SetPartition, interleave_keys
 from .hopf import PHI
 from .lincomb import BasisError, LinComb, TPoly
 
@@ -36,32 +39,18 @@ def nc_mul(x: LinComb, y: LinComb) -> LinComb:
     """Concatenation product of noncommutative polynomials."""
     if x.basis != NC or y.basis != NC:
         raise BasisError("expected noncommutative polynomials")
-    out: dict = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            key = u + v
-            acc = out.get(key, 0) + cu * cv
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return LinComb._raw(NC, out)
+    return LinComb(NC, ((u + v, cu * cv) for u, cu in x.items() for v, cv in y.items()))
 
 
 def derive(x: LinComb) -> LinComb:
     """The derivation d_i -> d_{i+1}, extended by the Leibniz rule."""
     if x.basis != NC:
         raise BasisError("expected a noncommutative polynomial")
-    out: dict = {}
-    for word, c in x.items():
-        for pos in range(len(word)):
-            key = word[:pos] + (word[pos] + 1,) + word[pos + 1:]
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return LinComb._raw(NC, out)
+    return LinComb(NC, (
+        (word[:pos] + (word[pos] + 1,) + word[pos + 1:], c)
+        for word, c in x.items()
+        for pos in range(len(word))
+    ))
 
 
 def mb_tpoly(n: int) -> TPoly:
@@ -94,17 +83,9 @@ def xi(x: LinComb) -> LinComb:
     to the word of its block sizes."""
     if x.basis != PHI:
         raise BasisError("the block-size morphism acts on the Phi basis")
-    out: dict = {}
-    for key, c in x.items():
-        if not isinstance(key, SetPartition):
-            raise BasisError("the block-size morphism is defined on uncolored keys")
-        word = key.block_sizes()
-        acc = out.get(word, 0) + c
-        if acc:
-            out[word] = acc
-        else:
-            del out[word]
-    return LinComb._raw(NC, out)
+    if not all(isinstance(key, SetPartition) for key in x.keys()):
+        raise BasisError("the block-size morphism is defined on uncolored keys")
+    return LinComb(NC, ((key.block_sizes(), c) for key, c in x.items()))
 
 
 def ebrahimi_coefficient(n: int, k: int, composition) -> int:
@@ -126,29 +107,22 @@ def ebrahimi_coefficient(n: int, k: int, composition) -> int:
 def _half_shuffle(x: LinComb, y: LinComb, min_left: bool) -> LinComb:
     if x.basis != PHI or y.basis != PHI:
         raise BasisError("half-shuffles act on the Phi-indexed dual realization")
-    out: dict = {}
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            n, m = kx.size, ky.size
-            c = cx * cy
-            if n + m == 0:
-                continue  # no label 1 to place: both half-products vanish
-            universe = range(1, n + m + 1)
-            for I in combinations(universe, n):
-                has_min = bool(I) and I[0] == 1
-                if has_min != min_left:
-                    continue
-                chosen = set(I)
-                J = tuple(p for p in universe if p not in chosen)
-                key = SetPartition._trusted(
-                    tuple(sorted(kx.relabel(I) + ky.relabel(J), key=lambda b: b[0]))
-                )
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-    return LinComb._raw(PHI, out)
+
+    def terms():
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                n, m = kx.size, ky.size
+                if n + m == 0:
+                    continue  # no label 1 to place: both half-products vanish
+                # interleave_keys follows the lexicographic order of the labels
+                # kx takes, so the C(n+m-1, n-1) keys with label 1 in kx lead
+                first = math.comb(n + m - 1, n - 1) if n else 0
+                keys = list(interleave_keys(kx, ky))
+                c = cx * cy
+                for key in keys[:first] if min_left else keys[first:]:
+                    yield key, c
+
+    return LinComb(PHI, terms())
 
 
 def zinbiel_left(x: LinComb, y: LinComb) -> LinComb:
@@ -159,31 +133,6 @@ def zinbiel_left(x: LinComb, y: LinComb) -> LinComb:
 def zinbiel_right(x: LinComb, y: LinComb) -> LinComb:
     """The half-shuffle sending the smallest label to the right factor."""
     return _half_shuffle(x, y, False)
-
-
-def dual_shuffle_product(x: LinComb, y: LinComb) -> LinComb:
-    """The full commutative product of the dual algebra on Phi-indexed keys
-    (the sum of the two half-shuffles on elements of positive degree)."""
-    if x.basis != PHI or y.basis != PHI:
-        raise BasisError("expected Phi-indexed keys")
-    out: dict = {}
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            n, m = kx.size, ky.size
-            c = cx * cy
-            universe = range(1, n + m + 1)
-            for I in combinations(universe, n):
-                chosen = set(I)
-                J = tuple(p for p in universe if p not in chosen)
-                key = SetPartition._trusted(
-                    tuple(sorted(kx.relabel(I) + ky.relabel(J), key=lambda b: b[0]))
-                )
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-    return LinComb._raw(PHI, out)
 
 
 def p_triangular(entry, n: int) -> TPoly:

@@ -16,7 +16,9 @@ infinite alphabets agree iff they agree at truncation L = n, since a degree-n
 monomial involves at most n distinct letters of each alphabet.
 
 The shuffle kernel: ``_interleave_patterns(n, m)`` caches one itemgetter per
-interleaving, which maps u + v to the shuffled word in C.  ``_cleared``
+interleaving, which maps u + v to the shuffled word in C; the gathers are
+built from the label splits of ``combinatorics.interleavings``, the one table
+every interleaving in the package is read from.  ``_cleared``
 turns operands (a whole series at once) into integer numerators over one
 common denominator, the kernel adds plain ints, and ``_settled`` drops the
 zeros and divides once at the end, keeping integral coefficients as int.
@@ -27,13 +29,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from operator import itemgetter
 
 from .combinatorics import (
     ColoredSetPartition,
     CyclePermutation,
     SetPartition,
+    interleavings,
     refinements,
 )
 from .lincomb import BasisError, LinComb
@@ -173,17 +176,16 @@ def complete_s(n: int, alphabet) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _interleave_patterns(n: int, m: int) -> tuple:
-    # One gather per interleaving of an n-letter word u with an m-letter word
-    # v: letter i of u + v goes to position order[i], so the gather reads the
-    # inverse permutation, and applied to u + v it returns the shuffled word.
+    # One gather per label split (I, J) of an n-letter word u with an m-letter
+    # word v: letter i of u + v goes to label (I + J)[i], so the gather reads
+    # the inverse permutation, and applied to u + v it returns the shuffled word.
     # With an empty word the one interleaving is u + v itself.
     if not n or not m:
         return (tuple,)
-    out = []
-    for I in combinations(range(n + m), n):
-        order = I + tuple(p for p in range(n + m) if p not in I)
-        out.append(itemgetter(*sorted(range(n + m), key=order.__getitem__)))
-    return tuple(out)
+    return tuple(
+        itemgetter(*sorted(range(n + m), key=(I + J).__getitem__))
+        for I, J in interleavings(n, m)
+    )
 
 
 def _cleared(polys) -> tuple[list[list], int]:
@@ -254,21 +256,11 @@ def shuffle_scatter(composition, words) -> Word | None:
 
 def shuffle_composite(composition, polys) -> LinComb:
     """Multilinear extension of the scatter operator to word polynomials."""
-    out: dict = {}
-    for combo in product(*[list(p.items()) for p in polys]):
-        words = [w for w, _ in combo]
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        scattered = shuffle_scatter(composition, words)
-        if scattered is None:
-            continue
-        acc = out.get(scattered, 0) + coeff
-        if acc:
-            out[scattered] = acc
-        else:
-            del out[scattered]
-    return LinComb._raw(WORD, out)
+    terms = (
+        (shuffle_scatter(composition, [w for w, _ in combo]), math.prod(c for _, c in combo))
+        for combo in product(*[list(p.items()) for p in polys])
+    )
+    return LinComb(WORD, ((w, c) for w, c in terms if w is not None))
 
 
 def specialize_complete(pi: SetPartition, family) -> LinComb:

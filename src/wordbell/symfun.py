@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import series
-from .bell import eval_partial_bell
+from .bell import eval_partial_bell, report_item
 from .combinatorics import int_partitions
 from .sympoly import SparsePoly
 
@@ -304,15 +304,6 @@ def hat_alphabet(a, degree: int) -> VirtualAlphabet:
     return VirtualAlphabet.from_h(hs)
 
 
-def _item(identity: str, rng_desc: str, failure) -> dict:
-    return {
-        "identity": identity,
-        "range": rng_desc,
-        "status": "fail" if failure else "pass",
-        "counterexample": failure,
-    }
-
-
 def appendix_suite(seed: int = 0) -> list[dict]:
     """Run the nine appendix identities at desk scale; see module docstring."""
     rng = random.Random(seed)
@@ -337,7 +328,7 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                 break
         if failure:
             break
-    report.append(_item("partial Bell as scaled complete function", "n <= 8", failure))
+    report.append(report_item("partial Bell as scaled complete function", "n <= 8", failure))
 
     # (ii) binomial splitting of the block count
     a = _rand_sequence(rng, 8, unit_head=False)
@@ -355,9 +346,9 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                     ),
                     Fraction(0),
                 )
-                if lhs != rhs:
+                if failure is None and lhs != rhs:
                     failure = {"n": n, "k1": k1, "k2": k2}
-    report.append(_item("binomial splitting of partial Bell", "n <= 7, k_i <= 3", failure))
+    report.append(report_item("binomial splitting of partial Bell", "n <= 7, k_i <= 3", failure))
 
     # (iii) convolution over a product-type sequence
     a = _rand_sequence(rng, 8)
@@ -381,17 +372,17 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                 ),
                 Fraction(0),
             )
-            if lhs != rhs:
+            if failure is None and lhs != rhs:
                 failure = {"n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs)}
-    report.append(_item("convolution formula for partial Bell", "n <= 7", failure))
+    report.append(report_item("convolution formula for partial Bell", "n <= 7", failure))
 
     # (iv) idempotent closed form
     failure = None
     for n in range(9):
         for k in range(1, n + 1):
-            if eval_partial_bell(lambda m: m, n, k) != math.comb(n, k) * k ** (n - k):
+            if failure is None and eval_partial_bell(lambda m: m, n, k) != math.comb(n, k) * k ** (n - k):
                 failure = {"n": n, "k": k}
-    report.append(_item("idempotent-number evaluation", "n <= 8", failure))
+    report.append(report_item("idempotent-number evaluation", "n <= 8", failure))
 
     # (v) binomial families: the power and Abel families, plus composition
     failure = None
@@ -407,7 +398,7 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                 ]
                 lhs = eval_partial_bell(args, n, k)
                 rhs = math.comb(n, k) * family(n - k, k * t_val)
-                if lhs != rhs:
+                if failure is None and lhs != rhs:
                     failure = {"family": name, "n": n, "k": k}
     a = _rand_sequence(rng, 12)
     for k1 in (1, 2):
@@ -430,9 +421,9 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                     * pref
                     * eval_partial_bell(a, n2, k1 * k2)
                 )
-                if lhs != rhs:
+                if failure is None and lhs != rhs:
                     failure = {"part": "composition", "n": n, "k1": k1, "k2": k2}
-    report.append(_item("binomial-family and composition identities", "n <= 6", failure))
+    report.append(report_item("binomial-family and composition identities", "n <= 6", failure))
 
     # (vi) the alternating recurrence in the block count
     a = _rand_sequence(rng, 8)
@@ -444,18 +435,18 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                 weight = Fraction(k + 1) - Fraction(n + 1, i + 1)
                 rhs += math.comb(n, i) * weight * a[i] * eval_partial_bell(a, n - i, k)
             rhs /= n - k
-            if eval_partial_bell(a, n, k) != rhs:
+            if failure is None and eval_partial_bell(a, n, k) != rhs:
                 failure = {"n": n, "k": k}
-    report.append(_item("alternating recurrence (a_1 = 1)", "n <= 7", failure))
+    report.append(report_item("alternating recurrence (a_1 = 1)", "n <= 7", failure))
 
     # (vii) Lambert/tree evaluation
     failure = None
     for n in range(1, 9):
         for k in range(1, n + 1):
             lhs = eval_partial_bell(lambda m: m ** (m - 1), n, k)
-            if lhs != math.comb(n - 1, k - 1) * n ** (n - k):
+            if failure is None and lhs != math.comb(n - 1, k - 1) * n ** (n - k):
                 failure = {"n": n, "k": k}
-    report.append(_item("tree-function evaluation", "n <= 8", failure))
+    report.append(report_item("tree-function evaluation", "n <= 8", failure))
 
     # (viii) the two-determinant product-alphabet identity
     a = _rand_sequence(rng, 12)
@@ -470,7 +461,7 @@ def appendix_suite(seed: int = 0) -> list[dict]:
         if readings["printed"] and not readings["corrected"]
         else None
     )
-    item = _item("two-determinant product identity", "n <= 5, k in {1,2,4}", failure)
+    item = report_item("two-determinant product identity", "n <= 5, k in {1,2,4}", failure)
     if note:
         item["note"] = note
     report.append(item)
@@ -489,9 +480,9 @@ def appendix_suite(seed: int = 0) -> list[dict]:
                 Fraction(math.factorial(n - 1), math.factorial(k - 1))
                 * alphabet_scale(n, x).h(n - k)
             )
-            if lhs != rhs:
+            if failure is None and lhs != rhs:
                 failure = {"n": n, "k": k}
-    report.append(_item("scaled-complete evaluation of partial Bell", "n <= 7", failure))
+    report.append(report_item("scaled-complete evaluation of partial Bell", "n <= 7", failure))
 
     return report
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+from .lincomb import _add_terms
+
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
 
@@ -36,18 +38,8 @@ class SparsePoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
-        data: dict[Monomial, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            if not coeff:
-                continue
-            mono = _trim(mono)
-            acc = data.get(mono, 0) + coeff
-            if acc:
-                data[mono] = acc
-            else:
-                del data[mono]
-        self._terms = data
+        self._terms = _add_terms({}, ((_trim(mono), coeff) for mono, coeff in items))
 
     @classmethod
     def _raw(cls, terms: dict) -> "SparsePoly":
@@ -120,14 +112,7 @@ class SparsePoly:
             other = SparsePoly.const(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = data.get(mono, 0) + coeff
-            if acc:
-                data[mono] = acc
-            else:
-                del data[mono]
-        return SparsePoly._raw(data)
+        return SparsePoly._raw(_add_terms(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -151,16 +136,11 @@ class SparsePoly:
             return SparsePoly._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return SparsePoly._raw(out)
+        return SparsePoly._raw(_add_terms({}, (
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )))
 
     __rmul__ = __mul__
 

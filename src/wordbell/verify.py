@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bell, hopf, munthekaas, realization, symfun
+from .bell import report_item
 from .combinatorics import (
     FACTORIAL,
     IDEMPOTENT,
@@ -30,15 +31,6 @@ from .lincomb import LinComb
 SUITES = ("hopf", "bell", "word", "mk", "appendix", "all")
 
 DEFAULT_SEQUENCES = (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT)
-
-
-def _item(identity, rng_desc, failure) -> dict:
-    return {
-        "identity": identity,
-        "range": rng_desc,
-        "status": "fail" if failure else "pass",
-        "counterexample": failure,
-    }
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +84,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                         )
                         if failure is None and lhs != rhs:
                             failure = {"left": str(a), "right": str(b), "side": "Psi"}
-        report.append(_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failure))
+        report.append(report_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failure))
 
         failure = None
         sizes = [
@@ -111,7 +103,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                         right = hopf.psi_product(pa, hopf.psi_product(pb, pc))
                         if failure is None and left != right:
                             failure = {"triple": (str(a), str(b), str(c))}
-        report.append(_item(f"product associativity [{label}]", f"total size <= {max_n}", failure))
+        report.append(report_item(f"product associativity [{label}]", f"total size <= {max_n}", failure))
 
         failure = None
         for n in range(max_n + 1):
@@ -133,7 +125,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                         left = left + LinComb.term(hopf.PSI, r, c)
                 if failure is None and left != hopf.psi_elem(a):
                     failure = {"key": str(a), "side": "Psi counit"}
-        report.append(_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failure))
+        report.append(report_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failure))
 
         failure = None
         for n in range(max_n + 1):
@@ -145,7 +137,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                 expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
                 if failure is None and total != expect:
                     failure = {"key": str(a)}
-        report.append(_item(f"antipode axiom [{label}]", f"n <= {max_n}", failure))
+        report.append(report_item(f"antipode axiom [{label}]", f"n <= {max_n}", failure))
 
         failure = None
         for i in range(1, max_n):
@@ -159,14 +151,14 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                             if failure is None and prod.coeff(z) != cops[z].coeff((a, b)):
                                 failure = {"x": str(a), "y": str(b), "z": str(z)}
         report.append(
-            _item(f"duality adjointness <xy,z> = <x(x)y, Dz> [{label}]", f"|x|+|y| <= {max_n}", failure)
+            report_item(f"duality adjointness <xy,z> = <x(x)y, Dz> [{label}]", f"|x|+|y| <= {max_n}", failure)
         )
 
         failure = None
         for n in range(max_n + 1):
             if failure is None and len(keys[n]) != bell.eval_complete_bell(seq, n):
                 failure = {"n": n, "dim": len(keys[n])}
-        report.append(_item(f"graded dimensions equal A_n(a) [{label}]", f"n <= {max_n}", failure))
+        report.append(report_item(f"graded dimensions equal A_n(a) [{label}]", f"n <= {max_n}", failure))
 
     failure = None
     for n in range(min(max_n, 4) + 1):
@@ -178,7 +170,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                 failure = {"pi": str(p), "reason": "support not coarser"}
             if failure is None and hopf.monomial_to_phi(expanded) != hopf.phi_elem(p):
                 failure = {"pi": str(p), "reason": "round trip"}
-    report.append(_item("monomial change of basis is unitriangular", f"n <= {min(max_n, 4)}", failure))
+    report.append(report_item("monomial change of basis is unitriangular", f"n <= {min(max_n, 4)}", failure))
     return report
 
 
@@ -204,7 +196,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
                 idem = math.comb(n, k) * k ** (n - k)
                 if failure is None and bell.eval_partial_bell(IDEMPOTENT, n, k) != idem:
                     failure = {"kind": "idempotent", "n": n, "k": k}
-    report.append(_item("classical specializations of B_{n,k}", "n <= 8", failure))
+    report.append(report_item("classical specializations of B_{n,k}", "n <= 8", failure))
 
     # through the triangle: a1^k B_{n,k}(a/a1) = B_{n,k}(a), and for a1 = 0
     # the shift B_{n,k}(a) = n!/(n-k)! B_{n-k,k}(a_2/2, a_3/3, ...)
@@ -226,7 +218,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
         complete = bell.eval_complete_bell(a, max_n)
         if failure is None and complete != bell.eval_complete_bell_via_gf(a, max_n):
             failure = {"kind": "complete", "a": [str(v) for v in a]}
-    report.append(_item("normalization fast paths agree with direct evaluation", "random rational", failure))
+    report.append(report_item("normalization fast paths agree with direct evaluation", "random rational", failure))
 
     failure = None
     for n in range(max_n + 1):
@@ -237,7 +229,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
             want = LinComb("Phi", {p: 1 for p in set_partitions(n) if p.part_count == k})
             if failure is None and bell.word_partial_bell(n, k) != want:
                 failure = {"n": n, "k": k}
-    report.append(_item("word Bell polynomials enumerate partitions by blocks", f"n <= {max_n}", failure))
+    report.append(report_item("word Bell polynomials enumerate partitions by blocks", f"n <= {max_n}", failure))
 
     failure = None
     for n in range(min(max_n, 5) + 1):
@@ -245,7 +237,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
             e = hopf.phi_elem(p)
             if failure is None and bell.deriv(e) != bell.deriv_via_monomial(e):
                 failure = {"pi": str(p)}
-    report.append(_item("ladder operator factors through the monomial basis", f"n <= {min(max_n, 5)}", failure))
+    report.append(report_item("ladder operator factors through the monomial basis", f"n <= {min(max_n, 5)}", failure))
 
     failure = None
     for seq in (FACTORIAL, IDEMPOTENT):
@@ -258,7 +250,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
                 )
                 if failure is None and got != want:
                     failure = {"seq": seq.spec_string(), "n": n, "k": k}
-    report.append(_item("colored dual Bell polynomials enumerate colored partitions", f"n <= {min(max_n, 5)}", failure))
+    report.append(report_item("colored dual Bell polynomials enumerate colored partitions", f"n <= {min(max_n, 5)}", failure))
 
     report.extend(bell.morphism_diagram_report(max_n=min(max_n, 6), pair_max=min(max_n, 5)))
     return report
@@ -280,7 +272,7 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
             if failure is None and frozen in seen:
                 failure = {"first": str(seen[frozen]), "second": str(key)}
             seen[frozen] = key
-    report.append(_item("realization is injective on basis keys", "n <= 4, L = 4", failure))
+    report.append(report_item("realization is injective on basis keys", "n <= 4, L = 4", failure))
 
     failure = None
     for n1 in range(1, min(max_n, 4)):
@@ -295,7 +287,7 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
                     rhs = realization.expand_phi(p1.shifted_union(p2), L)
                     if failure is None and lhs != rhs:
                         failure = {"left": str(p1), "right": str(p2)}
-    report.append(_item("expansion intertwines product and concatenation", f"sizes <= {min(max_n, 4)}", failure))
+    report.append(report_item("expansion intertwines product and concatenation", f"sizes <= {min(max_n, 4)}", failure))
 
     failure = None
     for n1 in range(1, max_n):
@@ -312,7 +304,7 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
                         rhs = rhs + realization.expand_psi(key, L) * c
                     if failure is None and lhs != rhs:
                         failure = {"left": str(p1), "right": str(p2)}
-    report.append(_item("shuffle realization of the dual product", f"|x|+|y| <= {max_n}", failure))
+    report.append(report_item("shuffle realization of the dual product", f"|x|+|y| <= {max_n}", failure))
 
     failure = None
     for n in range(1, min(max_n, 4) + 1):
@@ -333,7 +325,7 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
                     want = want + realization.expand_psi(p, n)
             if failure is None and got != want:
                 failure = {"n": n, "k": k, "family": "Psi"}
-    report.append(_item("shuffle Bell polynomials of the distinguished families", f"n <= {min(max_n, 4)}", failure))
+    report.append(report_item("shuffle Bell polynomials of the distinguished families", f"n <= {min(max_n, 4)}", failure))
 
     report.extend(bell.identity_suite("all", max_n=min(max_n, 4), max_k=min(max_k, 2)))
     return report
@@ -364,14 +356,14 @@ def mk_suite(max_n: int = 6) -> list[dict]:
         for k, want in rows.items():
             if failure is None and poly.coeff(k) != want:
                 failure = {"n": n, "k": k}
-    report.append(_item("low-degree noncommutative Bell polynomials", "n <= 4", failure))
+    report.append(report_item("low-degree noncommutative Bell polynomials", "n <= 4", failure))
 
     failure = None
     for n in range(max_n + 1):
         for k in range(n + 1):
             if failure is None and munthekaas.xi(bell.word_partial_bell(n, k)) != munthekaas.mb_partial(n, k):
                 failure = {"n": n, "k": k}
-    report.append(_item("block-size morphism maps word to noncommutative Bell", f"n <= {max_n}", failure))
+    report.append(report_item("block-size morphism maps word to noncommutative Bell", f"n <= {max_n}", failure))
 
     failure = None
     for n in range(1, min(max_n, 5) + 1):
@@ -383,7 +375,7 @@ def mk_suite(max_n: int = 6) -> list[dict]:
             )
             if failure is None and munthekaas.ebrahimi_coefficient(n, k, comp) != count:
                 failure = {"n": n, "comp": comp}
-    report.append(_item("coefficients count partitions by block-size composition", f"n <= {min(max_n, 5)}", failure))
+    report.append(report_item("coefficients count partitions by block-size composition", f"n <= {min(max_n, 5)}", failure))
 
     failure = None
     elems = [hopf.phi_elem(p) for n in (1, 2) for p in set_partitions(n)]
@@ -402,7 +394,7 @@ def mk_suite(max_n: int = 6) -> list[dict]:
                     failure = {"axiom": "mixed"}
                 if failure is None and zr(u, zr(v, w)) != zr(zl(u, v), w) + zr(zr(u, v), w):
                     failure = {"axiom": "right-right"}
-    report.append(_item("Zinbiel axioms on the dual realization", "total size <= 4", failure))
+    report.append(report_item("Zinbiel axioms on the dual realization", "total size <= 4", failure))
 
     failure = None
     for n in range(1, max_n + 1):
@@ -410,13 +402,13 @@ def mk_suite(max_n: int = 6) -> list[dict]:
         for k in range(1, n + 1):
             if failure is None and poly.coeff(k) != bell.word_partial_bell(n, k):
                 failure = {"n": n, "k": k}
-    report.append(_item("triangular polynomial of the complete matrix", f"n <= {max_n}", failure))
+    report.append(report_item("triangular polynomial of the complete matrix", f"n <= {max_n}", failure))
 
     failure = None
     for n in range(1, max_n + 1):
         if failure is None and munthekaas.hessenberg_expansion(n) != munthekaas.mb_at_one(n):
             failure = {"n": n}
-    report.append(_item("Hessenberg path expansion at t = 1", f"n <= {max_n}", failure))
+    report.append(report_item("Hessenberg path expansion at t = 1", f"n <= {max_n}", failure))
     return report
 
 

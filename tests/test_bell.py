@@ -425,16 +425,13 @@ def test_dual_pairing_of_both_bell_polynomials():
 
 
 def test_identity_suite_spot_cases():
-    from wordbell.bell import (
-        binomiality_check,
-        composition_check,
-        convolution_check,
-        prop_s_form_check,
-    )
+    from wordbell.bell import binomiality_check, identity_suite, prop_s_form_check
 
     assert prop_s_form_check(3, 1)["status"] == "pass"
     assert prop_s_form_check(4, 2)["status"] == "pass"
     assert binomiality_check(3, 1, 1)["status"] == "pass"
-    assert convolution_check(3, 1)["status"] == "pass"
-    assert composition_check(4, 2, 1)["status"] == "pass"
-    assert composition_check(4, 1, 2)["status"] == "pass"
+    convolution = {i["range"]: i["status"] for i in identity_suite("convolution", 3, 1)}
+    assert convolution["n=3, k=1, L=2"] == "pass"
+    composition = {i["range"]: i["status"] for i in identity_suite("composition", 4, 2)}
+    assert composition["n=4, k1=2, k2=1, L=2"] == "pass"
+    assert composition["n=4, k1=1, k2=2, L=2"] == "pass"

@@ -1,9 +1,12 @@
 """Tests for the command line front end: output shapes, determinism, exits."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from wordbell.cli import main
 
@@ -188,3 +191,36 @@ def test_suites_report_the_first_counterexample(monkeypatch):
     item = next(i for i in items if i["identity"].startswith("cocommutativity"))
     first_key = str(colored_partitions(ONES, 0)[0])
     assert item["counterexample"] == {"key": first_key, "side": "Phi cocommutativity"}
+
+
+def test_appendix_suite_reports_the_first_counterexample(monkeypatch):
+    from wordbell import symfun
+
+    real = symfun.eval_partial_bell
+    monkeypatch.setattr(symfun, "eval_partial_bell", lambda a, n, k: real(a, n, k) + 1)
+    items = {i["identity"]: i for i in symfun.appendix_suite()}
+    assert items["idempotent-number evaluation"]["counterexample"] == {"n": 1, "k": 1}
+    assert items["tree-function evaluation"]["counterexample"] == {"n": 1, "k": 1}
+    assert items["binomial splitting of partial Bell"]["counterexample"] == {"n": 0, "k1": 0, "k2": 0}
+
+
+# sha256 of stdout, recorded before the refactors that must leave output unchanged
+GOLDEN_STDOUT = {
+    "verify all": "8ed0d3aa30e376f9771812fe5469e0aea54a236fb99a1619d44c9a5135beebab",
+    "verify mk": "517a874466f19c522ecc3aaafaf21c8bf73a3213fede2744a7bcc8137a21388e",
+    "verify appendix": "be96826f008e3186ed78bab93454aa2cf1607b0e8aaa460ed338fbe878429faf",
+    "table stirling2 12": "d49eb0cd517b8bba5234d083269181d6d0e256cb6ef3224f62549d12ba8d6e30",
+    "expand wordBell --n 6": "1d506a7a1aad02179474246509cb6bbdcf7c8c203d3512ba52168b7c1f1aa973",
+    "realize phi --partition [[1,3],[2]] --truncation 2":
+        "36523ba0a993be50bc993db1694fcd20e5d43b6446452a5a272d44b9f71714b9",
+    "realize cycleBell --n 6 --k 3": "0fe24ed49a4553e7d82076e4424213cb8f6795314b7a5b28fbf856b72089c837",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(command):
+    result = subprocess.run(
+        [sys.executable, "-m", "wordbell.cli", *command.split()], capture_output=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_STDOUT[command]

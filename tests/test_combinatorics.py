@@ -30,6 +30,7 @@ from wordbell.combinatorics import (
     from_level2,
     from_list_partition,
     interleave_keys,
+    interleavings,
     matching_unions,
     set_partitions,
     splitting_count,
@@ -236,6 +237,22 @@ def test_matching_unions_two_singletons_and_pair():
 def test_matching_unions_with_empty():
     x = ColoredSetPartition([((1, 2), 3), ((3,), 1)], CONST9)
     assert matching_unions(x, ColoredSetPartition.empty(CONST9)) == [x]
+
+
+def test_interleavings_table():
+    for n in range(6):
+        for m in range(6):
+            table = interleavings(n, m)
+            assert len(table) == math.comb(n + m, n)
+            assert [I for I, _ in table] == sorted(I for I, _ in table)
+            labels = set(range(1, n + m + 1))
+            for I, J in table:
+                assert len(I) == n and list(J) == sorted(J)
+                assert set(I) | set(J) == labels and not set(I) & set(J)
+            if n + m:
+                lead = math.comb(n + m - 1, n - 1) if n else 0
+                assert all(1 in I for I, _ in table[:lead])
+                assert not any(1 in I for I, _ in table[lead:])
 
 
 def test_alpha_values_on_matching_union_example():

@@ -4,12 +4,11 @@ import pytest
 
 from wordbell.bell import word_partial_bell
 from wordbell.combinatorics import SetPartition, bell_number, set_partitions
-from wordbell.hopf import phi_elem
+from wordbell.hopf import PHI, PSI, phi_elem, psi_product
 from wordbell.lincomb import BasisError, LinComb
 from wordbell.munthekaas import (
     complete_phi_matrix,
     derive,
-    dual_shuffle_product,
     ebrahimi_coefficient,
     hessenberg_expansion,
     mb_at_one,
@@ -96,7 +95,8 @@ def test_zinbiel_symmetry_and_split():
     for x in elems:
         for y in elems:
             assert zinbiel_left(x, y) == zinbiel_right(y, x)
-            assert zinbiel_left(x, y) + zinbiel_right(x, y) == dual_shuffle_product(x, y)
+            full = psi_product(x.retag(PSI), y.retag(PSI)).retag(PHI)
+            assert zinbiel_left(x, y) + zinbiel_right(x, y) == full
     one_block = phi_elem(SetPartition([(1,)]))
     assert zinbiel_left(one_block, one_block) == phi_elem(SetPartition([(1,), (2,)]))
 
