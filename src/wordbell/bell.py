@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from . import series
 from .combinatorics import (
     ColoredSetPartition,
     ColorSequence,
@@ -38,7 +39,7 @@ from .hopf import (
     psi_elem,
     psi_product,
 )
-from .lincomb import BasisError, LinComb, TPoly
+from .lincomb import BasisError, LinComb, TPoly, _ladder
 from .realization import (
     complete_s,
     expand_s_on,
@@ -56,37 +57,25 @@ from .sympoly import SparsePoly
 # classical Bell polynomials (symbolic)
 
 
-@lru_cache(maxsize=None)
-def _marked_exp_row(m: int) -> tuple[tuple[int, SparsePoly], ...]:
-    """Row m of exp(x * sum a_j t^j / j!): pairs (k, coefficient of x^k t^m)."""
-    if m == 0:
-        return ((0, SparsePoly.const(1)),)
-    acc: dict[int, SparsePoly] = {}
-    for j in range(1, m + 1):
-        f_j = SparsePoly.var(j) * Fraction(1, math.factorial(j))
-        for k, poly in _marked_exp_row(m - j):
-            term = f_j * poly * Fraction(j, m)
-            prev = acc.get(k + 1)
-            acc[k + 1] = term if prev is None else prev + term
-    return tuple(sorted((k, p) for k, p in acc.items() if p))
+def _exponential_a_series(n: int) -> list[SparsePoly]:
+    """[0, a1/1!, a2/2!, ..., an/n!] in the variables a1, a2, ..."""
+    return [SparsePoly.zero()] + [
+        SparsePoly.var(j) * Fraction(1, math.factorial(j)) for j in range(1, n + 1)
+    ]
 
 
 def partial_bell_poly(n: int, k: int) -> SparsePoly:
-    """B_{n,k} as an exact polynomial in the variables a1, a2, ..."""
+    """B_{n,k} = n!/k! [t^n] (sum_j a_j t^j / j!)^k, an exact polynomial in
+    the variables a1, a2, ..."""
     if k < 0 or k > n:
         return SparsePoly.zero()
-    for kk, poly in _marked_exp_row(n):
-        if kk == k:
-            return poly * math.factorial(n)
-    return SparsePoly.zero()
+    powered = series.power(_exponential_a_series(n), k, n, SparsePoly.const(1))
+    return powered[n] * Fraction(math.factorial(n), math.factorial(k))
 
 
 def complete_bell_poly(n: int) -> SparsePoly:
-    """A_n = sum_k B_{n,k}, with A_0 = 1."""
-    total = SparsePoly.zero()
-    for _, poly in _marked_exp_row(n):
-        total = total + poly
-    return total * math.factorial(n)
+    """A_n = n! [t^n] exp(sum_j a_j t^j / j!) = sum_k B_{n,k}, with A_0 = 1."""
+    return series.exp(_exponential_a_series(n), n, SparsePoly.const(1))[n] * math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +174,6 @@ def eval_complete_bell(a, n: int) -> Fraction:
 
 def eval_complete_bell_via_gf(a, n: int) -> Fraction:
     """A_n(a) from the exponential generating function (validation route)."""
-    from . import series
-
     value = seq_values(a)
     arg = [Fraction(0)] + [value(i) / math.factorial(i) for i in range(1, n + 1)]
     return series.exp(arg, n)[n] * math.factorial(n)
@@ -216,17 +203,7 @@ def _append_singleton(x: LinComb) -> LinComb:
 def word_bell_tpoly(n: int) -> TPoly:
     """The t-marked operator power: coefficient of t^k is the partial word
     Bell polynomial with k blocks."""
-    zero = LinComb.zero(PHI)
-    coeffs = [phi_elem(SetPartition())]
-    for _ in range(n):
-        nxt = [deriv(coeffs[0])]
-        for k in range(1, len(coeffs) + 1):
-            term = _append_singleton(coeffs[k - 1])
-            if k < len(coeffs):
-                term = term + deriv(coeffs[k])
-            nxt.append(term)
-        coeffs = nxt
-    return TPoly(zero, coeffs)
+    return _ladder(phi_elem(SetPartition()), _append_singleton, deriv, n)
 
 
 def word_partial_bell(n: int, k: int) -> LinComb:
@@ -266,28 +243,6 @@ def psi_atom(seq: ColorSequence, m: int) -> LinComb:
     return LinComb._raw(PSI, out)
 
 
-def _psi_series_power(series: list[LinComb], k: int, order: int, zero: LinComb, unit: LinComb):
-    result = [unit] + [zero] * order
-    base = list(series[: order + 1]) + [zero] * max(0, order + 1 - len(series))
-    while k:
-        if k & 1:
-            result = _psi_series_mul(result, base, order, zero)
-        base = _psi_series_mul(base, base, order, zero)
-        k >>= 1
-    return result
-
-
-def _psi_series_mul(a, b, order, zero):
-    out = [zero] * (order + 1)
-    for i, ca in enumerate(a[: order + 1]):
-        if not ca:
-            continue
-        for j in range(order - i + 1):
-            if b[j]:
-                out[i + j] = out[i + j] + psi_product(ca, b[j])
-    return out
-
-
 def colored_psi_bell(seq: ColorSequence, n: int, k: int, generators=None) -> LinComb:
     """The normalized partial Bell polynomial of the atomic generators,
     computed as [t^n] (sum_i F_i t^i)^k / k! in the dual algebra.
@@ -298,11 +253,10 @@ def colored_psi_bell(seq: ColorSequence, n: int, k: int, generators=None) -> Lin
     if k < 0 or k > n:
         return LinComb.zero(PSI)
     unit = psi_elem(ColoredSetPartition.empty(seq))
-    zero = LinComb.zero(PSI)
     if generators is None:
         generators = [psi_atom(seq, m) for m in range(1, n + 1)]
-    series = [zero] + list(generators[:n])
-    powered = _psi_series_power(series, k, n, zero, unit)
+    product = lambda x, y, top: series.mul(x, y, top, unit, psi_product)
+    powered = series.power([LinComb.zero(PSI)] + list(generators[:n]), k, n, unit, product)
     return powered[n] * Fraction(1, math.factorial(k))
 
 
@@ -323,14 +277,14 @@ def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
     ``generators`` maps degree i >= 1 to the word polynomial F_i (list with
     index 0 unused, or mapping).
     """
-    series = [word_zero()]
+    base = [word_zero()]
     for i in range(1, order + 1):
         try:
             f = generators[i]
         except (IndexError, KeyError):
             f = word_zero()
-        series.append(f)
-    powered = series_shuffle_power(series, k, order)
+        base.append(f)
+    powered = series_shuffle_power(base, k, order)
     if k < 2:
         return powered  # k! = 1: keep the kernel's int coefficients
     scale = Fraction(1, math.factorial(k))

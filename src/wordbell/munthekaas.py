@@ -18,7 +18,7 @@ import math
 
 from .combinatorics import SetPartition, interleave_keys
 from .hopf import PHI
-from .lincomb import BasisError, LinComb, TPoly
+from .lincomb import BasisError, LinComb, TPoly, _ladder
 
 NC = "NC"
 
@@ -55,18 +55,8 @@ def derive(x: LinComb) -> LinComb:
 
 def mb_tpoly(n: int) -> TPoly:
     """1 . (t d_1 + derivation)^n with the t-grading kept explicit."""
-    zero = LinComb.zero(NC)
-    coeffs = [nc_one()]
     d1 = nc_word(1)
-    for _ in range(n):
-        nxt = [derive(coeffs[0])]
-        for k in range(1, len(coeffs) + 1):
-            term = nc_mul(coeffs[k - 1], d1)
-            if k < len(coeffs):
-                term = term + derive(coeffs[k])
-            nxt.append(term)
-        coeffs = nxt
-    return TPoly(zero, coeffs)
+    return _ladder(nc_one(), lambda x: nc_mul(x, d1), derive, n)
 
 
 def mb_partial(n: int, k: int) -> LinComb:

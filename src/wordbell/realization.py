@@ -32,6 +32,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
+from . import series
 from .combinatorics import (
     ColoredSetPartition,
     CyclePermutation,
@@ -296,13 +297,8 @@ def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[L
 
 
 def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:
-    # Iterative powering: the base usually has small supports, so k-1 long-by-
-    # short multiplications beat repeated squaring of ever-larger series.
-    result = [word_one()] + [word_zero() for _ in range(order)]
-    base = list(a[: order + 1]) + [word_zero()] * max(0, order + 1 - len(a))
-    for _ in range(k):
-        result = series_shuffle_mul(result, base, order)
-    return result
+    """The k-th shuffle power of a word series up to t^order."""
+    return series.power(a, k, order, word_one(), series_shuffle_mul)
 
 
 def complete_series(alphabet: list[Letter], order: int) -> list[LinComb]:

@@ -1,79 +1,103 @@
-"""Truncated power series over the rationals, exact.
+"""Truncated power series in t over any coefficient ring, exact.
 
-A series is a plain list of Fractions ``[c0, c1, ..., cN]``; every function
-takes the truncation order explicitly and returns a list of length order+1.
-These routines back the generating-function identities: exponentials and
-logarithms for the Newton formula, composition and reversion for the Faà di
-Bruno operations on virtual alphabets.
+A series is a plain list ``[c0, c1, ..., cN]`` of coefficients from one ring:
+Fractions by default, or SparsePoly, Psi-basis LinComb or word polynomials.
+A caller names the ring by its unit ``one`` (its zero is ``one * 0``) and,
+for ``mul``, by the coefficient product ``times``; every function takes the
+truncation order explicitly and returns a list of length order+1.  The
+product, power, exponential and logarithm here are the only ones in the
+package: the Bell polynomials of every algebra are [t^n] F(t)^k / k!, and
+the complete ones [t^n] exp F(t).
+
+Truncation rule of ``power``: for a base of valuation v (its lowest nonzero
+degree), a term of degree d in F^j reaches at least degree d + (k - j) v in
+F^k, so the j-th partial power is kept only up to degree order - (k - j) v.
+
+Composition, reciprocal and reversion back the alphabet operations of the
+symmetric-function calculus and run over the rationals only.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 Scalar = int | Fraction
 Series = list
 
 
-def pad(a: Sequence[Scalar], order: int) -> Series:
-    """Copy of ``a`` padded/truncated to exactly order+1 coefficients."""
-    out = [Fraction(c) for c in a[: order + 1]]
-    out.extend([Fraction(0)] * (order + 1 - len(out)))
+def pad(a: Sequence, order: int, zero=Fraction(0)) -> Series:
+    """Copy of ``a`` padded with ``zero``/truncated to exactly order+1 coefficients."""
+    out = list(a[: order + 1])
+    out.extend([zero] * (order + 1 - len(out)))
     return out
 
 
-def mul(a: Sequence[Scalar], b: Sequence[Scalar], order: int) -> Series:
-    out = [Fraction(0)] * (order + 1)
+def mul(
+    a: Sequence, b: Sequence, order: int, one=Fraction(1), times: Callable = operator.mul
+) -> Series:
+    """The product a b up to t^order, multiplying coefficients by ``times``."""
+    out = [one * 0] * (order + 1)
     for i, ca in enumerate(a[: order + 1]):
         if not ca:
             continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            if b[j]:
-                out[i + j] += ca * b[j]
+        for j, cb in enumerate(b[: order + 1 - i]):
+            if cb:
+                out[i + j] = out[i + j] + times(ca, cb)
     return out
 
 
-def power(a: Sequence[Scalar], k: int, order: int) -> Series:
-    result = pad([1], order)
-    base = pad(a, order)
-    while k:
-        if k & 1:
-            result = mul(result, base, order)
-        base = mul(base, base, order)
-        k >>= 1
+def power(
+    a: Sequence, k: int, order: int, one=Fraction(1), product: Callable | None = None
+) -> Series:
+    """a^k up to t^order by k products with the base, each partial power
+    truncated by the valuation rule of the module docstring.
+
+    ``product(x, y, top)`` multiplies two series up to t^top; the default is
+    :func:`mul` with the ring's own ``*``.  The word ring passes its batched
+    shuffle kernel.  The base usually has small supports, so k long-by-short
+    products beat repeated squaring of ever-larger series.
+    """
+    if product is None:
+        product = lambda x, y, top: mul(x, y, top, one)
+    base = a[: order + 1]
+    v = next((i for i, c in enumerate(base) if c), None)
+    if k and (v is None or k * v > order):
+        return [one * 0] * (order + 1)
+    result = pad([one], order, one * 0)
+    for j in range(1, k + 1):
+        result = product(result, base, order - (k - j) * v)
     return result
 
 
-def exp(a: Sequence[Scalar], order: int) -> Series:
-    """exp of a series with zero constant term."""
-    a = pad(a, order)
+def exp(a: Sequence, order: int, one=Fraction(1)) -> Series:
+    """exp of a series with zero constant term: m b_m = sum_j j a_j b_{m-j}."""
+    a = pad(a, order, one * 0)
     if a[0]:
         raise ValueError("exp requires zero constant term")
-    b = [Fraction(0)] * (order + 1)
-    b[0] = Fraction(1)
+    b = [one]
     for m in range(1, order + 1):
-        acc = Fraction(0)
+        acc = one * 0
         for j in range(1, m + 1):
             if a[j]:
-                acc += j * a[j] * b[m - j]
-        b[m] = acc / m
+                acc = acc + a[j] * b[m - j] * j
+        b.append(acc * Fraction(1, m))
     return b
 
 
-def log(a: Sequence[Scalar], order: int) -> Series:
-    """log of a series with constant term 1."""
-    a = pad(a, order)
-    if a[0] != 1:
+def log(a: Sequence, order: int, one=Fraction(1)) -> Series:
+    """log of a series with constant term 1: m c_m = m a_m - sum_{j<m} j c_j a_{m-j}."""
+    a = pad(a, order, one * 0)
+    if a[0] != one:
         raise ValueError("log requires constant term 1")
-    c = [Fraction(0)] * (order + 1)
+    c = [one * 0]
     for m in range(1, order + 1):
-        acc = Fraction(0)
+        acc = one * 0
         for j in range(1, m):
             if c[j] and a[m - j]:
-                acc += j * c[j] * a[m - j]
-        c[m] = a[m] - acc / m
+                acc = acc + c[j] * a[m - j] * j
+        c.append(a[m] - acc * Fraction(1, m))
     return c
 
 

@@ -32,38 +32,20 @@ from .sympoly import SparsePoly
 # h <-> c symbolically
 
 
-@lru_cache(maxsize=None)
-def _h_from_c_table(order: int) -> tuple[SparsePoly, ...]:
-    # exp of sum c_j t^j with SparsePoly coefficients
-    out = [SparsePoly.const(1)]
-    for m in range(1, order + 1):
-        acc = SparsePoly.zero()
-        for j in range(1, m + 1):
-            acc = acc + SparsePoly.var(j) * out[m - j] * Fraction(j, m)
-        out.append(acc)
-    return tuple(out)
+def _generators(n: int) -> list[SparsePoly]:
+    """The variables x_1, ..., x_n, the coefficients of sum_j x_j t^j."""
+    return [SparsePoly.var(j) for j in range(1, n + 1)]
 
 
 def h_from_c(n: int) -> SparsePoly:
-    """h_n written in the generators c_1, ..., c_n."""
-    return _h_from_c_table(n)[n]
-
-
-@lru_cache(maxsize=None)
-def _c_from_h_table(order: int) -> tuple[SparsePoly, ...]:
-    # log of 1 + sum h_j t^j, coefficients in the variables h_1, h_2, ...
-    out = [SparsePoly.zero()]
-    for m in range(1, order + 1):
-        acc = SparsePoly.zero()
-        for j in range(1, m):
-            acc = acc + out[j] * SparsePoly.var(m - j) * Fraction(j, m)
-        out.append(SparsePoly.var(m) - acc)
-    return tuple(out)
+    """h_n written in the generators c_1, ..., c_n: [t^n] exp(sum c_j t^j)."""
+    return series.exp([SparsePoly.zero()] + _generators(n), n, SparsePoly.const(1))[n]
 
 
 def c_from_h(n: int) -> SparsePoly:
-    """c_n written in the complete functions h_1, ..., h_n."""
-    return _c_from_h_table(n)[n]
+    """c_n written in the complete functions h_1, ..., h_n: [t^n] log(sigma_t)."""
+    one = SparsePoly.const(1)
+    return series.log([one] + _generators(n), n, one)[n]
 
 
 @lru_cache(maxsize=None)
@@ -71,21 +53,8 @@ def h_k_part(n: int, k: int) -> SparsePoly:
     """The alpha^k component of h_n(alpha X): [t^n] (sum c_i t^i)^k / k!."""
     if k < 0 or k > n:
         return SparsePoly.zero()
-    if n == 0:
-        return SparsePoly.const(1)
-    # power of the c-series, coefficient extraction
-    current = {0: SparsePoly.const(1)}  # degree -> coeff of the k-th power so far
-    for _ in range(k):
-        nxt: dict[int, SparsePoly] = {}
-        for d, poly in current.items():
-            for j in range(1, n - d + 1):
-                term = poly * SparsePoly.var(j)
-                if d + j in nxt:
-                    nxt[d + j] = nxt[d + j] + term
-                else:
-                    nxt[d + j] = term
-        current = nxt
-    return current.get(n, SparsePoly.zero()) * Fraction(1, math.factorial(k))
+    powered = series.power([SparsePoly.zero()] + _generators(n), k, n, SparsePoly.const(1))
+    return powered[n] * Fraction(1, math.factorial(k))
 
 
 def scaled_h(n: int) -> dict[int, SparsePoly]:

@@ -214,6 +214,10 @@ GOLDEN_STDOUT = {
     "realize phi --partition [[1,3],[2]] --truncation 2":
         "36523ba0a993be50bc993db1694fcd20e5d43b6446452a5a272d44b9f71714b9",
     "realize cycleBell --n 6 --k 3": "0fe24ed49a4553e7d82076e4424213cb8f6795314b7a5b28fbf856b72089c837",
+    "expand coloredPsi --n 5 --seq tree": "6f95627749ba7566100dcfdfe7ede5c87cef08d45330acaeec3160186a1acdc6",
+    "expand coloredPsi --n 4 --k 2 --seq factorial":
+        "64a3ce401b326508df2286717c42e9146b5dbb1210685420bf0a3d99efd77a71",
+    "expand mk --n 5": "847b5beda9ad5e1e68cd1d19f38714d51fb054aebbf0bfd02ca04103d4606cc3",
 }
 
 

@@ -1,7 +1,7 @@
 """Tests for the combinatorial index sets, enumeration and bijections."""
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +253,27 @@ def test_interleavings_table():
                 lead = math.comb(n + m - 1, n - 1) if n else 0
                 assert all(1 in I for I, _ in table[:lead])
                 assert not any(1 in I for I, _ in table[lead:])
+
+
+def test_sub_std_and_split_at_match_the_validating_constructors():
+    for n in range(5):
+        for key in colored_partitions(FACTORIAL, n):
+            plain = key.underlying()
+            for r in range(key.part_count + 1):
+                for sel in combinations(range(key.part_count), r):
+                    want = standardize([key.parts[i] for i in sel], FACTORIAL)
+                    for indices in (sel, sel[::-1]):
+                        got = key.sub_std(indices)
+                        assert got == want and got.size == want.size
+                        got_plain = plain.sub_std(indices)
+                        assert got_plain == SetPartition(want.underlying().blocks)
+                        assert got_plain.size == want.size
+            for j in range(n + 1):
+                split = plain.split_at(j)
+                if split is not None:
+                    for half in split:
+                        want = SetPartition(half.blocks)
+                        assert half == want and half.size == want.size
 
 
 def test_alpha_values_on_matching_union_example():

@@ -31,6 +31,7 @@ from wordbell.realization import (
     letters,
     scaled_complete,
     series_shuffle_mul,
+    series_shuffle_power,
     shuffle,
     shuffle_composite,
     shuffle_scatter,
@@ -191,6 +192,20 @@ def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
             if n - i < len(b):
                 want = want + shuffle(a[i], b[n - i])
         assert coeff == want
+        _assert_settled(coeff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_polys, min_size=1, max_size=3), st.booleans(), st.integers(0, 3), st.integers(0, 3))
+def test_series_shuffle_power_is_k_fold_mul(a, valuation_one, k, order):
+    if valuation_one:
+        a = [word_zero()] + a[1:]
+    got = series_shuffle_power(a, k, order)
+    want = [word_one()]
+    for _ in range(k):
+        want = series_shuffle_mul(want, a, order)
+    assert got == want + [word_zero()] * (order + 1 - len(want))
+    for coeff in got:
         _assert_settled(coeff)
 
 
