@@ -201,15 +201,6 @@ def _cmd_realize(parser, args) -> int:
     return 0
 
 
-def _cmd_mk(parser, args) -> int:
-    n = _check_bound(parser, args.n, "n")
-    if args.k is None:
-        _emit(parser, args, _json(tpoly_to_jsonable(munthekaas.mb_tpoly(n))))
-    else:
-        _emit(parser, args, _json(lincomb_to_jsonable(munthekaas.mb_partial(n, args.k))))
-    return 0
-
-
 def _cmd_verify(parser, args) -> int:
     max_n = args.max_n
     if max_n is not None:
@@ -261,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mk.add_argument("--n", type=int, required=True)
     p_mk.add_argument("--k", type=int)
     p_mk.add_argument("--out")
+    p_mk.set_defaults(kind="mk")  # the same handler as `expand mk`
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES)
@@ -276,12 +268,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "table":
         return _cmd_table(parser, args)
-    if args.command == "expand":
+    if args.command in ("expand", "mk"):
         return _cmd_expand(parser, args)
     if args.command == "realize":
         return _cmd_realize(parser, args)
-    if args.command == "mk":
-        return _cmd_mk(parser, args)
     if args.command == "verify":
         return _cmd_verify(parser, args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

@@ -144,18 +144,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "SparsePoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = SparsePoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- substitution --------------------------------------------------------
 
     def evaluate(self, value_of: Callable[[int], Scalar]) -> Scalar:

@@ -5,6 +5,14 @@ returns a list of report items {identity, range, status, counterexample};
 the command line wraps these in JSON and turns failures into exit codes.
 Oracles used here (Stirling recurrences, brute-force enumerations) are
 deliberately independent of the code paths they validate.
+
+Each value is built once and read by every item that needs it: the Hopf
+suite builds, per color sequence, one table of basis elements and their Phi
+and Psi coproducts; the Bell and MK suites build one ladder polynomial per
+degree.  An identity that holds on both sides is checked by one loop over
+the (Phi, Psi) sides, inside the loops over keys, so for each case Phi is
+checked before Psi and the first counterexample is the first case that
+fails on either side.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from . import bell, hopf, munthekaas, realization, symfun
 from .bell import report_item
@@ -55,35 +64,29 @@ def _stirling1_unsigned(n: int, k: int) -> int:
 # hopf
 
 
-def _basis_keys(seq, n):
-    return colored_partitions(seq, n)
-
-
 def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
     report = []
+    # looked up per call, so a patched hopf module is what gets checked
+    sides = (
+        (hopf.PHI, hopf.phi_product, hopf.phi_coproduct),
+        (hopf.PSI, hopf.psi_product, hopf.psi_coproduct),
+    )
     for seq in sequences:
         label = seq.spec_string()
-        keys = {n: _basis_keys(seq, n) for n in range(max_n + 1)}
+        keys = {n: colored_partitions(seq, n) for n in range(max_n + 1)}
+        elem = {tag: {a: LinComb.term(tag, a) for n in keys for a in keys[n]} for tag, _, _ in sides}
+        cop = {tag: {a: coproduct(e) for a, e in elem[tag].items()} for tag, _, coproduct in sides}
 
         failure = None
         for i in range(1, max_n + 1):
             for j in range(1, max_n - i + 1):
                 for a in keys[i]:
                     for b in keys[j]:
-                        ea, eb = hopf.phi_elem(a), hopf.phi_elem(b)
-                        lhs = hopf.phi_coproduct(hopf.phi_product(ea, eb))
-                        rhs = hopf.tensor_multiply(
-                            hopf.phi_coproduct(ea), hopf.phi_coproduct(eb), hopf.phi_product
-                        )
-                        if failure is None and lhs != rhs:
-                            failure = {"left": str(a), "right": str(b), "side": "Phi"}
-                        pa, pb = hopf.psi_elem(a), hopf.psi_elem(b)
-                        lhs = hopf.psi_coproduct(hopf.psi_product(pa, pb))
-                        rhs = hopf.tensor_multiply(
-                            hopf.psi_coproduct(pa), hopf.psi_coproduct(pb), hopf.psi_product
-                        )
-                        if failure is None and lhs != rhs:
-                            failure = {"left": str(a), "right": str(b), "side": "Psi"}
+                        for tag, product, coproduct in sides:
+                            lhs = coproduct(product(elem[tag][a], elem[tag][b]))
+                            rhs = hopf.tensor_multiply(cop[tag][a], cop[tag][b], product)
+                            if failure is None and lhs != rhs:
+                                failure = {"left": str(a), "right": str(b), "side": tag}
         report.append(report_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failure))
 
         failure = None
@@ -98,7 +101,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
             for a in keys[i]:
                 for b in keys[j]:
                     for c in keys[k]:
-                        pa, pb, pc = (hopf.psi_elem(x) for x in (a, b, c))
+                        pa, pb, pc = (elem[hopf.PSI][x] for x in (a, b, c))
                         left = hopf.psi_product(hopf.psi_product(pa, pb), pc)
                         right = hopf.psi_product(pa, hopf.psi_product(pb, pc))
                         if failure is None and left != right:
@@ -108,48 +111,45 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
         failure = None
         for n in range(max_n + 1):
             for a in keys[n]:
-                cop = hopf.phi_coproduct(hopf.phi_elem(a))
-                if failure is None and hopf.tensor_swap(cop) != cop:
+                if failure is None and hopf.tensor_swap(cop[hopf.PHI][a]) != cop[hopf.PHI][a]:
                     failure = {"key": str(a), "side": "Phi cocommutativity"}
-                pcop = hopf.psi_coproduct(hopf.psi_elem(a))
-                left = LinComb.zero(hopf.PHI)
-                # counit: (eps x id) Delta = id on both sides
-                for (l, r), c in cop.items():
-                    if l.size == 0:
-                        left = left + LinComb.term(hopf.PHI, r, c)
-                if failure is None and left != hopf.phi_elem(a):
-                    failure = {"key": str(a), "side": "Phi counit"}
-                left = LinComb.zero(hopf.PSI)
-                for (l, r), c in pcop.items():
-                    if l.size == 0:
-                        left = left + LinComb.term(hopf.PSI, r, c)
-                if failure is None and left != hopf.psi_elem(a):
-                    failure = {"key": str(a), "side": "Psi counit"}
+                for tag, _, _ in sides:
+                    # counit: (eps x id) Delta = id on both sides
+                    left = LinComb(tag, ((r, c) for (l, r), c in cop[tag][a].items() if l.size == 0))
+                    if failure is None and left != elem[tag][a]:
+                        failure = {"key": str(a), "side": f"{tag} counit"}
         report.append(report_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failure))
 
         failure = None
         for n in range(max_n + 1):
             for a in keys[n]:
-                cop = hopf.phi_coproduct(hopf.phi_elem(a))
                 total = LinComb.zero(hopf.PHI)
-                for (l, r), c in cop.items():
-                    total = total + hopf.phi_product(hopf.antipode(hopf.phi_elem(l)), hopf.phi_elem(r)) * c
+                for (l, r), c in cop[hopf.PHI][a].items():
+                    total = total + hopf.phi_product(hopf.antipode(elem[hopf.PHI][l]), elem[hopf.PHI][r]) * c
                 expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
                 if failure is None and total != expect:
                     failure = {"key": str(a)}
         report.append(report_item(f"antipode axiom [{label}]", f"n <= {max_n}", failure))
 
+        # the Phi coproduct table transposed: column (x, y) holds <x (x) y, Dz> for every z
+        columns = {}
+        for z, dz in cop[hopf.PHI].items():
+            for pair, c in dz.items():
+                columns.setdefault(pair, {})[z] = c
         failure = None
         for i in range(1, max_n):
             for j in range(1, max_n - i + 1):
                 n = i + j
-                cops = {z: hopf.phi_coproduct(hopf.phi_elem(z)) for z in keys[n]}
                 for a in keys[i]:
                     for b in keys[j]:
-                        prod = hopf.psi_product(hopf.psi_elem(a), hopf.psi_elem(b))
-                        for z in keys[n]:
-                            if failure is None and prod.coeff(z) != cops[z].coeff((a, b)):
-                                failure = {"x": str(a), "y": str(b), "z": str(z)}
+                        prod = hopf.psi_product(elem[hopf.PSI][a], elem[hopf.PSI][b])
+                        column = LinComb(hopf.PSI, columns.get((a, b), {}))
+                        if failure is None and prod != column:
+                            # the first z of keys[n] that differs, else a key outside keys[n]
+                            z = next(
+                                z for z in chain(keys[n], prod.keys()) if prod.coeff(z) != column.coeff(z)
+                            )
+                            failure = {"x": str(a), "y": str(b), "z": str(z)}
         report.append(
             report_item(f"duality adjointness <xy,z> = <x(x)y, Dz> [{label}]", f"|x|+|y| <= {max_n}", failure)
         )
@@ -222,12 +222,13 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
 
     failure = None
     for n in range(max_n + 1):
+        poly = bell.word_bell_tpoly(n)
         want_complete = LinComb("Phi", {p: 1 for p in set_partitions(n)})
-        if failure is None and bell.word_complete_bell(n) != want_complete:
+        if failure is None and poly.at_one() != want_complete:
             failure = {"n": n}
         for k in range(n + 1):
             want = LinComb("Phi", {p: 1 for p in set_partitions(n) if p.part_count == k})
-            if failure is None and bell.word_partial_bell(n, k) != want:
+            if failure is None and poly.coeff(k) != want:
                 failure = {"n": n, "k": k}
     report.append(report_item("word Bell polynomials enumerate partitions by blocks", f"n <= {max_n}", failure))
 
@@ -307,24 +308,20 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
     report.append(report_item("shuffle realization of the dual product", f"|x|+|y| <= {max_n}", failure))
 
     failure = None
+    sides = ((hopf.PHI, realization.expand_phi), (hopf.PSI, realization.expand_psi))
     for n in range(1, min(max_n, 4) + 1):
+        families = {
+            tag: {m: expand(SetPartition.single_block(m), n) for m in range(1, n + 1)} for tag, expand in sides
+        }
         for k in range(1, n + 1):
-            family_phi = {m: realization.expand_phi(SetPartition.single_block(m), n) for m in range(1, n + 1)}
-            got = bell.shuffle_partial_bell(family_phi, n, k)
-            want = realization.word_zero()
-            for p in set_partitions(n):
-                if p.part_count == k:
-                    want = want + realization.expand_phi(p, n)
-            if failure is None and got != want:
-                failure = {"n": n, "k": k, "family": "Phi"}
-            family_psi = {m: realization.expand_psi(SetPartition.single_block(m), n) for m in range(1, n + 1)}
-            got = bell.shuffle_partial_bell(family_psi, n, k)
-            want = realization.word_zero()
-            for p in set_partitions(n):
-                if p.part_count == k:
-                    want = want + realization.expand_psi(p, n)
-            if failure is None and got != want:
-                failure = {"n": n, "k": k, "family": "Psi"}
+            for tag, expand in sides:
+                got = bell.shuffle_partial_bell(families[tag], n, k)
+                want = realization.word_zero()
+                for p in set_partitions(n):
+                    if p.part_count == k:
+                        want = want + expand(p, n)
+                if failure is None and got != want:
+                    failure = {"n": n, "k": k, "family": tag}
     report.append(report_item("shuffle Bell polynomials of the distinguished families", f"n <= {min(max_n, 4)}", failure))
 
     report.extend(bell.identity_suite("all", max_n=min(max_n, 4), max_k=min(max_k, 2)))
@@ -338,6 +335,9 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
 def mk_suite(max_n: int = 6) -> list[dict]:
     report = []
     nw = munthekaas.nc_word
+    # each ladder built once, for every item that reads it
+    words = {n: bell.word_bell_tpoly(n) for n in range(max_n + 1)}
+    ncs = {n: munthekaas.mb_tpoly(n) for n in range(max(max_n, 4) + 1)}
 
     expected = {
         1: {1: nw(1)},
@@ -352,16 +352,15 @@ def mk_suite(max_n: int = 6) -> list[dict]:
     }
     failure = None
     for n, rows in expected.items():
-        poly = munthekaas.mb_tpoly(n)
         for k, want in rows.items():
-            if failure is None and poly.coeff(k) != want:
+            if failure is None and ncs[n].coeff(k) != want:
                 failure = {"n": n, "k": k}
     report.append(report_item("low-degree noncommutative Bell polynomials", "n <= 4", failure))
 
     failure = None
     for n in range(max_n + 1):
         for k in range(n + 1):
-            if failure is None and munthekaas.xi(bell.word_partial_bell(n, k)) != munthekaas.mb_partial(n, k):
+            if failure is None and munthekaas.xi(words[n].coeff(k)) != ncs[n].coeff(k):
                 failure = {"n": n, "k": k}
     report.append(report_item("block-size morphism maps word to noncommutative Bell", f"n <= {max_n}", failure))
 
@@ -400,13 +399,13 @@ def mk_suite(max_n: int = 6) -> list[dict]:
     for n in range(1, max_n + 1):
         poly = munthekaas.p_triangular(munthekaas.complete_phi_matrix(n), n)
         for k in range(1, n + 1):
-            if failure is None and poly.coeff(k) != bell.word_partial_bell(n, k):
+            if failure is None and poly.coeff(k) != words[n].coeff(k):
                 failure = {"n": n, "k": k}
     report.append(report_item("triangular polynomial of the complete matrix", f"n <= {max_n}", failure))
 
     failure = None
     for n in range(1, max_n + 1):
-        if failure is None and munthekaas.hessenberg_expansion(n) != munthekaas.mb_at_one(n):
+        if failure is None and munthekaas.hessenberg_expansion(n) != ncs[n].at_one():
             failure = {"n": n}
     report.append(report_item("Hessenberg path expansion at t = 1", f"n <= {max_n}", failure))
     return report

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from wordbell.cli import main
+from wordbell.combinatorics import FACTORIAL, ColoredSetPartition, SetPartition
+from wordbell.lincomb import LinComb, TPoly
 
 
 def run_cli(args, env=None):
@@ -120,6 +122,14 @@ def test_partition_rejects_booleans():
     assert run_cli(["realize", "phi", *colored]).returncode == 0
 
 
+def test_mk_checks_k_like_expand_mk():
+    for k in ("7", "-1"):
+        result = run_cli(["mk", "--n", "3", "--k", k])
+        assert result.returncode == 2
+        assert "need 0 <= k <= n" in result.stderr
+    assert run_cli(["mk", "--n", "3", "--k", "3"]).returncode == 0
+
+
 def test_realize_cycle_bell_checks_k():
     assert run_cli(["realize", "cycleBell", "--n", "3", "--k", "9"]).returncode == 2
     assert run_cli(["realize", "cycleBell", "--n", "3", "--k", "-1"]).returncode == 2
@@ -193,6 +203,117 @@ def test_suites_report_the_first_counterexample(monkeypatch):
     assert item["counterexample"] == {"key": first_key, "side": "Phi cocommutativity"}
 
 
+# the counterexamples below were recorded before the suites were restructured
+def _cp(*parts, seq=FACTORIAL):
+    return str(ColoredSetPartition(parts, seq))
+
+
+def _items(report):
+    return {i["identity"].split(" [")[0]: i["counterexample"] for i in report}
+
+
+def _doubled_from_size(real, size):
+    return lambda x: real(x) * (2 if any(k.size >= size for k in x.keys()) else 1)
+
+
+def test_hopf_suite_first_counterexample_on_the_psi_side(monkeypatch):
+    from wordbell import hopf, verify
+
+    # Phi fails from size 3 on and Psi from size 2 on: both sides are checked
+    # case by case, so the first counterexample is the earlier Psi case
+    real_phi_coproduct = hopf.phi_coproduct
+    monkeypatch.setattr(hopf, "phi_coproduct", _doubled_from_size(real_phi_coproduct, 3))
+    monkeypatch.setattr(hopf, "psi_coproduct", _doubled_from_size(hopf.psi_coproduct, 2))
+    items = _items(verify.hopf_suite(max_n=3, sequences=(FACTORIAL,)))
+    one = _cp(((1,), 1))
+    assert items["bialgebra compatibility"] == {"left": one, "right": one, "side": "Psi"}
+    assert items["cocommutativity and counit"] == {"key": _cp(((1,), 1), ((2,), 1)), "side": "Psi counit"}
+    assert items["antipode axiom"] is None
+
+    # when both sides fail on the same case, Phi is reported
+    monkeypatch.setattr(hopf, "phi_coproduct", _doubled_from_size(real_phi_coproduct, 2))
+    items = _items(verify.hopf_suite(max_n=3, sequences=(FACTORIAL,)))
+    assert items["bialgebra compatibility"] == {"left": one, "right": one, "side": "Phi"}
+    assert items["cocommutativity and counit"] == {"key": _cp(((1,), 1), ((2,), 1)), "side": "Phi counit"}
+
+
+def test_hopf_suite_first_counterexample_of_duality(monkeypatch):
+    from wordbell import hopf, verify
+
+    real = hopf.psi_product
+
+    def doubled_when_y_has_a_block_of_two(x, y):
+        terms = list(real(x, y).items())[::-1]  # z is the first in key order, not in term order
+        return LinComb(hopf.PSI, terms) * (2 if any(k.part_count < k.size for k in y.keys()) else 1)
+
+    monkeypatch.setattr(hopf, "psi_product", doubled_when_y_has_a_block_of_two)
+    items = _items(verify.hopf_suite(max_n=3, sequences=(FACTORIAL,)))
+    assert items["duality adjointness <xy,z> = <x(x)y, Dz>"] == {
+        "x": _cp(((1,), 1)),
+        "y": _cp(((1, 2), 1)),
+        "z": _cp(((1,), 1), ((2, 3), 1)),
+    }
+    assert items["bialgebra compatibility"] is None
+
+    # a product term outside the basis of its degree is reported, not skipped
+    stray = hopf.psi_elem(SetPartition(((1, 2),)))
+    monkeypatch.setattr(hopf, "psi_product", lambda x, y: real(x, y) + stray)
+    items = _items(verify.hopf_suite(max_n=2, sequences=(FACTORIAL,)))
+    assert items["duality adjointness <xy,z> = <x(x)y, Dz>"] == {
+        "x": _cp(((1,), 1)),
+        "y": _cp(((1,), 1)),
+        "z": str(SetPartition(((1, 2),))),
+    }
+
+
+def _swap_t1_t2_at_n3(real):
+    def perturbed(n):
+        poly = real(n)
+        if n != 3:
+            return poly
+        c = poly.coeffs
+        return TPoly(poly.zero, (c[0], c[2], c[1], *c[3:]))
+
+    return perturbed
+
+
+def test_ladder_items_report_the_first_counterexample(monkeypatch):
+    from wordbell import bell, munthekaas, verify
+
+    monkeypatch.setattr(bell, "word_bell_tpoly", _swap_t1_t2_at_n3(bell.word_bell_tpoly))
+    items = _items(verify.bell_suite(max_n=4))
+    assert items["word Bell polynomials enumerate partitions by blocks"] == {"n": 3, "k": 1}
+    items = _items(verify.mk_suite(max_n=4))
+    assert items["block-size morphism maps word to noncommutative Bell"] == {"n": 3, "k": 1}
+    assert items["triangular polynomial of the complete matrix"] == {"n": 3, "k": 1}
+    monkeypatch.undo()
+
+    monkeypatch.setattr(munthekaas, "mb_tpoly", _swap_t1_t2_at_n3(munthekaas.mb_tpoly))
+    items = _items(verify.mk_suite(max_n=4))
+    assert items["low-degree noncommutative Bell polynomials"] == {"n": 3, "k": 2}
+    assert items["block-size morphism maps word to noncommutative Bell"] == {"n": 3, "k": 1}
+    assert items["Hessenberg path expansion at t = 1"] is None
+
+
+def test_word_suite_first_counterexample_on_the_psi_family(monkeypatch):
+    from wordbell import bell, verify
+
+    real = bell.shuffle_partial_bell
+    calls = []
+
+    def second_call_at_3_2_doubled(family, n, k):
+        out = real(family, n, k)
+        if (n, k) == (3, 2):
+            calls.append(family)
+            if len(calls) == 2:  # Phi is checked first, then Psi
+                return out * 2
+        return out
+
+    monkeypatch.setattr(bell, "shuffle_partial_bell", second_call_at_3_2_doubled)
+    items = _items(verify.word_suite(max_n=3, max_k=1))
+    assert items["shuffle Bell polynomials of the distinguished families"] == {"n": 3, "k": 2, "family": "Psi"}
+
+
 def test_appendix_suite_reports_the_first_counterexample(monkeypatch):
     from wordbell import symfun
 
@@ -218,6 +339,9 @@ GOLDEN_STDOUT = {
     "expand coloredPsi --n 4 --k 2 --seq factorial":
         "64a3ce401b326508df2286717c42e9146b5dbb1210685420bf0a3d99efd77a71",
     "expand mk --n 5": "847b5beda9ad5e1e68cd1d19f38714d51fb054aebbf0bfd02ca04103d4606cc3",
+    "verify hopf --max-n 5": "49b345565cbeae9e9384d7e4d991acdaf1cb89550ad7b2eb634d10f77ade5af7",
+    "mk --n 5": "847b5beda9ad5e1e68cd1d19f38714d51fb054aebbf0bfd02ca04103d4606cc3",
+    "mk --n 4 --k 2": "75064f49e01d8c86974da03c5cfaf19040d604e19c5796bd485c5d9a14e24d9c",
 }
 
 
