@@ -41,6 +41,8 @@ from .hopf import (
 )
 from .lincomb import BasisError, LinComb, TPoly, _ladder
 from .realization import (
+    _cleared,
+    _settled,
     complete_s,
     expand_s_on,
     letters,
@@ -286,9 +288,10 @@ def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
         base.append(f)
     powered = series_shuffle_power(base, k, order)
     if k < 2:
-        return powered  # k! = 1: keep the kernel's int coefficients
-    scale = Fraction(1, math.factorial(k))
-    return [c * scale for c in powered]
+        return powered  # k! = 1: nothing to divide
+    # one integer division per coefficient, over the cleared denominator times k!
+    numerators, den = _cleared(powered)
+    return [_settled(dict(terms), den * math.factorial(k)) for terms in numerators]
 
 
 def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
@@ -576,13 +579,12 @@ def _composition_batch(max_n: int, max_k: int) -> list[dict]:
             powered = series_shuffle_power(args, k1, max_n)
             top_target = max_n - k1 + k1 * k2
             rhs_series = mixed_bell_series(a_prime, a_second, k1 * k2, top_target)
-            prefactor = Fraction(
-                math.factorial(k1 * k2),
-                math.factorial(k1) * math.factorial(k2) ** k1,
-            )
+            # both sides times k1! k2!^k1, so the scalars are integers
+            lhs_scale = math.factorial(k2) ** k1
+            rhs_scale = math.factorial(k1 * k2)
             for n in range(k1, max_n + 1):
-                lhs = powered[n] * Fraction(1, math.factorial(k1))
-                rhs = rhs_series[n - k1 + k1 * k2] * prefactor
+                lhs = powered[n] * lhs_scale
+                rhs = rhs_series[n - k1 + k1 * k2] * rhs_scale
                 failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
                 report.append(report_item(
                     "composition of partial word Bell polynomials",

@@ -11,7 +11,11 @@ Canonical form conventions, used everywhere:
 * blocks are stored as strictly increasing tuples;
 * parts are ordered by their block minimum;
 * equality is structural equality of canonical forms, so every object is
-  hashable and usable as a basis key of a linear combination.
+  hashable and usable as a basis key of a linear combination;
+* the basis keys (``SetPartition``, ``ColoredSetPartition``) and
+  ``ColorSequence`` compute their hash once, at construction, and return it
+  on every dict lookup.  The stored value is the dataclass formula (the hash
+  of the tuple of fields), so iteration orders and outputs are unchanged.
 
 A colored set partition of size n is a set of pairs (block, color) whose
 blocks partition {1, ..., n} and whose color on a block of size m lies in
@@ -129,6 +133,10 @@ class ColorSequence:
                 raise ValueError(f"unknown tail rule {self.tail!r}")
             if isinstance(self.tail, int) and self.tail < 0:
                 raise ValueError("tail constant must be nonnegative")
+        object.__setattr__(self, "_hash", hash((self.name, self.values, self.tail)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @classmethod
     def named(cls, name: str) -> "ColorSequence":
@@ -222,13 +230,18 @@ class SetPartition:
         _validate_cover(canon, size, "set partition")
         object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_hash", hash((canon,)))
 
     @classmethod
     def _trusted(cls, canon: tuple[tuple[int, ...], ...]) -> "SetPartition":
         obj = cls.__new__(cls)
         object.__setattr__(obj, "blocks", canon)
         object.__setattr__(obj, "_size", sum(len(b) for b in canon))
+        object.__setattr__(obj, "_hash", hash((canon,)))
         return obj
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
@@ -319,6 +332,7 @@ class ColoredSetPartition:
         object.__setattr__(self, "parts", canon)
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_hash", hash((canon, seq)))
 
     @classmethod
     def _trusted(cls, parts, seq) -> "ColoredSetPartition":
@@ -326,7 +340,11 @@ class ColoredSetPartition:
         object.__setattr__(obj, "parts", parts)
         object.__setattr__(obj, "seq", seq)
         object.__setattr__(obj, "_size", sum(len(b) for b, _ in parts))
+        object.__setattr__(obj, "_hash", hash((parts, seq)))
         return obj
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @classmethod
     def empty(cls, seq: ColorSequence) -> "ColoredSetPartition":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .combinatorics import (
     ColoredSetPartition,
@@ -217,12 +218,13 @@ def duality_pairing(x: LinComb, y: LinComb) -> Fraction | int:
 def _antipode_key(key) -> LinComb:
     if key.size == 0:
         return phi_elem(key)
-    out = -phi_elem(key)
-    for left, right in part_bipartitions(key):
-        if left.size == 0 or right.size == 0:
-            continue
-        out = out - phi_product(_antipode_key(left), phi_elem(right))
-    return out
+    # S(x) = -x - sum S(x1) x2 over the splittings with both halves nonempty
+    return LinComb(PHI, chain([(key, -1)], (
+        (k, -c)
+        for left, right in part_bipartitions(key)
+        if left.size and right.size
+        for k, c in phi_product(_antipode_key(left), phi_elem(right)).items()
+    )))
 
 
 def antipode(x: LinComb) -> LinComb:

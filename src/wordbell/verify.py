@@ -6,13 +6,22 @@ the command line wraps these in JSON and turns failures into exit codes.
 Oracles used here (Stirling recurrences, brute-force enumerations) are
 deliberately independent of the code paths they validate.
 
-Each value is built once and read by every item that needs it: the Hopf
-suite builds, per color sequence, one table of basis elements and their Phi
-and Psi coproducts; the Bell and MK suites build one ladder polynomial per
-degree.  An identity that holds on both sides is checked by one loop over
-the (Phi, Psi) sides, inside the loops over keys, so for each case Phi is
-checked before Psi and the first counterexample is the first case that
-fails on either side.
+Each value is built once and read by every item that needs it:
+
+* the Hopf suite builds, per color sequence, one table of basis elements
+  with their Phi and Psi coproducts and Phi antipodes, and one memo per side
+  of key products x·y, filled on first use.  Every item multiplies through
+  that memo, extended bilinearly, and reads Delta(xy) by linearity as the
+  sum of (xy)_z Delta(z) over the table.  Stored values keep their keys as
+  the enumerated key objects, so equal keys are one object;
+* the word suite expands each (key, L) once;
+* the Bell and MK suites build one ladder polynomial per degree.
+
+The products and coproducts are looked up on the ``hopf`` module per suite
+call, so a patched module is what gets checked.  An identity that holds on
+both sides is checked by one loop over the (Phi, Psi) sides, inside the
+loops over keys, so for each case Phi is checked before Psi and the first
+counterexample is the first case that fails on either side.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .combinatorics import (
     refines,
     set_partitions,
 )
-from .lincomb import LinComb
+from .lincomb import LinComb, tensor_tag
 
 SUITES = ("hopf", "bell", "word", "mk", "appendix", "all")
 
@@ -64,6 +73,44 @@ def _stirling1_unsigned(n: int, k: int) -> int:
 # hopf
 
 
+def _interned(x: LinComb, canon: dict) -> LinComb:
+    """``x`` with each key, or each leg of a pair key, replaced by the equal
+    object of ``canon`` (a {key: key} map); a key outside it is kept.  Equal
+    keys then share one object, and later dict hits compare by identity."""
+    get = canon.get
+    return LinComb._raw(x.basis, {
+        (get(k[0], k[0]), get(k[1], k[1])) if type(k) is tuple else get(k, k): c for k, c in x.items()
+    })
+
+
+def _key_products(product, canon: dict):
+    """``product`` extended bilinearly from its values on pairs of basis keys.
+
+    Each key product is computed once, on first use, by ``product`` on the
+    two basis elements, and stored interned in ``canon``."""
+    memo = {}
+
+    def key_product(tag, x, y):
+        xy = memo.get((x, y))
+        if xy is None:
+            xy = memo[(x, y)] = _interned(product(LinComb.term(tag, x), LinComb.term(tag, y)), canon)
+        return xy
+
+    def times(u: LinComb, v: LinComb) -> LinComb:
+        if len(u) == 1 and len(v) == 1:
+            ((x, cu),), ((y, cv),) = u.items(), v.items()
+            xy = key_product(u.basis, x, y)
+            return xy if cu * cv == 1 else xy * (cu * cv)
+        return LinComb(u.basis, (
+            (k, cu * cv * c)
+            for x, cu in u.items()
+            for y, cv in v.items()
+            for k, c in key_product(u.basis, x, y).items()
+        ))
+
+    return times
+
+
 def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
     report = []
     # looked up per call, so a patched hopf module is what gets checked
@@ -74,17 +121,31 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
     for seq in sequences:
         label = seq.spec_string()
         keys = {n: colored_partitions(seq, n) for n in range(max_n + 1)}
-        elem = {tag: {a: LinComb.term(tag, a) for n in keys for a in keys[n]} for tag, _, _ in sides}
-        cop = {tag: {a: coproduct(e) for a, e in elem[tag].items()} for tag, _, coproduct in sides}
+        canon = {a: a for n in keys for a in keys[n]}
+        elem = {tag: {a: LinComb.term(tag, a) for a in canon} for tag, _, _ in sides}
+        cop = {tag: {a: _interned(coproduct(e), canon) for a, e in elem[tag].items()} for tag, _, coproduct in sides}
+        times = {tag: _key_products(product, canon) for tag, product, _ in sides}
+
+        def delta(tag, coproduct, z):
+            # Delta(z) from the table; a key outside it is computed once, on first use
+            dz = cop[tag].get(z)
+            if dz is None:
+                dz = cop[tag][z] = _interned(coproduct(LinComb.term(tag, z)), canon)
+            return dz
 
         failure = None
         for i in range(1, max_n + 1):
             for j in range(1, max_n - i + 1):
                 for a in keys[i]:
                     for b in keys[j]:
-                        for tag, product, coproduct in sides:
-                            lhs = coproduct(product(elem[tag][a], elem[tag][b]))
-                            rhs = hopf.tensor_multiply(cop[tag][a], cop[tag][b], product)
+                        for tag, _, coproduct in sides:
+                            # Delta(ab) by linearity: the sum of (ab)_z Delta(z)
+                            lhs = LinComb(tensor_tag(tag), (
+                                (pair, c * d)
+                                for z, c in times[tag](elem[tag][a], elem[tag][b]).items()
+                                for pair, d in delta(tag, coproduct, z).items()
+                            ))
+                            rhs = hopf.tensor_multiply(cop[tag][a], cop[tag][b], times[tag])
                             if failure is None and lhs != rhs:
                                 failure = {"left": str(a), "right": str(b), "side": tag}
         report.append(report_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failure))
@@ -97,13 +158,14 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
             for k in range(1, max_n + 1)
             if i + j + k <= max_n
         ]
+        times_psi = times[hopf.PSI]
         for i, j, k in sizes:
             for a in keys[i]:
                 for b in keys[j]:
                     for c in keys[k]:
                         pa, pb, pc = (elem[hopf.PSI][x] for x in (a, b, c))
-                        left = hopf.psi_product(hopf.psi_product(pa, pb), pc)
-                        right = hopf.psi_product(pa, hopf.psi_product(pb, pc))
+                        left = times_psi(times_psi(pa, pb), pc)
+                        right = times_psi(pa, times_psi(pb, pc))
                         if failure is None and left != right:
                             failure = {"triple": (str(a), str(b), str(c))}
         report.append(report_item(f"product associativity [{label}]", f"total size <= {max_n}", failure))
@@ -121,11 +183,16 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
         report.append(report_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failure))
 
         failure = None
+        phi = elem[hopf.PHI]
+        anti = {a: _interned(hopf.antipode(e), canon) for a, e in phi.items()}
         for n in range(max_n + 1):
             for a in keys[n]:
-                total = LinComb.zero(hopf.PHI)
-                for (l, r), c in cop[hopf.PHI][a].items():
-                    total = total + hopf.phi_product(hopf.antipode(elem[hopf.PHI][l]), elem[hopf.PHI][r]) * c
+                # the sum of S(x1) x2 over the Phi coproduct
+                total = LinComb(hopf.PHI, (
+                    (k, c * d)
+                    for (l, r), c in cop[hopf.PHI][a].items()
+                    for k, d in times[hopf.PHI](anti[l], phi[r]).items()
+                ))
                 expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
                 if failure is None and total != expect:
                     failure = {"key": str(a)}
@@ -133,8 +200,8 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
 
         # the Phi coproduct table transposed: column (x, y) holds <x (x) y, Dz> for every z
         columns = {}
-        for z, dz in cop[hopf.PHI].items():
-            for pair, c in dz.items():
+        for z in canon:
+            for pair, c in cop[hopf.PHI][z].items():
                 columns.setdefault(pair, {})[z] = c
         failure = None
         for i in range(1, max_n):
@@ -142,7 +209,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                 n = i + j
                 for a in keys[i]:
                     for b in keys[j]:
-                        prod = hopf.psi_product(elem[hopf.PSI][a], elem[hopf.PSI][b])
+                        prod = times_psi(elem[hopf.PSI][a], elem[hopf.PSI][b])
                         column = LinComb(hopf.PSI, columns.get((a, b), {}))
                         if failure is None and prod != column:
                             # the first z of keys[n] that differs, else a key outside keys[n]
@@ -263,12 +330,22 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
 
 def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
     report = []
+    # looked up per call, so a patched realization module is what gets checked
+    expand_phi, expand_psi = realization.expand_phi, realization.expand_psi
+    expansions = {}
+
+    def expanded(expand, key, L):
+        # each (key, L) expanded once, for every item that reads it
+        poly = expansions.get((expand, key, L))
+        if poly is None:
+            poly = expansions[(expand, key, L)] = expand(key, L)
+        return poly
 
     failure = None
     seen = {}
     for n in range(min(max_n, 4) + 1):
         for key in colored_partitions(IDEMPOTENT, n):
-            poly = realization.expand_phi(key, 4)
+            poly = expanded(expand_phi, key, 4)
             frozen = tuple(sorted(poly.items()))
             if failure is None and frozen in seen:
                 failure = {"first": str(seen[frozen]), "second": str(key)}
@@ -283,9 +360,9 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
                 for p2 in colored_partitions(IDEMPOTENT, n2):
                     lhs = realization.shuffle_composite(
                         [tuple(range(1, n1 + 1)), tuple(range(n1 + 1, n1 + n2 + 1))],
-                        [realization.expand_phi(p1, L), realization.expand_phi(p2, L)],
+                        [expanded(expand_phi, p1, L), expanded(expand_phi, p2, L)],
                     )
-                    rhs = realization.expand_phi(p1.shifted_union(p2), L)
+                    rhs = expanded(expand_phi, p1.shifted_union(p2), L)
                     if failure is None and lhs != rhs:
                         failure = {"left": str(p1), "right": str(p2)}
     report.append(report_item("expansion intertwines product and concatenation", f"sizes <= {min(max_n, 4)}", failure))
@@ -296,30 +373,28 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
             L = n1 + n2
             for p1 in set_partitions(n1):
                 for p2 in set_partitions(n2):
-                    lhs = realization.shuffle(
-                        realization.expand_psi(p1, L), realization.expand_psi(p2, L)
-                    )
+                    lhs = realization.shuffle(expanded(expand_psi, p1, L), expanded(expand_psi, p2, L))
                     prod = hopf.psi_product(hopf.psi_elem(p1), hopf.psi_elem(p2))
-                    rhs = realization.word_zero()
-                    for key, c in prod.items():
-                        rhs = rhs + realization.expand_psi(key, L) * c
+                    rhs = LinComb(realization.WORD, (
+                        (w, c * d) for key, c in prod.items() for w, d in expanded(expand_psi, key, L).items()
+                    ))
                     if failure is None and lhs != rhs:
                         failure = {"left": str(p1), "right": str(p2)}
     report.append(report_item("shuffle realization of the dual product", f"|x|+|y| <= {max_n}", failure))
 
     failure = None
-    sides = ((hopf.PHI, realization.expand_phi), (hopf.PSI, realization.expand_psi))
+    sides = ((hopf.PHI, expand_phi), (hopf.PSI, expand_psi))
     for n in range(1, min(max_n, 4) + 1):
         families = {
-            tag: {m: expand(SetPartition.single_block(m), n) for m in range(1, n + 1)} for tag, expand in sides
+            tag: {m: expanded(expand, SetPartition.single_block(m), n) for m in range(1, n + 1)}
+            for tag, expand in sides
         }
         for k in range(1, n + 1):
             for tag, expand in sides:
                 got = bell.shuffle_partial_bell(families[tag], n, k)
-                want = realization.word_zero()
-                for p in set_partitions(n):
-                    if p.part_count == k:
-                        want = want + expand(p, n)
+                want = LinComb(realization.WORD, (
+                    (w, c) for p in set_partitions(n) if p.part_count == k for w, c in expanded(expand, p, n).items()
+                ))
                 if failure is None and got != want:
                     failure = {"n": n, "k": k, "family": tag}
     report.append(report_item("shuffle Bell polynomials of the distinguished families", f"n <= {min(max_n, 4)}", failure))

@@ -266,6 +266,71 @@ def test_hopf_suite_first_counterexample_of_duality(monkeypatch):
     }
 
 
+def test_hopf_suite_first_counterexample_of_associativity(monkeypatch):
+    from wordbell import hopf, verify
+
+    real = hopf.psi_product
+
+    def doubled_when_x_has_a_nonsingleton_block(x, y):
+        # bilinear, so it is the same map however the suite groups its products
+        return LinComb(hopf.PSI, (
+            (k, cx * cy * c * (2 if kx.part_count < kx.size else 1))
+            for kx, cx in x.items()
+            for ky, cy in y.items()
+            for k, c in real(hopf.psi_elem(kx), hopf.psi_elem(ky)).items()
+        ))
+
+    monkeypatch.setattr(hopf, "psi_product", doubled_when_x_has_a_nonsingleton_block)
+    items = _items(verify.hopf_suite(max_n=4, sequences=(FACTORIAL,)))
+    one, two = _cp(((1,), 1)), _cp(((1, 2), 1))
+    # (1,2,1) still associates: both sides double once; (2,1,1) is the first that does not
+    assert items["product associativity"] == {"triple": (two, one, one)}
+    assert items["duality adjointness <xy,z> = <x(x)y, Dz>"] == {
+        "x": two,
+        "y": one,
+        "z": _cp(((1,), 1), ((2, 3), 1)),
+    }
+    assert items["bialgebra compatibility"] is None
+
+
+def test_hopf_suite_first_counterexample_of_the_antipode(monkeypatch):
+    from wordbell import hopf, verify
+
+    monkeypatch.setattr(hopf, "antipode", _doubled_from_size(hopf.antipode, 2))
+    report = verify.hopf_suite(max_n=3, sequences=(FACTORIAL,))
+    items = _items(report)
+    assert items["antipode axiom"] == {"key": _cp(((1,), 1), ((2,), 1))}
+    assert [i["identity"] for i in report if i["status"] == "fail"] == ["antipode axiom [factorial]"]
+
+
+def test_hopf_suite_computes_each_coproduct_and_key_product_once(monkeypatch):
+    from collections import Counter
+
+    from wordbell import hopf, verify
+    from wordbell.combinatorics import colored_partitions
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(hopf, name)
+
+        def wrapper(*args):
+            calls[name, tuple(tuple(x.keys()) for x in args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hopf, name, wrapper)
+
+    for name in ("phi_coproduct", "psi_coproduct", "psi_product"):
+        counted(name)
+    report = verify.hopf_suite(max_n=3)
+    assert all(item["status"] == "pass" for item in report)
+    assert max(calls.values()) == 1
+    keys = sum(len(colored_partitions(seq, n)) for seq in verify.DEFAULT_SEQUENCES for n in range(4))
+    per_name = Counter(name for name, _ in calls)
+    assert per_name["phi_coproduct"] == per_name["psi_coproduct"] == keys
+    assert per_name["psi_product"] > 0
+
+
 def _swap_t1_t2_at_n3(real):
     def perturbed(n):
         poly = real(n)

@@ -276,6 +276,56 @@ def test_sub_std_and_split_at_match_the_validating_constructors():
                         assert half == want and half.size == want.size
 
 
+def _assert_same_key(got, want):
+    assert got == want and hash(got) == hash(want)
+    # the cached hash is the dataclass formula, so set and dict orders are unchanged
+    fields = (got.blocks,) if isinstance(got, SetPartition) else (got.parts, got.seq)
+    assert hash(got) == hash(fields)
+
+
+def test_key_hashes_are_cached_with_the_dataclass_formula():
+    for seq, fields in (
+        (FACTORIAL, ("factorial", (), None)),
+        (ColorSequence.named("factorial"), ("factorial", (), None)),
+        (ColorSequence.parse("1,2,9 tail:tree"), (None, (1, 2, 9), "tree")),
+        (ColorSequence.constant(3), (None, (), 3)),
+    ):
+        assert hash(seq) == hash(fields)
+    empty = ColoredSetPartition.empty(FACTORIAL)
+    for n in range(5):
+        for key in colored_partitions(FACTORIAL, n):
+            plain = key.underlying()
+            for got in (
+                ColoredSetPartition(key.parts[::-1], FACTORIAL),
+                standardize([(tuple(2 * x for x in b), c) for b, c in key.parts], FACTORIAL),
+                empty.shifted_union(key),
+                key.shifted_union(empty),
+                key.sub_std(range(key.part_count)),
+            ):
+                _assert_same_key(got, key)
+            for got in (SetPartition(plain.blocks[::-1]), SetPartition().shifted_union(plain)):
+                _assert_same_key(got, plain)
+            _assert_same_key(key.shift(2), ColoredSetPartition._trusted(
+                tuple((tuple(x + 2 for x in b), c) for b, c in key.parts), FACTORIAL
+            ))
+            for r in range(key.part_count + 1):
+                for sel in combinations(range(key.part_count), r):
+                    want = standardize([key.parts[i] for i in sel], FACTORIAL)
+                    _assert_same_key(key.sub_std(sel), want)
+                    _assert_same_key(plain.sub_std(sel), SetPartition(want.underlying().blocks))
+            for j in range(n + 1):
+                for half in key.split_at(j) or ():
+                    _assert_same_key(half, ColoredSetPartition(half.parts, FACTORIAL))
+                for half in plain.split_at(j) or ():
+                    _assert_same_key(half, SetPartition(half.blocks))
+            for m in range(5 - n):
+                for other in colored_partitions(FACTORIAL, m):
+                    for union in interleave_keys(key, other):
+                        _assert_same_key(union, ColoredSetPartition(union.parts, FACTORIAL))
+                    for union in interleave_keys(plain, other.underlying()):
+                        _assert_same_key(union, SetPartition(union.blocks))
+
+
 def test_alpha_values_on_matching_union_example():
     x = ColoredSetPartition([((1,), 5), ((2,), 3)], CONST9)
     y = ColoredSetPartition([((1, 2), 2)], CONST9)
