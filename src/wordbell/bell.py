@@ -41,6 +41,7 @@ from .hopf import (
 )
 from .lincomb import BasisError, LinComb, TPoly, _ladder
 from .realization import (
+    WORD,
     _cleared,
     _settled,
     complete_s,
@@ -263,10 +264,9 @@ def colored_psi_bell(seq: ColorSequence, n: int, k: int, generators=None) -> Lin
 
 
 def colored_psi_complete(seq: ColorSequence, n: int) -> LinComb:
-    total = LinComb.zero(PSI)
-    for k in range(0 if n == 0 else 1, n + 1):
-        total = total + colored_psi_bell(seq, n, k)
-    return total
+    return LinComb(PSI, (
+        kv for k in range(0 if n == 0 else 1, n + 1) for kv in colored_psi_bell(seq, n, k).items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +309,11 @@ def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
 
 
 def shuffle_complete_bell(generators, n: int) -> LinComb:
-    total = word_one() if n == 0 else word_zero()
-    for k in range(1, n + 1):
-        total = total + shuffle_partial_bell(generators, n, k)
-    return total
+    if n == 0:
+        return word_one()
+    return LinComb(WORD, (
+        kv for k in range(1, n + 1) for kv in shuffle_partial_bell(generators, n, k).items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def alpha(p: SparsePoly) -> LinComb:
     unit = psi_elem(SetPartition())
     return p.substitute(
         lambda i: psi_elem(SetPartition.single_block(i)),
-        mul=lambda a, b: psi_product(a, b) if isinstance(a, LinComb) else b * a,
+        mul=psi_product,
         one=unit,
     )
 
@@ -427,13 +428,11 @@ def morphism_diagram_report(
         for n in range(max_n + 1):
             got = gamma_beta_alpha_h(n, seq)
             want = eval_complete_bell(seq, n) / math.factorial(n)
-            if got != want:
+            if failure is None and got != want:
                 failure = {"n": n, "got": str(got), "want": str(want)}
-                break
             materialized = gamma(beta(alpha(h_in_c(n)), seq))
-            if materialized != want:
+            if failure is None and materialized != want:
                 failure = {"n": n, "route": "materialized", "got": str(materialized)}
-                break
         report.append(
             report_item(f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]", f"n <= {max_n}", failure)
         )
@@ -443,10 +442,8 @@ def morphism_diagram_report(
         failure = None
         for n in range(max_n + 1):
             got = gamma_beta_alpha_h(n, a)
-            want = eval_complete_bell(a, n) / math.factorial(n)
-            if got != want:
+            if failure is None and got != eval_complete_bell(a, n) / math.factorial(n):
                 failure = {"n": n, "a": [str(v) for v in a], "got": str(got)}
-                break
         report.append(
             report_item(f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]", f"n <= {max_n}", failure)
         )
@@ -455,20 +452,17 @@ def morphism_diagram_report(
         keys_by_size = {
             m: colored_partitions(seq, m) for m in range(1, pair_max)
         }
-        for i in range(1, pair_max):
-            for j in range(1, pair_max - i + 1):
-                for ki in keys_by_size[i]:
-                    for kj in keys_by_size[j]:
-                        prod = psi_product(psi_elem(ki), psi_elem(kj))
-                        if gamma(prod) != gamma(psi_elem(ki)) * gamma(psi_elem(kj)):
-                            failure = {"left": str(ki.parts), "right": str(kj.parts)}
-                            break
-                    if failure:
-                        break
-                if failure:
-                    break
-            if failure:
-                break
+        pairs = (
+            (ki, kj)
+            for i in range(1, pair_max)
+            for j in range(1, pair_max - i + 1)
+            for ki in keys_by_size[i]
+            for kj in keys_by_size[j]
+        )
+        for ki, kj in pairs:
+            x, y = psi_elem(ki), psi_elem(kj)
+            if failure is None and gamma(psi_product(x, y)) != gamma(x) * gamma(y):
+                failure = {"left": str(ki.parts), "right": str(kj.parts)}
         report.append(
             report_item(f"gamma multiplicative [{seq.spec_string()}]", f"total size <= {pair_max}", failure)
         )

@@ -180,10 +180,9 @@ def monomial_to_phi(x: LinComb) -> LinComb:
     """Inverse basis change, by triangular solve over the refinement order."""
     _require(x, MONOMIAL)
     _require_uncolored(x)
-    total = LinComb.zero(PHI)
-    for key, c in x.items():
-        total = total + _monomial_in_phi(key) * c
-    return total
+    return LinComb(PHI, (
+        (k, c * d) for key, c in x.items() for k, d in _monomial_in_phi(key).items()
+    ))
 
 
 def complete_to_psi(pi: SetPartition) -> LinComb:
@@ -218,19 +217,20 @@ def duality_pairing(x: LinComb, y: LinComb) -> Fraction | int:
 def _antipode_key(key) -> LinComb:
     if key.size == 0:
         return phi_elem(key)
-    # S(x) = -x - sum S(x1) x2 over the splittings with both halves nonempty
+    # S(x) = -x - sum S(x1) x2 over the splittings with both halves nonempty,
+    # each product with the key x2 a shifted union: the value depends on the
+    # key alone, never on what the module's `phi_product` is at the time
     return LinComb(PHI, chain([(key, -1)], (
-        (k, -c)
+        (k.shifted_union(right), -c)
         for left, right in part_bipartitions(key)
         if left.size and right.size
-        for k, c in phi_product(_antipode_key(left), phi_elem(right)).items()
+        for k, c in _antipode_key(left).items()
     )))
 
 
 def antipode(x: LinComb) -> LinComb:
     """Antipode of the Phi basis by the graded connected recursion."""
     _require(x, PHI)
-    total = LinComb.zero(PHI)
-    for key, c in x.items():
-        total = total + _antipode_key(key) * c
-    return total
+    return LinComb(PHI, (
+        (k, c * d) for key, c in x.items() for k, d in _antipode_key(key).items()
+    ))

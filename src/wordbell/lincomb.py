@@ -3,7 +3,8 @@
 Every algebra in this package stores its elements the same way: a finite
 mapping from canonical basis keys to nonzero rational coefficients, plus a
 basis tag.  Colored word symmetric functions, word polynomials over indexed
-alphabets and noncommutative polynomials are all `LinComb` instances over
+alphabets, noncommutative polynomials and commutative polynomials (the
+`SparsePoly` subclass over monomials) are all `LinComb` instances over
 different key types; the tag makes accidentally mixing bases a type error
 instead of a silent merge.
 
@@ -30,8 +31,9 @@ def tensor_tag(basis: str) -> str:
 def _add_terms(data: dict, pairs: Iterable) -> dict:
     """Add the (key, coeff) pairs into ``data`` and drop every key whose sum
     is 0; returns ``data``.  This is the one sparse update behind every
-    LinComb and SparsePoly operation.  ``pop`` tolerates an absent key, so a
-    zero coefficient needs no check of its own."""
+    LinComb operation, the polynomial product of the SparsePoly subclass
+    included.  ``pop`` tolerates an absent key, so a zero coefficient needs
+    no check of its own."""
     get = data.get
     for key, coeff in pairs:
         acc = get(key, 0) + coeff
@@ -56,7 +58,10 @@ class LinComb:
 
     @classmethod
     def _raw(cls, basis: str, terms: dict) -> "LinComb":
-        # Trusted constructor: `terms` must already be zero-free.
+        # Trusted constructor: `terms` must already be zero-free.  The module
+        # operations build their results through `self._raw`, so a subclass
+        # gets its own type back; never through `zero(basis)`, which a
+        # subclass may override with another signature.
         obj = cls.__new__(cls)
         obj.basis = basis
         obj._terms = terms
@@ -123,7 +128,7 @@ class LinComb:
             return other
         if not other._terms:
             return self
-        return LinComb._raw(self.basis, _add_terms(dict(self._terms), other._terms.items()))
+        return self._raw(self.basis, _add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
@@ -131,22 +136,22 @@ class LinComb:
         return self + (-other)
 
     def __neg__(self) -> "LinComb":
-        return LinComb._raw(self.basis, {k: -c for k, c in self._terms.items()})
+        return self._raw(self.basis, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> "LinComb":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         if not scalar:
-            return LinComb.zero(self.basis)
+            return self._raw(self.basis, {})
         if scalar.denominator == 1:  # an int, or an integral Fraction
             scalar = scalar.numerator
-            return LinComb._raw(self.basis, {k: c * scalar for k, c in self._terms.items()})
+            return self._raw(self.basis, {k: c * scalar for k, c in self._terms.items()})
         # a proper fraction: store each product as int when it is one
         out = {}
         for k, c in self._terms.items():
             v = c * scalar
             out[k] = v.numerator if v.denominator == 1 else v
-        return LinComb._raw(self.basis, out)
+        return self._raw(self.basis, out)
 
     __rmul__ = __mul__
 
@@ -186,10 +191,7 @@ class TPoly:
 
     def at_one(self) -> LinComb:
         """Evaluate at t = 1 (sum of all coefficients)."""
-        total = self.zero
-        for c in self.coeffs:
-            total = total + c
-        return total
+        return LinComb(self.zero.basis, (kv for c in self.coeffs for kv in c.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):

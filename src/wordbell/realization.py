@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
 from . import series
@@ -73,11 +73,11 @@ def word_degree(x: LinComb) -> int | None:
 # expansions of the distinguished bases
 
 
-def _blockwise_expand(parts, letter_choices) -> LinComb:
-    # parts: sequence of blocks; letter_choices: one candidate list per part.
+def _blockwise_expand(parts, assignments) -> LinComb:
+    # parts: sequence of blocks; assignments: letter tuples, one letter per part.
     n = sum(len(b) for b in parts)
     out: dict = {}
-    for assignment in product(*letter_choices):
+    for assignment in assignments:
         w = [None] * n
         for block, letter in zip(parts, assignment):
             for pos in block:
@@ -101,34 +101,23 @@ def expand_phi(part, truncation: int) -> LinComb:
         choices = [letters(1, truncation) for _ in part.blocks]
     else:
         raise TypeError(f"cannot expand {type(part).__name__}")
-    return _blockwise_expand(blocks, choices)
+    return _blockwise_expand(blocks, product(*choices))
 
 
 def expand_phi_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
     """Uncolored Phi expansion over an explicit letter list."""
-    return _blockwise_expand(list(pi.blocks), [alphabet for _ in pi.blocks])
+    return _blockwise_expand(pi.blocks, product(alphabet, repeat=pi.part_count))
 
 
 def expand_monomial(pi: SetPartition, truncation_or_letters) -> LinComb:
-    """Word expansion of a monomial key: distinct blocks take distinct letters."""
+    """Word expansion of a monomial key: distinct blocks take distinct letters
+    (the letters of an explicit list are taken to be distinct)."""
     alphabet = (
         letters(1, truncation_or_letters)
         if isinstance(truncation_or_letters, int)
         else list(truncation_or_letters)
     )
-    k = pi.part_count
-    out: dict = {}
-    n = pi.size
-    for chosen in product(*[alphabet] * k):
-        if len(set(chosen)) != k:
-            continue
-        w = [None] * n
-        for block, letter in zip(pi.blocks, chosen):
-            for pos in block:
-                w[pos - 1] = letter
-        key = tuple(w)
-        out[key] = out.get(key, 0) + 1
-    return LinComb._raw(WORD, out)
+    return _blockwise_expand(pi.blocks, permutations(alphabet, pi.part_count))
 
 
 def expand_psi(pi: SetPartition, truncation: int) -> LinComb:
@@ -142,10 +131,7 @@ def expand_psi_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
 
 def expand_s_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
     """S_pi realization: sum of Psi expansions over all refinements of pi."""
-    total = word_zero()
-    for q in refinements(pi):
-        total = total + expand_psi_on(q, alphabet)
-    return total
+    return LinComb(WORD, (kv for q in refinements(pi) for kv in expand_psi_on(q, alphabet).items()))
 
 
 _COMPLETE_SERIES: dict[tuple[Letter, ...], list[LinComb]] = {}
@@ -366,10 +352,8 @@ def cycle_bell(n: int, k: int) -> LinComb:
 def cycle_complete_family(m: int) -> LinComb:
     """The specialized complete function: all words b_1 b_{s(2)} ... b_{s(m)}
     with s a permutation of {2..m} prefixed by 1."""
-    from itertools import permutations as _perms
-
     out: dict = {}
-    for rest in _perms(range(2, m + 1)):
+    for rest in permutations(range(2, m + 1)):
         w = tuple((1, i) for i in (1,) + rest)
         out[w] = 1
     return LinComb._raw(WORD, out)

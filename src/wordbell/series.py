@@ -1,7 +1,8 @@
 """Truncated power series in t over any coefficient ring, exact.
 
 A series is a plain list ``[c0, c1, ..., cN]`` of coefficients from one ring:
-Fractions by default, or SparsePoly, Psi-basis LinComb or word polynomials.
+Fractions by default, or LinComb elements of one basis: polynomials (the
+SparsePoly subclass), the Psi basis or word polynomials.
 A caller names the ring by its unit ``one`` (its zero is ``one * 0``) and,
 for ``mul``, by the coefficient product ``times``; every function takes the
 truncation order explicitly and returns a list of length order+1.  The

@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A monomial is a dense exponent tuple with trailing zeros trimmed, one slot per
+A polynomial is a `LinComb` over monomials with the basis tag "Poly", so it
+is stored, added, negated and scaled like every other algebra element.  A
+monomial is a dense exponent tuple with trailing zeros trimmed, one slot per
 indexed indeterminate x1, x2, ... (so `()` is the constant monomial).  The same
 representation serves the classical Bell polynomials in the variables
 a1, a2, ... and symmetric functions written in the generators c1, c2, ...
@@ -8,10 +10,13 @@ a1, a2, ... and symmetric functions written in the generators c1, c2, ...
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .lincomb import _add_terms
+from .lincomb import LinComb, _add_terms
+
+POLY = "Poly"
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
@@ -32,28 +37,23 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
 
 
-class SparsePoly:
-    """Sparse polynomial: mapping from exponent tuples to nonzero rationals."""
+class SparsePoly(LinComb):
+    """Sparse polynomial: a LinComb from trimmed exponent tuples to nonzero
+    rationals, with the product of polynomials on top."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _add_terms({}, ((_trim(mono), coeff) for mono, coeff in items))
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "SparsePoly":
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        return obj
+        super().__init__(POLY, ((_trim(mono), coeff) for mono, coeff in items))
 
     @classmethod
     def zero(cls) -> "SparsePoly":
-        return cls._raw({})
+        return cls._raw(POLY, {})
 
     @classmethod
     def const(cls, value: Scalar) -> "SparsePoly":
-        return cls._raw({(): value} if value else {})
+        return cls._raw(POLY, {(): value} if value else {})
 
     @classmethod
     def var(cls, index: int, exp: int = 1) -> "SparsePoly":
@@ -62,120 +62,45 @@ class SparsePoly:
             raise ValueError("variable indices start at 1")
         if exp == 0:
             return cls.const(1)
-        mono = (0,) * (index - 1) + (exp,)
-        return cls._raw({mono: 1})
-
-    # -- inspection ----------------------------------------------------------
+        return cls._raw(POLY, {(0,) * (index - 1) + (exp,): 1})
 
     def coeff(self, mono: Iterable[int]) -> Scalar:
         return self._terms.get(_trim(mono), 0)
 
-    def items(self):
-        return self._terms.items()
-
-    def sorted_items(self):
-        return sorted(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.const(other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self._terms:
-            return "<SparsePoly 0>"
-        bits = []
-        for mono, coeff in self.sorted_items()[:6]:
-            vars_ = "*".join(
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(mono)
-                if e
-            )
-            bits.append(f"{coeff}{'*' + vars_ if vars_ else ''}")
-        more = " + ..." if len(self._terms) > 6 else ""
-        return "<SparsePoly " + " + ".join(bits) + more + ">"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return SparsePoly._raw(_add_terms(dict(self._terms), other._terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "SparsePoly":
-        return (-self) + other
+        return super().__eq__(other)
 
     def __mul__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return SparsePoly.zero()
-            return SparsePoly._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return SparsePoly._raw(_add_terms({}, (
+            return super().__mul__(other)  # a scalar
+        return SparsePoly._raw(POLY, _add_terms({}, (
             (_mono_mul(m1, m2), c1 * c2)
             for m1, c1 in self._terms.items()
             for m2, c2 in other._terms.items()
         )))
 
-    __rmul__ = __mul__
-
     # -- substitution --------------------------------------------------------
 
-    def evaluate(self, value_of: Callable[[int], Scalar]) -> Scalar:
-        """Evaluate numerically, substituting x_i -> value_of(i)."""
-        total: Scalar = 0
-        for mono, coeff in self._terms.items():
-            term: Scalar = coeff
-            for i, exp in enumerate(mono, start=1):
-                if exp:
-                    term *= Fraction(value_of(i)) ** exp
-            total += term
-        return total
-
-    def substitute(self, image_of: Callable[[int], object], *, mul=None, one=None):
+    def substitute(
+        self, image_of: Callable[[int], object], *, mul: Callable = operator.mul, one=1
+    ):
         """Substitute x_i -> image_of(i) in any commutative target algebra.
 
-        ``mul`` multiplies two target values (default: operator `*`), ``one``
-        is the target's multiplicative unit.  Scalar action uses `coeff * value`.
+        ``mul`` multiplies two target values, ``one`` is the target's
+        multiplicative unit.  Scalar action uses `coeff * value`.
         """
-        if mul is None:
-            mul = lambda a, b: a * b
-        if one is None:
-            one = 1
-        total = None
+        total = one * 0
         for mono, coeff in self._terms.items():
             value = one
             for i, exp in enumerate(mono, start=1):
                 img = image_of(i) if exp else None
                 for _ in range(exp):
                     value = mul(value, img)
-            value = coeff * value
-            total = value if total is None else total + value
-        if total is None:
-            return 0 * one if isinstance(one, (int, Fraction)) else one * 0
+            total = total + coeff * value
         return total
+
+    def evaluate(self, value_of: Callable[[int], Scalar]) -> Scalar:
+        """Evaluate numerically, substituting x_i -> value_of(i)."""
+        return self.substitute(lambda i: Fraction(value_of(i)))

@@ -390,6 +390,40 @@ def test_appendix_suite_reports_the_first_counterexample(monkeypatch):
     assert items["binomial splitting of partial Bell"]["counterexample"] == {"n": 0, "k1": 0, "k2": 0}
 
 
+def test_appendix_suite_first_counterexample_of_the_scaled_complete_item(monkeypatch):
+    from wordbell import symfun
+
+    real = symfun.eval_partial_bell
+    wrong = ((5, 2), (6, 1), (7, 3))
+    monkeypatch.setattr(symfun, "eval_partial_bell", lambda a, n, k: real(a, n, k) + ((n, k) in wrong))
+    items = {i["identity"]: i["counterexample"] for i in symfun.appendix_suite()}
+    assert items["partial Bell as scaled complete function"] == {"n": 5, "k": 2, "lhs": "-9", "rhs": "-10"}
+
+
+def test_morphism_diagram_report_first_counterexamples(monkeypatch):
+    from wordbell import bell
+    from wordbell.combinatorics import ONES
+
+    real = bell.gamma
+
+    def off_by_one_on_a_recolored_pair(x):
+        # keys of size 3 or 4 with a block of size 2 in color 2: none exist over ONES
+        return real(x) + any(
+            k.size in (3, 4) and any(len(b) == 2 and c == 2 for b, c in k.parts) for k in x.keys()
+        )
+
+    monkeypatch.setattr(bell, "gamma", off_by_one_on_a_recolored_pair)
+    report = bell.morphism_diagram_report(max_n=4, sequences=(ONES, FACTORIAL), rational_trials=1, pair_max=4)
+    assert {i["identity"]: i["counterexample"] for i in report} == {
+        "diagram h_n -> A_n(a)/n! [ones]": None,
+        "diagram h_n -> A_n(a)/n! [factorial]": {"n": 3, "route": "materialized", "got": "19/6"},
+        "diagram h_n -> A_n(a)/n! [random rational #1]": None,
+        "gamma multiplicative [ones]": None,
+        # the second key of size 2 over FACTORIAL, after the block {1,2} in color 1
+        "gamma multiplicative [factorial]": {"left": "(((1,), 1),)", "right": "(((1, 2), 2),)"},
+    }
+
+
 # sha256 of stdout, recorded before the refactors that must leave output unchanged
 GOLDEN_STDOUT = {
     "verify all": "8ed0d3aa30e376f9771812fe5469e0aea54a236fb99a1619d44c9a5135beebab",

@@ -260,6 +260,21 @@ def test_antipode_basics_and_axiom():
                 assert total == expected
 
 
+def test_antipode_does_not_keep_values_of_a_patched_phi_product(monkeypatch):
+    import wordbell.hopf as hopf
+
+    x = phi_elem(csp((((1, 3), 1), ((2,), 1)), FACTORIAL))
+    hopf._antipode_key.cache_clear()
+    fresh = antipode(x)
+    hopf._antipode_key.cache_clear()
+    with monkeypatch.context() as patch:
+        real = hopf.phi_product
+        patch.setattr(hopf, "phi_product", lambda a, b: real(a, b) * 2)
+        while_patched = antipode(x)
+    assert while_patched == antipode(x) == fresh
+    assert fresh.coeff(csp((((1, 2), 1), ((3,), 1)), FACTORIAL)) == 1
+
+
 def test_dimensions_match_complete_bell():
     from wordbell.bell import eval_complete_bell
 

@@ -38,3 +38,20 @@ def test_zero_terms_cancellation_and_return():
     assert not LinComb("B", [(1, 2), (1, -2)])
     back = LinComb("B", [(1, 2), (2, 1), (1, -2), (1, Fraction(1, 2))])
     assert dict(back.items()) == {2: 1, 1: Fraction(1, 2)}
+
+
+def test_polynomials_are_linear_combinations_of_the_subclass_type():
+    from wordbell.sympoly import SparsePoly
+
+    x1, x2 = SparsePoly.var(1), SparsePoly.var(2)
+    p = x1 * x2 * 3 + x1 - SparsePoly.const(2)
+    assert isinstance(p, LinComb)
+    for value in (p + x2, -p, p - x1, p * Fraction(1, 2), 2 * p, p / 3, p * 0, p * x2):
+        assert type(value) is SparsePoly
+    assert type(p.retag("B")) is LinComb
+    assert dict(p.items()) == {(1, 1): 3, (1,): 1, (): -2}
+    assert p.coeff((1, 0, 0)) == 1 and p.coeff([0]) == -2
+    assert SparsePoly([((1, 0), 2), ((1,), -2), ((0, 0), 5)]) == 5 == SparsePoly.const(5)
+    assert p.evaluate(lambda i: Fraction(1, i)) == Fraction(1, 2)
+    shifted = p.substitute(lambda i: SparsePoly.var(i + 1), one=SparsePoly.const(1))
+    assert shifted == x2 * SparsePoly.var(3) * 3 + x2 - SparsePoly.const(2)
