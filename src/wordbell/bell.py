@@ -39,7 +39,7 @@ from .hopf import (
     psi_elem,
     psi_product,
 )
-from .lincomb import BasisError, LinComb, TPoly, _ladder
+from .lincomb import BasisError, LinComb, TPoly, _add_terms, _ladder
 from .realization import (
     WORD,
     _cleared,
@@ -327,18 +327,13 @@ def h_in_c(n: int) -> SparsePoly:
     h_n = sum over partitions lambda of n of c_lambda, where c_lambda divides
     the monomial by the multiplicities' factorials.
     """
-    total = SparsePoly.zero()
+    terms = []
     for lam in int_partitions(n):
-        mono = SparsePoly.const(1)
-        mult: dict[int, int] = {}
+        mono = [0] * n
         for part in lam:
-            mono = mono * SparsePoly.var(part)
-            mult[part] = mult.get(part, 0) + 1
-        coeff = Fraction(1)
-        for m in mult.values():
-            coeff /= math.factorial(m)
-        total = total + mono * coeff
-    return total
+            mono[part - 1] += 1
+        terms.append((mono, Fraction(1, math.prod(map(math.factorial, mono)))))
+    return SparsePoly(terms)
 
 
 def alpha(p: SparsePoly) -> LinComb:
@@ -493,11 +488,35 @@ def mixed_bell_series(a_prime, a_second, k: int, order: int) -> list[LinComb]:
     return _mixed_bell_series_cached(tuple(a_prime), tuple(a_second), k, order)
 
 
+def _shuffle_sum(pairs) -> LinComb:
+    """The sum of x shuffle y over the (x, y) pairs, in one accumulation: a
+    copy of the first product's terms, with the later products added in."""
+    acc = None
+    for x, y in pairs:
+        if x and y:
+            product = shuffle(x, y)
+            acc = dict(product._terms) if acc is None else _add_terms(acc, product.items())
+    return LinComb._raw(WORD, acc or {})
+
+
+def _faithful_alphabets(n: int, k: int) -> tuple[list, list]:
+    """A' and A'' at the faithful truncation for degree n with k positions in A'.
+
+    Every word of B^{A'}_{n,k}(A''), and of both sides of the S-function and
+    binomiality identities (k = k1 + k2), has exactly k letters from A' and
+    n - k from A''.  Both sides are symmetric in the letters of each alphabet,
+    and restricting to fewer letters is a shuffle-algebra morphism, so the
+    words whose letters are numbered in order of first use decide an
+    identity: k letters of A' and n - k of A'' (one when n = k, so that the
+    alphabet is never empty).
+    """
+    return letters(1, max(k, 1)), letters(2, max(n - k, 1))
+
+
 def prop_s_form_check(n: int, k: int) -> dict:
     """B^{A'}_{n,k}(A'') equals S_{singletons k}(A') shuffled with
     S_{{1..n-k}}(k A''), at the faithful truncation."""
-    a_prime = letters(1, max(k, 1))
-    a_second = letters(2, max(n - k, 1))
+    a_prime, a_second = _faithful_alphabets(n, k)
     lhs = mixed_bell_series(a_prime, a_second, k, n)[n]
     rhs = shuffle(
         expand_s_on(SetPartition.singletons(k), a_prime),
@@ -508,18 +527,15 @@ def prop_s_form_check(n: int, k: int) -> dict:
 
 
 def binomiality_check(n: int, k1: int, k2: int) -> dict:
-    """C(k1+k2, k1) B_{n,k1+k2} = sum_i B_{i,k1} shuffle B_{n-i,k2}."""
+    """C(k1+k2, k1) B_{n,k1+k2} = sum_i B_{i,k1} shuffle B_{n-i,k2}, at the
+    faithful truncation: each word on either side has k1 + k2 letters of A'."""
     k = k1 + k2
-    a_prime = letters(1, max(k, 1))
-    a_second = letters(2, max(n - min(k1, k2), 1))
+    a_prime, a_second = _faithful_alphabets(n, k)
     series_k = mixed_bell_series(a_prime, a_second, k, n)
     series_1 = mixed_bell_series(a_prime, a_second, k1, n)
     series_2 = mixed_bell_series(a_prime, a_second, k2, n)
     lhs = series_k[n] * math.comb(k, k1)
-    rhs = word_zero()
-    for i in range(n + 1):
-        if series_1[i] and series_2[n - i]:
-            rhs = rhs + shuffle(series_1[i], series_2[n - i])
+    rhs = _shuffle_sum((series_1[i], series_2[n - i]) for i in range(n + 1))
     failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
     return report_item("binomiality of partial word Bell polynomials", f"n={n}, k1={k1}, k2={k2}", failure)
 
@@ -542,13 +558,9 @@ def _convolution_batch(max_n: int, max_k: int, truncation: int = 2) -> list[dict
         singles = expand_s_on(SetPartition.singletons(k), a_prime)
         for n in range(k, max_n + 1):
             lhs = shuffle(singles, series_u[n])
-            rhs = word_zero()
-            for i in range(k, n + 1):
-                j = n + k - i
-                if j < k or j > max_n:
-                    continue
-                if series_1[i] and series_2[j]:
-                    rhs = rhs + shuffle(series_1[i], series_2[j])
+            rhs = _shuffle_sum(
+                (series_1[i], series_2[n + k - i]) for i in range(max(k, n + k - max_n), n + 1)
+            )
             failure = None if lhs == rhs else {"n": n, "k": k}
             report.append(
                 report_item("convolution over an alphabet sum", f"n={n}, k={k}, L={truncation}", failure)
@@ -593,7 +605,8 @@ def identity_suite(which: str = "all", max_n: int = 5, max_k: int = 3) -> list[d
 
     ``which`` is one of ``completeToS`` (the S-function form), ``binomiality``,
     ``convolution``, ``composition`` or ``all``.  Truncations: the first two
-    families are checked at the faithful truncation (L at least the degree).
+    families are checked at the faithful truncation of
+    :func:`_faithful_alphabets` (k letters of A' and n - k of A'').
     The convolution and composition checks run over two-letter alphabets
     (one-letter when k1*k2 > 4), below the degree of most of their cases:
     the arithmetic is exact, but a pass there is a necessary check of the

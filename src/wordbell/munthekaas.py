@@ -181,16 +181,9 @@ def hessenberg_expansion(n: int) -> LinComb:
     def entry(i: int, j: int) -> LinComb:
         return LinComb.term(NC, (j - i + 1,)) * math.comb(n - i, j - i)
 
-    # f(start) expands the chains a_{start, j} f(j+1) ending with a_{., n}.
-    memo: dict[int, LinComb] = {}
-
-    def f(start: int) -> LinComb:
-        if start in memo:
-            return memo[start]
-        total = entry(start, n)
-        for j in range(start, n):
-            total = total + nc_mul(entry(start, j), f(j + 1))
-        memo[start] = total
-        return total
-
-    return f(1)
+    # f[start] expands the chains a_{start, j} f[j+1] ending with a_{., n}.
+    f: dict[int, LinComb] = {}
+    for start in range(n, 0, -1):
+        terms = [entry(start, n)] + [nc_mul(entry(start, j), f[j + 1]) for j in range(start, n)]
+        f[start] = LinComb(NC, (kv for term in terms for kv in term.items()))
+    return f[1]

@@ -11,9 +11,13 @@ distinct blocks choose letters independently — so two blocks drawn from the
 same alphabet may well pick equal letters.  (Only the within-block equality
 and the block-to-alphabet assignment are constrained.)
 
-Truncation soundness: two homogeneous degree-n word polynomials over the
-infinite alphabets agree iff they agree at truncation L = n, since a degree-n
-monomial involves at most n distinct letters of each alphabet.
+Truncation soundness: keeping only the first L letters of an alphabet is a
+morphism of the shuffle algebra, but it loses every word that uses a later
+letter, so on its own it can hide a difference.  It is faithful for word
+polynomials that are symmetric in the letters of each alphabet: such a
+polynomial is determined by its words whose letters are numbered in order of
+first use, so two of them agree iff they agree when each alphabet keeps as
+many letters as the positions it fills in a word.
 
 The shuffle kernel: ``_interleave_patterns(n, m)`` caches one itemgetter per
 interleaving, which maps u + v to the shuffled word in C; the gathers are

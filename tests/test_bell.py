@@ -47,7 +47,7 @@ from wordbell.combinatorics import (
 )
 from wordbell.hopf import phi_elem, psi_elem, psi_product
 from wordbell.lincomb import BasisError, LinComb
-from wordbell.realization import expand_phi, expand_psi, letters
+from wordbell.realization import WORD, expand_phi, expand_psi, letters
 from wordbell.sympoly import SparsePoly
 
 
@@ -435,3 +435,52 @@ def test_identity_suite_spot_cases():
     composition = {i["range"]: i["status"] for i in identity_suite("composition", 4, 2)}
     assert composition["n=4, k1=2, k2=1, L=2"] == "pass"
     assert composition["n=4, k1=1, k2=2, L=2"] == "pass"
+
+
+def _restricted(x, allowed):
+    """The word polynomial x with only the words over the allowed letters."""
+    return LinComb(WORD, ((w, c) for w, c in x.items() if set(w) <= allowed))
+
+
+def test_binomiality_truncation_is_a_restriction_of_the_wider_one():
+    # Binomiality used n - min(k1, k2) letters of A''; its series, restricted
+    # to k letters of A' and max(n - k, 1) of A'', are the series computed there.
+    from wordbell import bell
+
+    for n in range(1, 5):
+        for k1 in range(1, n + 1):
+            for k2 in range(k1, n - k1 + 1):
+                k = k1 + k2
+                a_prime = letters(1, k)
+                wide = letters(2, n - k1)
+                narrow = letters(2, max(n - k, 1))
+                assert bell._faithful_alphabets(n, k) == (a_prime, narrow)
+                allowed = set(a_prime) | set(narrow)
+                for part_count in (k, k1, k2):
+                    got = [
+                        _restricted(x, allowed)
+                        for x in bell.mixed_bell_series(a_prime, wide, part_count, n)
+                    ]
+                    assert got == bell.mixed_bell_series(a_prime, narrow, part_count, n)
+
+
+def test_binomiality_sees_a_word_on_every_letter_of_both_alphabets(monkeypatch):
+    # A defect on one word with k distinct A' letters and n - k distinct A''
+    # letters, visible only where the alphabets hold those letters.
+    from wordbell import bell
+
+    n, k1, k2 = 4, 1, 1
+    extra = ((1, 1), (2, 1), (1, 2), (2, 2))
+    real = bell.mixed_bell_series
+
+    def with_extra_word(a_prime, a_second, k, order):
+        series = list(real(a_prime, a_second, k, order))
+        if k == k1 + k2 and set(extra) <= set(a_prime) | set(a_second):
+            series[n] = series[n] + LinComb.term(WORD, extra)
+        return series
+
+    assert bell.binomiality_check(n, k1, k2)["status"] == "pass"
+    monkeypatch.setattr(bell, "mixed_bell_series", with_extra_word)
+    item = bell.binomiality_check(n, k1, k2)
+    assert item["status"] == "fail"
+    assert item["counterexample"] == {"n": 4, "k1": 1, "k2": 1}
