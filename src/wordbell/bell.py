@@ -47,7 +47,6 @@ from .realization import (
     complete_s,
     expand_s_on,
     letters,
-    scaled_complete,
     series_shuffle_power,
     shuffle,
     word_degree,
@@ -303,8 +302,8 @@ def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
             continue
         if f and word_degree(f) != i:
             raise ValueError(f"generator {i} is not homogeneous of degree {i}")
-    if k == 0:
-        return word_one() if n == 0 else word_zero()
+    if k <= 0:
+        return word_one() if n == k == 0 else word_zero()
     return shuffle_bell_series(generators, k, n)[n]
 
 
@@ -520,7 +519,7 @@ def prop_s_form_check(n: int, k: int) -> dict:
     lhs = mixed_bell_series(a_prime, a_second, k, n)[n]
     rhs = shuffle(
         expand_s_on(SetPartition.singletons(k), a_prime),
-        scaled_complete(n - k, k, a_second),
+        complete_s(n - k, a_second, k),
     )
     failure = None if lhs == rhs else {"n": n, "k": k}
     return report_item("partial Bell as S-function product", f"n={n}, k={k}", failure)

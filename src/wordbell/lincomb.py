@@ -86,12 +86,6 @@ class LinComb:
     def keys(self):
         return self._terms.keys()
 
-    def sorted_items(self, key: Callable = None):
-        """Terms in a deterministic order (for printing and serialization)."""
-        if key is None:
-            key = lambda kv: kv[0]
-        return sorted(self._terms.items(), key=key)
-
     def __len__(self) -> int:
         return len(self._terms)
 

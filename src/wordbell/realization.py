@@ -108,11 +108,6 @@ def expand_phi(part, truncation: int) -> LinComb:
     return _blockwise_expand(blocks, product(*choices))
 
 
-def expand_phi_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
-    """Uncolored Phi expansion over an explicit letter list."""
-    return _blockwise_expand(pi.blocks, product(alphabet, repeat=pi.part_count))
-
-
 def expand_monomial(pi: SetPartition, truncation_or_letters) -> LinComb:
     """Word expansion of a monomial key: distinct blocks take distinct letters
     (the letters of an explicit list are taken to be distinct)."""
@@ -129,36 +124,45 @@ def expand_psi(pi: SetPartition, truncation: int) -> LinComb:
     return expand_phi(pi, truncation) * pi.part_factorial()
 
 
-def expand_psi_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
-    return expand_phi_on(pi, alphabet) * pi.part_factorial()
-
-
 def expand_s_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
-    """S_pi realization: sum of Psi expansions over all refinements of pi."""
-    return LinComb(WORD, (kv for q in refinements(pi) for kv in expand_psi_on(q, alphabet).items()))
+    """S_pi realization: the sum of q! Phi_q over the refinements q of pi."""
+    return LinComb(WORD, (
+        (w, c * q.part_factorial())
+        for q in refinements(pi)
+        for w, c in _blockwise_expand(q.blocks, product(alphabet, repeat=q.part_count)).items()
+    ))
 
 
-_COMPLETE_SERIES: dict[tuple[Letter, ...], list[LinComb]] = {}
+_COMPLETE_SERIES: dict[tuple[int, tuple[Letter, ...], int], LinComb] = {}
 
 
-def complete_s(n: int, alphabet) -> LinComb:
-    """S_{{1..n}} over the given letters (the word complete function).
+def complete_s(n: int, alphabet, k: int = 1) -> LinComb:
+    """S_{{1..n}}(kA) over the given distinct letters, from its closed form
+    (k = 1 gives the word complete function S_{{1..n}}(A)).
 
-    Grown on demand via the shuffle-exponential recursion
-    m S_m = sum_j j (j! Phi_{{1..j}}) shuffle S_{m-j}, which agrees with the
-    refinement sum over all set partitions but scales far better.
+    Distinct letters shuffle freely and one letter's powers shuffle as
+    divided powers, so sigma_t(a) = exp(ta / (1 - ta)) and sigma_t(kA) =
+    sigma_t(A)^k give each word w the coefficient prod_a lambda_k(|w|_a),
+    with lambda_k(m) = sum_j Lah(m, j) k^j (1, 1, 3, 13, 73, ... at k = 1).
+    ``expand_s_on`` is the refinement-sum oracle.
     """
-    key = tuple(alphabet)
-    series = _COMPLETE_SERIES.setdefault(key, [word_one()])
-    while len(series) <= n:
-        m = len(series)
-        terms, den = _cleared(series)
-        acc: dict = {}
-        for j in range(1, m + 1):
-            scale = j * math.factorial(j)
-            _shuffle_acc(acc, [((letter,) * j, scale) for letter in key], terms[m - j])
-        series.append(_settled(acc, den * m))
-    return series[n]
+    alphabet = tuple(alphabet)
+    key = (n, alphabet, k)
+    if key in _COMPLETE_SERIES:
+        return _COMPLETE_SERIES[key]
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("complete_s needs distinct letters")
+    if k < 0:
+        raise ValueError(f"complete_s needs k >= 0, got {k}")
+    lah = lambda m, j: math.comb(m - 1, j - 1) * math.factorial(m) // math.factorial(j)
+    weight = [1] + [sum(lah(m, j) * k**j for j in range(1, m + 1)) for m in range(1, n + 1)]
+    out = {}
+    for w in product(alphabet, repeat=n):
+        c = math.prod(weight[w.count(a)] for a in alphabet)
+        if c:
+            out[w] = c
+    _COMPLETE_SERIES[key] = poly = LinComb._raw(WORD, out)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +277,7 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# series of word polynomials (for scaled alphabets and shuffle powers)
+# series of word polynomials (shuffle powers)
 
 
 def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[LinComb]:
@@ -289,16 +293,6 @@ def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[L
 def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:
     """The k-th shuffle power of a word series up to t^order."""
     return series.power(a, k, order, word_one(), series_shuffle_mul)
-
-
-def complete_series(alphabet: list[Letter], order: int) -> list[LinComb]:
-    """Coefficients of sigma_t over the alphabet: [1, S_1, S_2, ...]."""
-    return [complete_s(n, alphabet) for n in range(order + 1)]
-
-
-def scaled_complete(n: int, k: int, alphabet: list[Letter]) -> LinComb:
-    """S_{{1..n}}(k*A), defined through sigma_t(kA) = sigma_t(A)^(shuffle k)."""
-    return series_shuffle_power(complete_series(alphabet, n), k, n)[n]
 
 
 # ---------------------------------------------------------------------------

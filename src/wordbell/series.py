@@ -58,8 +58,11 @@ def power(
     ``product(x, y, top)`` multiplies two series up to t^top; the default is
     :func:`mul` with the ring's own ``*``.  The word ring passes its batched
     shuffle kernel.  The base usually has small supports, so k long-by-short
-    products beat repeated squaring of ever-larger series.
+    products beat repeated squaring of ever-larger series.  A negative k
+    raises ValueError (an inverse over the rationals is :func:`reciprocal`).
     """
+    if k < 0:
+        raise ValueError(f"power needs k >= 0, got {k}")
     if product is None:
         product = lambda x, y, top: mul(x, y, top, one)
     base = a[: order + 1]

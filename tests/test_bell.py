@@ -332,6 +332,8 @@ def test_shuffle_bell_trivial_cases():
     family = {m: expand_phi(SetPartition.single_block(m), 3) for m in range(1, 5)}
     assert shuffle_partial_bell(family, 0, 0) == LinComb.term("Word", ())
     assert not shuffle_partial_bell(family, 3, 0)
+    for n in range(3):
+        assert not shuffle_partial_bell(family, n, -1)
     for n in range(1, 4):
         assert shuffle_partial_bell(family, n, 1) == family[n]
 

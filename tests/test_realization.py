@@ -29,7 +29,6 @@ from wordbell.realization import (
     expand_phi,
     expand_psi,
     letters,
-    scaled_complete,
     series_shuffle_mul,
     series_shuffle_power,
     shuffle,
@@ -215,6 +214,35 @@ def test_complete_s_is_one_block_s_function():
         assert complete_s(n, A) == expand_s_on(SetPartition.single_block(n), A)
 
 
+def test_complete_s_of_a_scaled_alphabet_is_a_shuffle_power():
+    # sigma_t(kA) = sigma_t(A)^(shuffle k), with the shuffle power as the oracle
+    A = [(1, 1), (1, 2), (2, 1)]
+    sigma = [complete_s(m, A) for m in range(6)]
+    for k in range(4):
+        powered = series_shuffle_power(sigma, k, 5)
+        for n in range(6):
+            assert complete_s(n, A, k) == powered[n]
+    # sigma_t(0A) = 1
+    assert [complete_s(n, A, 0) for n in range(6)] == [word_one()] + [word_zero()] * 5
+
+
+def test_complete_s_weights_each_word_by_its_letter_counts():
+    # one letter: S_m(a) = lambda_1(m) a^m with lambda_1 = 1, 1, 3, 13, 73;
+    # a word's coefficient is the product of lambda_k over its letters
+    a, b = (1, 1), (1, 2)
+    for m, lah_sum in enumerate([1, 1, 3, 13, 73]):
+        assert complete_s(m, [a]) == LinComb("Word", {(a,) * m: lah_sum})
+    assert complete_s(3, [a, b]).coeff((a, b, a)) == 3
+    assert complete_s(3, [a, b], 2).coeff((a, b, a)) == 8 * 2  # lambda_2: 1, 2, 8
+
+
+def test_complete_s_rejects_repeated_letters_and_negative_scaling():
+    with pytest.raises(ValueError):
+        complete_s(2, [(1, 1), (1, 1)])
+    with pytest.raises(ValueError):
+        complete_s(2, letters(1, 2), -1)
+
+
 def test_shuffle_matches_dual_product():
     for n1 in range(1, 3):
         for n2 in range(1, 4 - n1 + 1):
@@ -348,7 +376,7 @@ def test_cycle_bell_matches_permutation_filter():
 def test_scaled_complete_is_shuffle_power():
     A = letters(1, 2)
     # sigma_t(2A) = sigma_t(A)^(shuffle 2): check one coefficient directly
-    lhs = scaled_complete(2, 2, A)
+    lhs = complete_s(2, A, 2)
     rhs = shuffle(complete_s(0, A), complete_s(2, A)) * 2 + shuffle(
         complete_s(1, A), complete_s(1, A)
     )

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordbell import series
@@ -43,3 +44,10 @@ def test_power_is_k_untruncated_products(v, tail, k, order):
 def test_power_of_zero_series():
     assert series.power([0, 0], 0, 3) == [1, 0, 0, 0]
     assert series.power([0, 0], 2, 3) == [0, 0, 0, 0]
+
+
+def test_power_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        series.power([1, 1], -1, 3)
+    with pytest.raises(ValueError):
+        series.power([0, 1], -2, 3)
