@@ -19,22 +19,26 @@ polynomial is determined by its words whose letters are numbered in order of
 first use, so two of them agree iff they agree when each alphabet keeps as
 many letters as the positions it fills in a word.
 
-The shuffle kernel: ``_interleave_patterns(n, m)`` caches one itemgetter per
-interleaving, which maps u + v to the shuffled word in C; the gathers are
-built from the label splits of ``combinatorics.interleavings``, the one table
-every interleaving in the package is read from.  ``_cleared``
-turns operands (a whole series at once) into integer numerators over one
-common denominator, the kernel adds plain ints, and ``_settled`` drops the
-zeros and divides once at the end, keeping integral coefficients as int.
+The shuffle kernel: ``_cleared`` turns operands (a whole series at once)
+into integer numerators over one common denominator.  ``_shuffle_acc``
+groups each operand's words by (length, numerator) and, for each pair of
+groups, runs one pass of C iterators over all the word pairs: u + v through
+the cached ``_interleave_gather(n, m)``, one itemgetter that returns all
+C(n+m, n) shuffles end to end, cut back into words and counted by
+``Counter.update``.  The gathers are built from the label splits of
+``combinatorics.interleavings``, the one table every interleaving in the
+package is read from.  ``_settled`` drops the zeros and divides once at the
+end, keeping integral coefficients as int.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from operator import itemgetter
+from itertools import chain, permutations, product, starmap
+from operator import add, itemgetter
 
 from . import series
 from .combinatorics import (
@@ -170,17 +174,17 @@ def complete_s(n: int, alphabet, k: int = 1) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _interleave_patterns(n: int, m: int) -> tuple:
-    # One gather per label split (I, J) of an n-letter word u with an m-letter
-    # word v: letter i of u + v goes to label (I + J)[i], so the gather reads
-    # the inverse permutation, and applied to u + v it returns the shuffled word.
-    # With an empty word the one interleaving is u + v itself.
-    if not n or not m:
-        return (tuple,)
-    return tuple(
-        itemgetter(*sorted(range(n + m), key=(I + J).__getitem__))
+def _interleave_gather(n: int, m: int) -> itemgetter:
+    # For n, m >= 1: one gather that returns all C(n+m, n) shuffles of an
+    # n-letter u with an m-letter v, end to end, when applied to u + v.  For
+    # the label split (I, J), letter i of u + v goes to label (I + J)[i], so
+    # that shuffle reads the inverse permutation.  With n = 0 or m = 0 the
+    # gather would have one index and return a letter, not a tuple.
+    return itemgetter(*(
+        i
         for I, J in interleavings(n, m)
-    )
+        for i in sorted(range(n + m), key=(I + J).__getitem__)
+    ))
 
 
 def _cleared(polys) -> tuple[list[list], int]:
@@ -203,17 +207,34 @@ def _settled(acc: dict, den: int) -> LinComb:
     return LinComb._raw(WORD, out)
 
 
-def _shuffle_acc(acc: dict, xs, ys) -> None:
-    """The shuffle kernel: acc += xs shuffle ys on integer (word, coeff) lists."""
-    get = acc.get
-    for u, cu in xs:
-        n = len(u)
-        for v, cv in ys:
+def _by_length_and_coeff(terms) -> dict:
+    groups: dict = {}
+    for w, c in terms:
+        groups.setdefault((len(w), c), []).append(w)
+    return groups
+
+
+def _shuffle_acc(acc: Counter, xs, ys) -> None:
+    """The shuffle kernel: acc += xs shuffle ys on integer (word, coeff) lists.
+
+    The shuffles of each pair of (length, coefficient) groups are counted in
+    one Counter.update: straight into acc when the product coefficient c is
+    1, else into one Counter per c, added to acc as c times the count at the
+    end."""
+    scaled: dict[int, Counter] = {}
+    y_groups = _by_length_and_coeff(ys).items()
+    for (n, cu), us in _by_length_and_coeff(xs).items():
+        for (m, cv), vs in y_groups:
             c = cu * cv
-            uv = u + v
-            for gather in _interleave_patterns(n, len(v)):
-                w = gather(uv)
-                acc[w] = get(w, 0) + c
+            words = starmap(add, product(us, vs))
+            if n and m:
+                flat = chain.from_iterable(map(_interleave_gather(n, m), words))
+                words = zip(*[flat] * (n + m))
+            (acc if c == 1 else scaled.setdefault(c, Counter())).update(words)
+    get = acc.get  # not acc[w]: a missing key would call Counter.__missing__
+    for c, counts in scaled.items():
+        for w, count in counts.items():
+            acc[w] = get(w, 0) + c * count
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:
@@ -222,7 +243,7 @@ def shuffle(x: LinComb, y: LinComb) -> LinComb:
         raise BasisError("shuffle is defined on word polynomials")
     (xs,), dx = _cleared([x])
     (ys,), dy = _cleared([y])
-    acc: dict = {}
+    acc = Counter()
     _shuffle_acc(acc, xs, ys)
     return _settled(acc, dx * dy)
 
@@ -283,7 +304,7 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
 def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[LinComb]:
     xs, dx = _cleared(a[: order + 1])
     ys, dy = _cleared(b[: order + 1])
-    sums: list[dict] = [{} for _ in range(order + 1)]
+    sums = [Counter() for _ in range(order + 1)]
     for i, x in enumerate(xs):
         for j, y in enumerate(ys[: order + 1 - i]):
             _shuffle_acc(sums[i + j], x, y)
@@ -319,32 +340,18 @@ def cycle_specialization(sigma: CyclePermutation) -> LinComb:
     return LinComb.term(WORD, cycle_word(sigma))
 
 
-def _permutations_with_cycles(n: int, k: int, cycles: tuple = (), m: int = 1):
-    """The permutations of {1..n} with exactly k cycles, each once, by the
-    insertion rule behind c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k): element m
-    opens a new cycle or follows one of the m - 1 smaller elements in its
-    cycle.  A branch stops as soon as k cycles are out of its reach."""
-    if m > n:
-        if len(cycles) == k:
-            yield CyclePermutation(cycles)
-        return
-    if len(cycles) < k:
-        yield from _permutations_with_cycles(n, k, cycles + ((m,),), m + 1)
-    if len(cycles) + n - m >= k:
-        for c, cyc in enumerate(cycles):
-            for pos in range(1, len(cyc) + 1):
-                grown = cycles[:c] + (cyc[:pos] + (m,) + cyc[pos:],) + cycles[c + 1:]
-                yield from _permutations_with_cycles(n, k, grown, m + 1)
-
-
 def cycle_bell(n: int, k: int) -> LinComb:
     """Word Bell polynomial specialized to cycle words: the sum of w[sigma]
-    over permutations of size n with exactly k cycles."""
-    out: dict = {}
-    for sigma in _permutations_with_cycles(n, k):
-        w = cycle_word(sigma)
-        out[w] = out.get(w, 0) + 1
-    return LinComb._raw(WORD, out)
+    over permutations of size n with exactly k cycles.
+
+    It is [t^n] of the k-th shuffle power of sum_m cycle_complete_family(m) t^m,
+    over k!: a permutation is a set of cycles, and the cycle word of each one
+    scatters into its support.  Only m <= n - k + 1 can reach degree n."""
+    if k <= 0:
+        return word_one() if n == k == 0 else word_zero()
+    family = [word_zero()] + [cycle_complete_family(m) for m in range(1, n - k + 2)]
+    (terms,), den = _cleared([series_shuffle_power(family, k, n)[n]])
+    return _settled(dict(terms), den * math.factorial(k))
 
 
 def cycle_complete_family(m: int) -> LinComb:

@@ -180,6 +180,54 @@ def test_shuffle_cancellation_and_empty_word():
     _assert_settled(got)
 
 
+def _checked_shuffle(x, y):
+    got = shuffle(x, y)
+    assert got == _oracle_shuffle(x, y)
+    _assert_settled(got)
+    return got
+
+
+def test_shuffle_of_large_operands_with_shared_coefficients():
+    # Most products have coefficient 1 and are counted straight into the sum;
+    # the others (2, -1, -2) are counted apart and merged scaled.
+    from itertools import product as cartesian
+
+    ab = [(1, 1), (2, 1)]
+    x = LinComb("Word", {
+        w: 2 if w[-1] == (2, 1) and len(w) == 3 else 1
+        for n in range(1, 5) for w in cartesian(ab, repeat=n)
+    })
+    y = LinComb("Word", {
+        w: -1 if len(w) == 2 and w[0] == (1, 2) else 1
+        for n in range(4) for w in cartesian([(1, 1), (1, 2), (2, 2)], repeat=n)
+    })
+    assert len(x) == 30 and len(y) == 40
+    assert {c for _, c in x.items()} == {1, 2} and {c for _, c in y.items()} == {1, -1}
+    _checked_shuffle(x, y)
+
+
+def test_shuffle_kernel_edge_cases():
+    u, v = word(1), word(1, alphabet=2)
+    a, b = LinComb.term("Word", u), LinComb.term("Word", v)
+    one = word_one()
+    x = a * 3 + LinComb.term("Word", word(2, 1)) + one * 2
+    # cleared numerators 4, 3 and 5 over 6, and 9 and -2 over 12
+    fx = LinComb("Word", {u: Fraction(2, 3), word(2): Fraction(1, 2), word(1, 2): Fraction(5, 6)})
+    fy = LinComb("Word", {v: Fraction(3, 4), word(2, 1): Fraction(-1, 6)})
+    cases = {
+        "empty word on the left": (one, x, x),
+        "empty word on the right": (x, one * 5, x * 5),
+        "empty word on both sides": (one * -1, one, one * -1),
+        "one letter each": (a, b, LinComb("Word", {u + v: 1, v + u: 1})),
+        "one letter, scaled": (a * 3, a * -2, LinComb.term("Word", u + u, -12)),
+        # the groups c and -c give ab and ba counts that cancel
+        "cancelling groups": (a * 3 - b * 3, a + b, LinComb("Word", {u + u: 6, v + v: -6})),
+    }
+    for name, (left, right, want) in cases.items():
+        assert _checked_shuffle(left, right) == want, name
+    assert _checked_shuffle(fx, fy).coeff(u + v) == Fraction(1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_polys, max_size=3), st.lists(_polys, max_size=3), st.integers(0, 3))
 def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
@@ -362,7 +410,7 @@ def test_cycle_bell_matches_shuffle_bell():
 def test_cycle_bell_matches_permutation_filter():
     from itertools import permutations
 
-    for n in range(7):
+    for n in range(8):
         sigmas = [CyclePermutation.from_one_line(line) for line in permutations(range(1, n + 1))]
         for k in range(n + 2):
             want: dict = {}
