@@ -46,6 +46,32 @@ from .combinatorics import (
 from .lincomb import BasisError, LinComb, TPoly
 from .sympoly import SparsePoly
 
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps, as in a fresh process: each
+    ``lru_cache`` and ``realization._COMPLETE_SERIES``."""
+    from . import bell, combinatorics, hopf, realization, symfun, verify
+
+    for cached in (
+        combinatorics.bell_number,
+        combinatorics.int_partitions,
+        combinatorics.interleavings,
+        combinatorics.set_partitions,
+        combinatorics._partition_rank_table,
+        hopf._monomial_in_phi,
+        hopf._antipode_key,
+        bell.h_in_c,
+        bell._mixed_bell_series_cached,
+        realization._interleave_gather,
+        symfun.h_k_part,
+        symfun._h_values,
+        symfun._e_values,
+        verify._stirling2,
+        verify._stirling1_unsigned,
+    ):
+        cached.cache_clear()
+    realization._COMPLETE_SERIES.clear()
+
 __all__ = [
     "BELL",
     "FACTORIAL",
@@ -65,6 +91,7 @@ __all__ = [
     "SparsePoly",
     "TPoly",
     "bell_number",
+    "clear_caches",
     "colored_partitions",
     "colored_partitions_k",
     "count_by_type",

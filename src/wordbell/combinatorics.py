@@ -278,7 +278,8 @@ class SetPartition:
     def shifted_union(self, other: "SetPartition") -> "SetPartition":
         if not isinstance(other, SetPartition):
             raise SequenceMismatchError("cannot mix colored and uncolored keys")
-        return SetPartition._trusted(self.blocks + other.shift(self.size).blocks)
+        n = self._size  # type: ignore[attr-defined]
+        return SetPartition._trusted(self.blocks + tuple(tuple(x + n for x in b) for b in other.blocks))
 
     def relabel(self, positions) -> tuple[tuple[int, ...], ...]:
         """Blocks with label i replaced by positions[i-1] (positions sorted)."""
@@ -384,9 +385,13 @@ class ColoredSetPartition:
         )
 
     def shifted_union(self, other: "ColoredSetPartition") -> "ColoredSetPartition":
-        self._check_seq(other)
+        # the parts of other.shift(n), built without that key; one sequence object needs no check
+        if not isinstance(other, ColoredSetPartition) or other.seq is not self.seq:
+            self._check_seq(other)
+        n = self._size  # type: ignore[attr-defined]
         return ColoredSetPartition._trusted(
-            self.parts + other.shift(self.size).parts, self.seq
+            self.parts + tuple((tuple(x + n for x in b), c) for b, c in other.parts),
+            self.seq,
         )
 
     def relabel(self, positions) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -522,13 +527,12 @@ def splitting_count(left, right, whole) -> int:
 
 def part_bipartitions(whole):
     """All ordered splittings of the parts of ``whole`` into two standardized
-    halves — the support of the Phi coproduct."""
+    halves — the support of the Phi coproduct.  In ``combinations`` order the
+    complement of the i-th subset is the i-th from the end, so each subset is
+    standardized once."""
     k = whole.part_count
-    for r in range(k + 1):
-        for sel in combinations(range(k), r):
-            in_sel = set(sel)
-            rest = tuple(i for i in range(k) if i not in in_sel)
-            yield whole.sub_std(sel), whole.sub_std(rest)
+    halves = [whole.sub_std(sel) for r in range(k + 1) for sel in combinations(range(k), r)]
+    yield from zip(halves, reversed(halves))
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:

@@ -122,12 +122,15 @@ def tensor_multiply(s: LinComb, t: LinComb, product) -> LinComb:
         raise BasisError("tensor bases differ")
     base = s.basis.split("⊗")[0]
 
+    # the legs of t become elements once, not once per term of s
+    t_legs = [(LinComb.term(base, c), LinComb.term(base, d), c2) for (c, d), c2 in t.items()]
+
     def terms():
         for (a, b), c1 in s.items():
             ea, eb = LinComb.term(base, a), LinComb.term(base, b)
-            for (c, d), c2 in t.items():
-                left = product(ea, LinComb.term(base, c))
-                right = product(eb, LinComb.term(base, d))
+            for ec, ed, c2 in t_legs:
+                left = product(ea, ec)
+                right = product(eb, ed)
                 coeff = c1 * c2
                 for kl, cl in left.items():
                     for kr, cr in right.items():

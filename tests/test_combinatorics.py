@@ -1,5 +1,6 @@
 """Tests for the combinatorial index sets, enumeration and bijections."""
 
+import inspect
 import math
 from itertools import combinations, permutations, product
 
@@ -32,6 +33,7 @@ from wordbell.combinatorics import (
     interleave_keys,
     interleavings,
     matching_unions,
+    part_bipartitions,
     set_partitions,
     splitting_count,
     standardize,
@@ -41,6 +43,7 @@ from wordbell.combinatorics import (
     to_level2,
     to_list_partition,
 )
+from wordbell.verify import DEFAULT_SEQUENCES
 
 CONST9 = ColorSequence.constant(9)
 
@@ -324,6 +327,66 @@ def test_key_hashes_are_cached_with_the_dataclass_formula():
                         _assert_same_key(union, ColoredSetPartition(union.parts, FACTORIAL))
                     for union in interleave_keys(plain, other.underlying()):
                         _assert_same_key(union, SetPartition(union.blocks))
+
+
+def _two_sub_std_bipartitions(whole):
+    # the earlier enumeration: each subset and its complement standardized apart
+    k = whole.part_count
+    for r in range(k + 1):
+        for sel in combinations(range(k), r):
+            rest = tuple(i for i in range(k) if i not in sel)
+            yield whole.sub_std(sel), whole.sub_std(rest)
+
+
+def test_part_bipartitions_matches_the_two_sub_std_enumeration():
+    # a generator, so the benchmark's tracer can count the keys it yields
+    assert inspect.isgeneratorfunction(part_bipartitions)
+    colored = [key for seq in DEFAULT_SEQUENCES for n in range(6) for key in colored_partitions(seq, n)]
+    plain = [p for n in range(8) for p in set_partitions(n)]
+    assert max(p.part_count for p in plain) == 7
+    for whole in colored + plain:
+        got = list(part_bipartitions(whole))
+        want = list(_two_sub_std_bipartitions(whole))
+        assert len(got) == len(want) == 2 ** whole.part_count
+        for (got_left, got_right), (want_left, want_right) in zip(got, want):
+            _assert_same_key(got_left, want_left)
+            _assert_same_key(got_right, want_right)
+
+
+def test_shifted_union_equals_the_union_with_the_shifted_key():
+    named = ColorSequence.named("factorial")
+    assert named == FACTORIAL and named is not FACTORIAL
+    for n in range(4):
+        for m in range(4):
+            for x in colored_partitions(FACTORIAL, n):
+                for y in colored_partitions(named, m):
+                    # equal sequences held in distinct objects still combine
+                    _assert_same_key(x.shifted_union(y), ColoredSetPartition._trusted(
+                        x.parts + y.shift(n).parts, FACTORIAL
+                    ))
+                    _assert_same_key(y.shifted_union(x), ColoredSetPartition._trusted(
+                        y.parts + x.shift(m).parts, named
+                    ))
+                    px, py = x.underlying(), y.underlying()
+                    _assert_same_key(px.shifted_union(py), SetPartition._trusted(
+                        px.blocks + py.shift(n).blocks
+                    ))
+
+
+def test_shifted_union_rejects_other_sequences_and_plain_keys():
+    for n in range(3):
+        for x in colored_partitions(FACTORIAL, n):
+            for other in (
+                ColoredSetPartition.empty(ONES),
+                ColoredSetPartition([((1,), 1)], ONES),
+                ColoredSetPartition([((1, 2), 2)], CONST9),
+                SetPartition(),
+                SetPartition([(1,)]),
+            ):
+                with pytest.raises(SequenceMismatchError):
+                    x.shifted_union(other)
+                with pytest.raises(SequenceMismatchError):
+                    other.shifted_union(x)
 
 
 def test_alpha_values_on_matching_union_example():

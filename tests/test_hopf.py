@@ -37,7 +37,8 @@ from wordbell.hopf import (
     tensor_multiply,
     tensor_swap,
 )
-from wordbell.lincomb import BasisError, LinComb
+from wordbell.lincomb import BasisError, LinComb, tensor_tag
+from wordbell.verify import DEFAULT_SEQUENCES
 
 CONST9 = ColorSequence.constant(9)
 
@@ -258,6 +259,49 @@ def test_antipode_basics_and_axiom():
                     total = total + phi_product(antipode(phi_elem(l)), phi_elem(r)) * c
                 expected = one(seq=seq) if n == 0 else LinComb.zero("Phi")
                 assert total == expected
+
+
+def test_antipode_is_an_involution_and_reverses_products():
+    # Checks the antipode apart from its own recursion: the Phi side is
+    # cocommutative, so S is an involution, and S(xy) = S(y) S(x) in any Hopf
+    # algebra.  A wrong sub-key in the recursion breaks one or the other.
+    for seq in DEFAULT_SEQUENCES:
+        by_size = [[phi_elem(key) for key in colored_partitions(seq, n)] for n in range(6)]
+        for xs in by_size:
+            for x in xs:
+                assert antipode(antipode(x)) == x
+        for n in range(6):
+            for m in range(6 - n):
+                for x in by_size[n]:
+                    sx = antipode(x)
+                    for y in by_size[m]:
+                        assert antipode(phi_product(x, y)) == phi_product(antipode(y), sx)
+
+
+def test_tensor_multiply_matches_a_double_loop():
+    def naive(s, t, product, base):
+        total = LinComb.zero(tensor_tag(base))
+        for (a, b), c1 in s.items():
+            for (c, d), c2 in t.items():
+                left = product(LinComb.term(base, a), LinComb.term(base, c))
+                right = product(LinComb.term(base, b), LinComb.term(base, d))
+                total = total + tensor(left, right) * (c1 * c2)
+        return total
+
+    # t's keys are over an equal sequence held in another object
+    named = ColorSequence.named("factorial")
+    small = [k for n in range(3) for k in colored_partitions(FACTORIAL, n)]
+    other = [k for n in range(3) for k in colored_partitions(named, n)]
+    for base, product in (("Phi", phi_product), ("Psi", psi_product)):
+        s = LinComb(tensor_tag(base), (
+            ((a, b), Fraction(i + 2, 3)) for i, (a, b) in enumerate(zip(small, small[::-1]))
+        ))
+        t = LinComb(tensor_tag(base), (
+            ((c, d), -(i + 2)) for i, (c, d) in enumerate(zip(other[1:], other))
+        ))
+        assert len(s) > 1 and len(t) > 1
+        got = tensor_multiply(s, t, product)
+        assert got == naive(s, t, product, base) and len(got) >= len(s) * len(t)
 
 
 def test_antipode_does_not_keep_values_of_a_patched_phi_product(monkeypatch):
