@@ -48,26 +48,21 @@ from .sympoly import SparsePoly
 
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps, as in a fresh process: each
-    ``lru_cache`` and ``realization._COMPLETE_SERIES``."""
-    from . import bell, combinatorics, hopf, realization, symfun, verify
+    """Empty every memo the package keeps, as in a fresh process: the nine
+    ``lru_cache`` tables below and ``realization._COMPLETE_SERIES``.  Values
+    with a closed form are computed, not memoized."""
+    from . import bell, combinatorics, hopf, realization, symfun
 
     for cached in (
         combinatorics.bell_number,
         combinatorics.int_partitions,
         combinatorics.interleavings,
         combinatorics.set_partitions,
-        combinatorics._partition_rank_table,
-        hopf._monomial_in_phi,
         hopf._antipode_key,
-        bell.h_in_c,
         bell._mixed_bell_series_cached,
         realization._interleave_gather,
-        symfun.h_k_part,
         symfun._h_values,
         symfun._e_values,
-        verify._stirling2,
-        verify._stirling1_unsigned,
     ):
         cached.cache_clear()
     realization._COMPLETE_SERIES.clear()

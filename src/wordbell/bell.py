@@ -42,8 +42,6 @@ from .hopf import (
 from .lincomb import BasisError, LinComb, TPoly, _add_terms, _ladder
 from .realization import (
     WORD,
-    _cleared,
-    _settled,
     complete_s,
     expand_s_on,
     letters,
@@ -245,7 +243,7 @@ def psi_atom(seq: ColorSequence, m: int) -> LinComb:
     return LinComb._raw(PSI, out)
 
 
-def colored_psi_bell(seq: ColorSequence, n: int, k: int, generators=None) -> LinComb:
+def colored_psi_bell(seq: ColorSequence, n: int, k: int) -> LinComb:
     """The normalized partial Bell polynomial of the atomic generators,
     computed as [t^n] (sum_i F_i t^i)^k / k! in the dual algebra.
 
@@ -255,11 +253,9 @@ def colored_psi_bell(seq: ColorSequence, n: int, k: int, generators=None) -> Lin
     if k < 0 or k > n:
         return LinComb.zero(PSI)
     unit = psi_elem(ColoredSetPartition.empty(seq))
-    if generators is None:
-        generators = [psi_atom(seq, m) for m in range(1, n + 1)]
+    generators = [LinComb.zero(PSI)] + [psi_atom(seq, m) for m in range(1, n + 1)]
     product = lambda x, y, top: series.mul(x, y, top, unit, psi_product)
-    powered = series.power([LinComb.zero(PSI)] + list(generators[:n]), k, n, unit, product)
-    return powered[n] * Fraction(1, math.factorial(k))
+    return series.power(generators, k, n, unit, product)[n] / math.factorial(k)
 
 
 def colored_psi_complete(seq: ColorSequence, n: int) -> LinComb:
@@ -288,9 +284,7 @@ def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
     powered = series_shuffle_power(base, k, order)
     if k < 2:
         return powered  # k! = 1: nothing to divide
-    # one integer division per coefficient, over the cleared denominator times k!
-    numerators, den = _cleared(powered)
-    return [_settled(dict(terms), den * math.factorial(k)) for terms in numerators]
+    return [p / math.factorial(k) for p in powered]
 
 
 def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
@@ -319,7 +313,6 @@ def shuffle_complete_bell(generators, n: int) -> LinComb:
 # the specialization morphisms
 
 
-@lru_cache(maxsize=None)
 def h_in_c(n: int) -> SparsePoly:
     """The complete function h_n written in the generators c_1, c_2, ...
 
@@ -539,13 +532,14 @@ def binomiality_check(n: int, k1: int, k2: int) -> dict:
     return report_item("binomiality of partial word Bell polynomials", f"n={n}, k1={k1}, k2={k2}", failure)
 
 
-def _convolution_batch(max_n: int, max_k: int, truncation: int = 2) -> list[dict]:
+def _convolution_batch(max_n: int, max_k: int) -> list[dict]:
     """The alphabet-sum convolution, with the index shift that balances the
     degrees: S_(k singletons)(A') shuffle B_{n,k}(A'') equals
     sum_i B_{i,k}(A''_1) shuffle B_{n+k-i,k}(A''_2) for A'' = A''_1 + A''_2.
     """
     # One series power per (alphabet, k); individual n slices are then cheap.
     report = []
+    truncation = 2  # letters per alphabet
     a_prime = letters(1, truncation)
     a_one = letters(2, truncation)
     a_two = letters(3, truncation)

@@ -853,11 +853,6 @@ class Level2Partition:
         return len(self.groups)
 
 
-@lru_cache(maxsize=None)
-def _partition_rank_table(m: int) -> dict:
-    return {p: i for i, p in enumerate(set_partitions(m))}
-
-
 def to_level2(p: ColoredSetPartition) -> Level2Partition:
     """A block of size m with color c becomes the rank-(c-1) set partition of
     that block (in enumeration order); the outer grouping follows the parts."""
@@ -876,7 +871,7 @@ def from_level2(l2: Level2Partition) -> ColoredSetPartition:
         support = tuple(sorted(x for b in g for x in b))
         pos = {x: i + 1 for i, x in enumerate(support)}
         inner = SetPartition(tuple(tuple(pos[x] for x in b) for b in g))
-        color = _partition_rank_table(len(support))[inner] + 1
+        color = set_partitions(len(support)).index(inner) + 1
         parts.append((support, color))
     return ColoredSetPartition(tuple(parts), BELL)
 

@@ -12,6 +12,7 @@ All coefficients are exact rationals; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -24,6 +25,7 @@ from .combinatorics import (
     interleave_keys,
     part_bipartitions,
     refinements,
+    set_partitions,
 )
 from .lincomb import BasisError, LinComb, tensor_tag
 
@@ -169,22 +171,24 @@ def phi_to_monomial(x: LinComb) -> LinComb:
     return LinComb(MONOMIAL, ((q, c) for key, c in x.items() for q in coarsenings(key)))
 
 
-@lru_cache(maxsize=None)
-def _monomial_in_phi(key: SetPartition) -> LinComb:
-    # Triangular inversion of Phi_pi = sum_{pi <= q} M_q over the coarsening order.
-    out = phi_elem(key)
-    for q in coarsenings(key):
-        if q != key:
-            out = out - _monomial_in_phi(q)
-    return out
-
-
 def monomial_to_phi(x: LinComb) -> LinComb:
-    """Inverse basis change, by triangular solve over the refinement order."""
+    """Inverse basis change, by Moebius inversion on the set-partition lattice.
+
+    M_pi = sum over sigma >= pi of mu(pi, sigma) Phi_sigma, where mu is the
+    product over the blocks of sigma of (-1)^(j-1) (j-1)!, j the number of
+    blocks of pi merged into that block.  The groupings of the blocks of pi
+    are the set partitions of [pi.part_count], in the order ``coarsenings``
+    follows.
+    """
     _require(x, MONOMIAL)
     _require_uncolored(x)
+    mu = lambda grouping: math.prod(
+        (-1) ** (len(g) - 1) * math.factorial(len(g) - 1) for g in grouping.blocks
+    )
     return LinComb(PHI, (
-        (k, c * d) for key, c in x.items() for k, d in _monomial_in_phi(key).items()
+        (q, c * mu(grouping))
+        for key, c in x.items()
+        for grouping, q in zip(set_partitions(key.part_count), coarsenings(key))
     ))
 
 

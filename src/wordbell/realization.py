@@ -350,8 +350,7 @@ def cycle_bell(n: int, k: int) -> LinComb:
     if k <= 0:
         return word_one() if n == k == 0 else word_zero()
     family = [word_zero()] + [cycle_complete_family(m) for m in range(1, n - k + 2)]
-    (terms,), den = _cleared([series_shuffle_power(family, k, n)[n]])
-    return _settled(dict(terms), den * math.factorial(k))
+    return series_shuffle_power(family, k, n)[n] / math.factorial(k)
 
 
 def cycle_complete_family(m: int) -> LinComb:

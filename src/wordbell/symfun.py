@@ -48,18 +48,17 @@ def c_from_h(n: int) -> SparsePoly:
     return series.log([one] + _generators(n), n, one)[n]
 
 
-@lru_cache(maxsize=None)
 def h_k_part(n: int, k: int) -> SparsePoly:
     """The alpha^k component of h_n(alpha X): [t^n] (sum c_i t^i)^k / k!."""
     if k < 0 or k > n:
         return SparsePoly.zero()
     powered = series.power([SparsePoly.zero()] + _generators(n), k, n, SparsePoly.const(1))
-    return powered[n] * Fraction(1, math.factorial(k))
+    return powered[n] / math.factorial(k)
 
 
 def scaled_h(n: int) -> dict[int, SparsePoly]:
     """h_n(alpha X) as a polynomial in the marker alpha: k -> h_n^(k)."""
-    return {k: h_k_part(n, k) for k in range(n + 1) if h_k_part(n, k)}
+    return {k: p for k in range(n + 1) if (p := h_k_part(n, k))}
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,23 @@ def test_stirling_specialization_symbolic():
             assert value == stirling2(n, k)
 
 
+def stirling1_unsigned(n, k):
+    if n == 0 and k == 0:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return (n - 1) * stirling1_unsigned(n - 1, k) + stirling1_unsigned(n - 1, k - 1)
+
+
+def test_verify_stirling_closed_forms_match_their_recurrences():
+    from wordbell.verify import _stirling1_unsigned, _stirling2
+
+    for n in range(13):
+        for k in range(n + 2):
+            assert _stirling2(n, k) == stirling2(n, k)
+            assert _stirling1_unsigned(n, k) == stirling1_unsigned(n, k)
+
+
 def test_partial_bell_matches_double_gf():
     rng = random.Random(11)
     for _ in range(3):

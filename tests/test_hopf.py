@@ -165,6 +165,31 @@ def test_phi_to_monomial_on_singletons_and_round_trip():
             assert back == m_elem(p)
 
 
+def _monomial_in_phi_by_triangular_solve(key, memo):
+    # the inversion of Phi_pi = sum_{pi <= q} M_q over the coarsening order:
+    # M_pi = Phi_pi - sum of M_q over the strictly coarser q
+    if key not in memo:
+        out = phi_elem(key)
+        for q in coarsenings(key):
+            if q != key:
+                out = out - _monomial_in_phi_by_triangular_solve(q, memo)
+        memo[key] = out
+    return memo[key]
+
+
+def test_monomial_to_phi_moebius_matches_the_triangular_solve():
+    memo = {}
+    for n in range(6):
+        for p in set_partitions(n):
+            got = monomial_to_phi(m_elem(p))
+            assert got == _monomial_in_phi_by_triangular_solve(p, memo)
+            assert phi_to_monomial(got) == m_elem(p)
+    # the coefficient of the single block is mu(0, 1) = (-1)^(n-1) (n-1)!
+    for n, mu in ((4, -6), (5, 24)):
+        got = monomial_to_phi(m_elem(SetPartition.singletons(n)))
+        assert got.coeff(SetPartition.single_block(n)) == mu
+
+
 def test_phi_to_monomial_rejects_colored():
     with pytest.raises(BasisError):
         phi_to_monomial(phi_elem(csp([((1,), 1)])))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wordbell.lincomb import LinComb
@@ -38,6 +39,25 @@ def test_zero_terms_cancellation_and_return():
     assert not LinComb("B", [(1, 2), (1, -2)])
     back = LinComb("B", [(1, 2), (2, 1), (1, -2), (1, Fraction(1, 2))])
     assert dict(back.items()) == {2: 1, 1: Fraction(1, 2)}
+
+
+@given(pairs, st.integers(-6, 6).filter(bool))
+def test_division_by_an_int_is_exact(terms, d):
+    got = LinComb("B", terms) / d
+    want = {key: Fraction(c, d) for key, c in naive_sum(terms).items()}
+    assert dict(got.items()) == want
+    # an integral quotient is stored as int, any other as a Fraction
+    for key, c in got.items():
+        assert type(c) is (int if want[key].denominator == 1 else Fraction)
+
+
+def test_division_by_a_fraction_and_by_zero():
+    x = LinComb("B", {1: 6, 2: Fraction(3, 2)})
+    assert x / Fraction(1, 2) == x * 2
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Fraction(0)
 
 
 def test_polynomials_are_linear_combinations_of_the_subclass_type():

@@ -24,8 +24,6 @@ def test_clear_caches_empties_every_cache_in_the_package(capsys):
     cli.main(["verify", "all", "--max-n", "3"])
     # the caches those runs leave empty
     combinatorics.bell_number(3)
-    combinatorics.from_level2(combinatorics.Level2Partition([((1,), (2,))]))
-    symfun.h_k_part(3, 2)
     symfun.VirtualAlphabet.ones(3).e(2)
     capsys.readouterr()
     caches = _package_caches()
