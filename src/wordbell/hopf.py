@@ -25,7 +25,6 @@ from .combinatorics import (
     interleave_keys,
     part_bipartitions,
     refinements,
-    set_partitions,
 )
 from .lincomb import BasisError, LinComb, tensor_tag
 
@@ -171,24 +170,27 @@ def phi_to_monomial(x: LinComb) -> LinComb:
     return LinComb(MONOMIAL, ((q, c) for key, c in x.items() for q in coarsenings(key)))
 
 
+def _moebius(pi: SetPartition, sigma: SetPartition) -> int:
+    # mu(pi, sigma) for pi <= sigma: a block of sigma that merges j blocks of
+    # pi, counted by their least elements, contributes (-1)^(j-1) (j-1)!.
+    firsts = {b[0] for b in pi.blocks}
+    return math.prod(
+        (-1) ** (j - 1) * math.factorial(j - 1)
+        for j in (sum(x in firsts for x in block) for block in sigma.blocks)
+    )
+
+
 def monomial_to_phi(x: LinComb) -> LinComb:
     """Inverse basis change, by Moebius inversion on the set-partition lattice.
 
     M_pi = sum over sigma >= pi of mu(pi, sigma) Phi_sigma, where mu is the
     product over the blocks of sigma of (-1)^(j-1) (j-1)!, j the number of
-    blocks of pi merged into that block.  The groupings of the blocks of pi
-    are the set partitions of [pi.part_count], in the order ``coarsenings``
-    follows.
+    blocks of pi merged into that block.
     """
     _require(x, MONOMIAL)
     _require_uncolored(x)
-    mu = lambda grouping: math.prod(
-        (-1) ** (len(g) - 1) * math.factorial(len(g) - 1) for g in grouping.blocks
-    )
     return LinComb(PHI, (
-        (q, c * mu(grouping))
-        for key, c in x.items()
-        for grouping, q in zip(set_partitions(key.part_count), coarsenings(key))
+        (q, c * _moebius(key, q)) for key, c in x.items() for q in coarsenings(key)
     ))
 
 

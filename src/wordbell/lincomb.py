@@ -150,18 +150,9 @@ class LinComb:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "LinComb":
-        if isinstance(scalar, Fraction):
-            return self * (1 / scalar)
-        if not isinstance(scalar, int):
+        if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        if not scalar:
-            raise ZeroDivisionError("LinComb division by zero")
-        # exact: an integral quotient stays int, any other is a Fraction
-        out = {}
-        for k, c in self._terms.items():
-            q, r = divmod(c, scalar)
-            out[k] = Fraction(c, scalar) if r else q
-        return self._raw(self.basis, out)
+        return self * (1 / Fraction(scalar))
 
     def retag(self, basis: str) -> "LinComb":
         """Same coefficients, different basis tag (explicit conversion only)."""

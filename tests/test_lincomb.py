@@ -41,8 +41,9 @@ def test_zero_terms_cancellation_and_return():
     assert dict(back.items()) == {2: 1, 1: Fraction(1, 2)}
 
 
-@given(pairs, st.integers(-6, 6).filter(bool))
+@given(pairs, st.integers(-6, 6).filter(lambda d: abs(d) >= 2))
 def test_division_by_an_int_is_exact(terms, d):
+    # |d| >= 2, as for the k! divisions; dividing by 1 keeps each coefficient as is
     got = LinComb("B", terms) / d
     want = {key: Fraction(c, d) for key, c in naive_sum(terms).items()}
     assert dict(got.items()) == want
