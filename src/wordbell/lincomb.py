@@ -140,11 +140,17 @@ class LinComb:
         if scalar.denominator == 1:  # an int, or an integral Fraction
             scalar = scalar.numerator
             return self._raw(self.basis, {k: c * scalar for k, c in self._terms.items()})
-        # a proper fraction: store each product as int when it is one
+        # a proper fraction: store each product as int when it is one; an int
+        # coefficient is divided with divmod, which is much cheaper than Fraction
+        num, den = scalar.numerator, scalar.denominator
         out = {}
         for k, c in self._terms.items():
-            v = c * scalar
-            out[k] = v.numerator if v.denominator == 1 else v
+            if type(c) is int:
+                q, r = divmod(c * num, den)
+                out[k] = Fraction(c * num, den) if r else q
+            else:
+                v = c * scalar
+                out[k] = v.numerator if v.denominator == 1 else v
         return self._raw(self.basis, out)
 
     __rmul__ = __mul__
