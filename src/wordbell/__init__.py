@@ -43,7 +43,7 @@ from .combinatorics import (
     splitting_count,
     standardize,
 )
-from .lincomb import BasisError, LinComb, TPoly
+from .lincomb import BasisError, LinComb
 from .sympoly import SparsePoly
 
 
@@ -84,7 +84,6 @@ __all__ = [
     "ListPartition",
     "SetPartition",
     "SparsePoly",
-    "TPoly",
     "bell_number",
     "clear_caches",
     "colored_partitions",

@@ -39,7 +39,7 @@ from .hopf import (
     psi_elem,
     psi_product,
 )
-from .lincomb import BasisError, LinComb, TPoly, _add_terms, _ladder
+from .lincomb import BasisError, LinComb, _ladder, _lincomb_sum
 from .realization import (
     WORD,
     complete_s,
@@ -200,18 +200,20 @@ def _append_singleton(x: LinComb) -> LinComb:
     return phi_product(x, phi_elem(SetPartition.singletons(1)))
 
 
-def word_bell_tpoly(n: int) -> TPoly:
-    """The t-marked operator power: coefficient of t^k is the partial word
-    Bell polynomial with k blocks."""
+def word_bell_tpoly(n: int) -> list[LinComb]:
+    """The t-marked operator power as its n + 1 coefficients: entry k is the
+    partial word Bell polynomial with k blocks."""
     return _ladder(phi_elem(SetPartition()), _append_singleton, deriv, n)
 
 
 def word_partial_bell(n: int, k: int) -> LinComb:
-    return word_bell_tpoly(n).coeff(k)
+    if not 0 <= k <= n:
+        return LinComb.zero(PHI)
+    return word_bell_tpoly(n)[k]
 
 
 def word_complete_bell(n: int) -> LinComb:
-    return word_bell_tpoly(n).at_one()
+    return _lincomb_sum(PHI, word_bell_tpoly(n))
 
 
 def deriv_via_monomial(x: LinComb) -> LinComb:
@@ -259,9 +261,7 @@ def colored_psi_bell(seq: ColorSequence, n: int, k: int) -> LinComb:
 
 
 def colored_psi_complete(seq: ColorSequence, n: int) -> LinComb:
-    return LinComb(PSI, (
-        kv for k in range(0 if n == 0 else 1, n + 1) for kv in colored_psi_bell(seq, n, k).items()
-    ))
+    return _lincomb_sum(PSI, (colored_psi_bell(seq, n, k) for k in range(0 if n == 0 else 1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,7 @@ def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
 def shuffle_complete_bell(generators, n: int) -> LinComb:
     if n == 0:
         return word_one()
-    return LinComb(WORD, (
-        kv for k in range(1, n + 1) for kv in shuffle_partial_bell(generators, n, k).items()
-    ))
+    return _lincomb_sum(WORD, (shuffle_partial_bell(generators, n, k) for k in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +479,8 @@ def mixed_bell_series(a_prime, a_second, k: int, order: int) -> list[LinComb]:
 
 
 def _shuffle_sum(pairs) -> LinComb:
-    """The sum of x shuffle y over the (x, y) pairs, in one accumulation: a
-    copy of the first product's terms, with the later products added in."""
-    acc = None
-    for x, y in pairs:
-        if x and y:
-            product = shuffle(x, y)
-            acc = dict(product._terms) if acc is None else _add_terms(acc, product.items())
-    return LinComb._raw(WORD, acc or {})
+    """The sum of x shuffle y over the (x, y) pairs, in one accumulation."""
+    return _lincomb_sum(WORD, (shuffle(x, y) for x, y in pairs if x and y))
 
 
 def _faithful_alphabets(n: int, k: int) -> tuple[list, list]:

@@ -363,9 +363,6 @@ class ColoredSetPartition:
         """Forget the colors (the projection onto ordinary set partitions)."""
         return SetPartition._trusted(tuple(b for b, _ in self.parts))
 
-    def colors(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.parts)
-
     def type_signature(self) -> tuple[tuple[int, int], ...]:
         """The multiset of (block size, color) pairs, sorted."""
         return tuple(sorted((len(b), c) for b, c in self.parts))
@@ -509,20 +506,9 @@ def matching_unions(x, y) -> list:
 
 def splitting_count(left, right, whole) -> int:
     """Number of ordered pairs of disjoint sub-partitions of ``whole`` with
-    union ``whole`` standardizing to (``left``, ``right``)."""
-    if left.size + right.size != whole.size:
-        return 0
-    k = whole.part_count
-    kl = left.part_count
-    if kl + right.part_count != k:
-        return 0
-    count = 0
-    for sel in combinations(range(k), kl):
-        in_sel = set(sel)
-        rest = tuple(i for i in range(k) if i not in in_sel)
-        if whole.sub_std(sel) == left and whole.sub_std(rest) == right:
-            count += 1
-    return count
+    union ``whole`` standardizing to (``left``, ``right``): the coefficient
+    of left ⊗ right in the Phi coproduct of ``whole``."""
+    return sum(pair == (left, right) for pair in part_bipartitions(whole))
 
 
 def part_bipartitions(whole):

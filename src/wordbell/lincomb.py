@@ -9,6 +9,12 @@ different key types; the tag makes accidentally mixing bases a type error
 instead of a silent merge.
 
 Coefficients are exact: Python ints or `fractions.Fraction`, never floats.
+
+A polynomial in a formal marker t with LinComb coefficients is not a type of
+its own: it is the coefficient list of ``series``, entry k the coefficient
+of t^k.  ``_ladder`` builds the t-graded operator powers behind the word and
+noncommutative Bell polynomials in that form, and ``_lincomb_sum`` sums such
+a list, which evaluates it at t = 1.
 """
 
 from __future__ import annotations
@@ -42,6 +48,18 @@ def _add_terms(data: dict, pairs: Iterable) -> dict:
         else:
             data.pop(key, None)
     return data
+
+
+def _lincomb_sum(basis: str, parts: Iterable["LinComb"]) -> "LinComb":
+    """The sum of the elements ``parts`` of ``basis``, in one accumulation: a
+    copy of the first one's terms, with the later ones added in.  It sums a
+    t-polynomial's coefficients, i.e. evaluates it at t = 1."""
+    data = None
+    for part in parts:
+        if part.basis != basis:
+            raise BasisError(f"cannot sum {part.basis!r} into {basis!r}")
+        data = dict(part._terms) if data is None else _add_terms(data, part._terms.items())
+    return LinComb._raw(basis, data or {})
 
 
 class LinComb:
@@ -165,48 +183,10 @@ class LinComb:
         return LinComb._raw(basis, dict(self._terms))
 
 
-class TPoly:
-    """Polynomial in a formal marker t whose coefficients are LinComb values.
-
-    Trailing zero coefficients are trimmed, so ``degree`` is exact.
-    """
-
-    __slots__ = ("zero", "coeffs")
-
-    def __init__(self, zero: LinComb, coeffs: Iterable[LinComb] = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.zero = zero
-        self.coeffs = tuple(cs)
-
-    def coeff(self, k: int) -> LinComb:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.zero
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def at_one(self) -> LinComb:
-        """Evaluate at t = 1 (sum of all coefficients)."""
-        return LinComb(self.zero.basis, (kv for c in self.coeffs for kv in c.items()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TPoly degree {self.degree}>"
-
-
-def _ladder(one: LinComb, append: Callable, lower: Callable, n: int) -> TPoly:
+def _ladder(one: LinComb, append: Callable, lower: Callable, n: int) -> list:
     """``one`` acted on n times by (t append + lower), the t-grading kept:
     each step maps the coefficients c to c'[k] = append(c[k-1]) + lower(c[k]).
+    Returns the n + 1 coefficients as a series list, entry k that of t^k.
 
     The recursion behind both the word Bell and the noncommutative Bell
     polynomials.  It stays private: the benchmark's tracer wraps public
@@ -220,4 +200,4 @@ def _ladder(one: LinComb, append: Callable, lower: Callable, n: int) -> TPoly:
                 term = term + lower(coeffs[k])
             nxt.append(term)
         coeffs = nxt
-    return TPoly(one * 0, coeffs)
+    return coeffs

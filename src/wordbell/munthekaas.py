@@ -18,7 +18,7 @@ import math
 
 from .combinatorics import SetPartition, interleave_keys
 from .hopf import PHI
-from .lincomb import BasisError, LinComb, TPoly, _ladder
+from .lincomb import BasisError, LinComb, _ladder, _lincomb_sum
 
 NC = "NC"
 
@@ -53,19 +53,21 @@ def derive(x: LinComb) -> LinComb:
     ))
 
 
-def mb_tpoly(n: int) -> TPoly:
-    """1 . (t d_1 + derivation)^n with the t-grading kept explicit."""
+def mb_tpoly(n: int) -> list[LinComb]:
+    """1 . (t d_1 + derivation)^n as its n + 1 coefficients in t."""
     d1 = nc_word(1)
     return _ladder(nc_one(), lambda x: nc_mul(x, d1), derive, n)
 
 
 def mb_partial(n: int, k: int) -> LinComb:
     """The coefficient of t^k in the degree-n noncommutative Bell polynomial."""
-    return mb_tpoly(n).coeff(k)
+    if not 0 <= k <= n:
+        return LinComb.zero(NC)
+    return mb_tpoly(n)[k]
 
 
 def mb_at_one(n: int) -> LinComb:
-    return mb_tpoly(n).at_one()
+    return _lincomb_sum(NC, mb_tpoly(n))
 
 
 def xi(x: LinComb) -> LinComb:
@@ -125,8 +127,9 @@ def zinbiel_right(x: LinComb, y: LinComb) -> LinComb:
     return _half_shuffle(x, y, False)
 
 
-def p_triangular(entry, n: int) -> TPoly:
-    """The triangular polynomial of an upper triangular array of entries.
+def p_triangular(entry, n: int) -> list[LinComb]:
+    """The triangular polynomial of an upper triangular array of entries, as
+    its n + 1 coefficients in t.
 
     ``entry(i, j)`` returns the (i, j) entry for 1 <= i <= j <= n.  The
     recursion P(A_m; t) = t * sum_k P(A_{k-1}) half-shuffled with a_{k,m}
@@ -139,25 +142,20 @@ def p_triangular(entry, n: int) -> TPoly:
     with all coefficients 1 (the other orientation overcounts the top term).
     """
     zero = LinComb.zero(PHI)
-    polys: list[TPoly | None] = [None]  # index m -> P(A_m; t); None is the scalar 1
+    polys: list[list | None] = [None]  # index m -> P(A_m; t); None is the scalar 1
     for m in range(1, n + 1):
-        total = TPoly(zero, [])
+        total = [zero] * m  # the sum over k, degrees 0..m-1; P(A_{k-1}) has k coefficients
         for k in range(1, m + 1):
             a_km = entry(k, m)
             prev = polys[k - 1]
             if prev is None:
-                term = TPoly(zero, [a_km])
+                total[0] = total[0] + a_km
             else:
-                term = TPoly(zero, [zinbiel_right(c, a_km) for c in prev.coeffs])
-            total = _tpoly_add(total, term, zero)
-        polys.append(TPoly(zero, [zero] + list(total.coeffs)))
+                for i, c in enumerate(prev):
+                    total[i] = total[i] + zinbiel_right(c, a_km)
+        polys.append([zero] + total)
     result = polys[n]
-    return TPoly(zero, [zero]) if result is None else result
-
-
-def _tpoly_add(a: TPoly, b: TPoly, zero: LinComb) -> TPoly:
-    top = max(len(a.coeffs), len(b.coeffs))
-    return TPoly(zero, [a.coeff(i) + b.coeff(i) for i in range(top)])
+    return [zero] if result is None else result
 
 
 def complete_phi_matrix(n: int):
@@ -185,5 +183,5 @@ def hessenberg_expansion(n: int) -> LinComb:
     f: dict[int, LinComb] = {}
     for start in range(n, 0, -1):
         terms = [entry(start, n)] + [nc_mul(entry(start, j), f[j + 1]) for j in range(start, n)]
-        f[start] = LinComb(NC, (kv for term in terms for kv in term.items()))
+        f[start] = _lincomb_sum(NC, terms)
     return f[1]

@@ -27,15 +27,17 @@ the cached ``_interleave_gather(n, m)``, one itemgetter that returns all
 C(n+m, n) shuffles end to end, cut back into words and counted by
 ``Counter.update``.  The gathers are built from the label splits of
 ``combinatorics.interleavings``, the one table every interleaving in the
-package is read from.  ``_settled`` drops the zeros and divides once at the
-end, keeping integral coefficients as int.
+package is read from.  Words whose product coefficient is 1 count straight
+into the sum; the others are added in once at the end, where a word whose
+sum reaches 0 is deleted.  ``shuffle`` and ``series_shuffle_mul`` divide the
+zero-free sum by the common denominator with ``LinComb`` division, which
+keeps integral coefficients as int.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product, starmap
 from operator import add, itemgetter
@@ -112,15 +114,10 @@ def expand_phi(part, truncation: int) -> LinComb:
     return _blockwise_expand(blocks, product(*choices))
 
 
-def expand_monomial(pi: SetPartition, truncation_or_letters) -> LinComb:
-    """Word expansion of a monomial key: distinct blocks take distinct letters
-    (the letters of an explicit list are taken to be distinct)."""
-    alphabet = (
-        letters(1, truncation_or_letters)
-        if isinstance(truncation_or_letters, int)
-        else list(truncation_or_letters)
-    )
-    return _blockwise_expand(pi.blocks, permutations(alphabet, pi.part_count))
+def expand_monomial(pi: SetPartition, truncation: int) -> LinComb:
+    """Word expansion of a monomial key at the given truncation: distinct
+    blocks take distinct letters of alphabet 1."""
+    return _blockwise_expand(pi.blocks, permutations(letters(1, truncation), pi.part_count))
 
 
 def expand_psi(pi: SetPartition, truncation: int) -> LinComb:
@@ -197,16 +194,6 @@ def _cleared(polys) -> tuple[list[list], int]:
     ], den
 
 
-def _settled(acc: dict, den: int) -> LinComb:
-    """The word polynomial acc / den: zeros dropped, integral values as int."""
-    out = {}
-    for w, c in acc.items():
-        if c:
-            q, r = divmod(c, den)
-            out[w] = Fraction(c, den) if r else q
-    return LinComb._raw(WORD, out)
-
-
 def _by_length_and_coeff(terms) -> dict:
     groups: dict = {}
     for w, c in terms:
@@ -214,27 +201,36 @@ def _by_length_and_coeff(terms) -> dict:
     return groups
 
 
-def _shuffle_acc(acc: Counter, xs, ys) -> None:
-    """The shuffle kernel: acc += xs shuffle ys on integer (word, coeff) lists.
+def _shuffle_acc(pairs) -> Counter:
+    """The shuffle kernel: the sum of xs shuffle ys over the pairs of integer
+    (word, coeff) lists, zero-free.
 
     The shuffles of each pair of (length, coefficient) groups are counted in
-    one Counter.update: straight into acc when the product coefficient c is
-    1, else into one Counter per c, added to acc as c times the count at the
-    end."""
+    one Counter.update: straight into the sum when the product coefficient c
+    is 1, else into one Counter per c.  So the sum holds only positive counts
+    until those are added in, as c times the count, once at the end; a word
+    whose sum reaches 0 there is deleted."""
+    acc = Counter()
     scaled: dict[int, Counter] = {}
-    y_groups = _by_length_and_coeff(ys).items()
-    for (n, cu), us in _by_length_and_coeff(xs).items():
-        for (m, cv), vs in y_groups:
-            c = cu * cv
-            words = starmap(add, product(us, vs))
-            if n and m:
-                flat = chain.from_iterable(map(_interleave_gather(n, m), words))
-                words = zip(*[flat] * (n + m))
-            (acc if c == 1 else scaled.setdefault(c, Counter())).update(words)
+    for xs, ys in pairs:
+        y_groups = _by_length_and_coeff(ys).items()
+        for (n, cu), us in _by_length_and_coeff(xs).items():
+            for (m, cv), vs in y_groups:
+                c = cu * cv
+                words = starmap(add, product(us, vs))
+                if n and m:
+                    flat = chain.from_iterable(map(_interleave_gather(n, m), words))
+                    words = zip(*[flat] * (n + m))
+                (acc if c == 1 else scaled.setdefault(c, Counter())).update(words)
     get = acc.get  # not acc[w]: a missing key would call Counter.__missing__
     for c, counts in scaled.items():
         for w, count in counts.items():
-            acc[w] = get(w, 0) + c * count
+            total = get(w, 0) + c * count
+            if total:
+                acc[w] = total
+            else:
+                del acc[w]
+    return acc
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:
@@ -243,9 +239,7 @@ def shuffle(x: LinComb, y: LinComb) -> LinComb:
         raise BasisError("shuffle is defined on word polynomials")
     (xs,), dx = _cleared([x])
     (ys,), dy = _cleared([y])
-    acc = Counter()
-    _shuffle_acc(acc, xs, ys)
-    return _settled(acc, dx * dy)
+    return LinComb._raw(WORD, _shuffle_acc([(xs, ys)])) / (dx * dy)
 
 
 def shuffle_scatter(composition, words) -> Word | None:
@@ -304,11 +298,8 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
 def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[LinComb]:
     xs, dx = _cleared(a[: order + 1])
     ys, dy = _cleared(b[: order + 1])
-    sums = [Counter() for _ in range(order + 1)]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys[: order + 1 - i]):
-            _shuffle_acc(sums[i + j], x, y)
-    return [_settled(acc, dx * dy) for acc in sums]
+    pairs = lambda d: ((x, ys[d - i]) for i, x in enumerate(xs) if 0 <= d - i < len(ys))
+    return [LinComb._raw(WORD, _shuffle_acc(pairs(d))) / (dx * dy) for d in range(order + 1)]
 
 
 def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:

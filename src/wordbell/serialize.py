@@ -21,7 +21,7 @@ from .combinatorics import (
     ListPartition,
     SetPartition,
 )
-from .lincomb import LinComb, TPoly
+from .lincomb import LinComb
 
 
 def sort_key(key):
@@ -68,9 +68,6 @@ def lincomb_to_jsonable(x: LinComb, sequence: str | None = None) -> dict:
     return {"basis": x.basis, "sequence": sequence, "terms": terms}
 
 
-def tpoly_to_jsonable(p: TPoly, sequence: str | None = None) -> dict:
-    return {
-        "coefficients": [
-            lincomb_to_jsonable(c, sequence) for c in p.coeffs
-        ]
-    }
+def tpoly_to_jsonable(coeffs: list[LinComb], sequence: str | None = None) -> dict:
+    """A t-polynomial, given as its series coefficient list, entry k that of t^k."""
+    return {"coefficients": [lincomb_to_jsonable(c, sequence) for c in coeffs]}

@@ -10,6 +10,11 @@ product, power, exponential and logarithm here are the only ones in the
 package: the Bell polynomials of every algebra are [t^n] F(t)^k / k!, and
 the complete ones [t^n] exp F(t).
 
+Every polynomial in a marker t is such a list, entry k the coefficient of
+t^k.  That includes the word and noncommutative Bell polynomials, which
+``lincomb._ladder`` builds as the t-graded operator power (t x + d)^n
+applied to 1, and the triangular polynomials of ``munthekaas``.
+
 Truncation rule of ``power``: for a base of valuation v (its lowest nonzero
 degree), a term of degree d in F^j reaches at least degree d + (k - j) v in
 F^k, so the j-th partial power is kept only up to degree order - (k - j) v.

@@ -56,9 +56,9 @@ def h_k_part(n: int, k: int) -> SparsePoly:
     return powered[n] / math.factorial(k)
 
 
-def scaled_h(n: int) -> dict[int, SparsePoly]:
-    """h_n(alpha X) as a polynomial in the marker alpha: k -> h_n^(k)."""
-    return {k: p for k in range(n + 1) if (p := h_k_part(n, k))}
+def scaled_h(n: int) -> list[SparsePoly]:
+    """h_n(alpha X) as a polynomial in the marker alpha: [h_n^(0), ..., h_n^(n)]."""
+    return [h_k_part(n, k) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,15 @@ def test_word_bell_enumeration():
                 "Phi", {p: 1 for p in set_partitions(n) if p.part_count == k}
             )
             assert word_partial_bell(n, k) == want
-    # trailing zeros trimmed: degree of the t-polynomial is n
-    assert word_bell_tpoly(4).degree == 4
+    # the t-polynomial has degree n: n + 1 coefficients
+    assert len(word_bell_tpoly(4)) == 4 + 1
+
+
+def test_word_partial_bell_outside_the_ladder_is_zero():
+    # k = -1 must not read the top coefficient of the list
+    for n in range(4):
+        for k in (-1, n + 1):
+            assert word_partial_bell(n, k) == LinComb.zero("Phi")
 
 
 # ---------------------------------------------------------------------------

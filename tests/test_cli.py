@@ -10,7 +10,7 @@ import pytest
 
 from wordbell.cli import main
 from wordbell.combinatorics import FACTORIAL, ColoredSetPartition, SetPartition
-from wordbell.lincomb import LinComb, TPoly
+from wordbell.lincomb import LinComb
 
 
 def run_cli(args, env=None):
@@ -336,8 +336,7 @@ def _swap_t1_t2_at_n3(real):
         poly = real(n)
         if n != 3:
             return poly
-        c = poly.coeffs
-        return TPoly(poly.zero, (c[0], c[2], c[1], *c[3:]))
+        return [poly[0], poly[2], poly[1], *poly[3:]]
 
     return perturbed
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wordbell.lincomb import LinComb
+from wordbell.lincomb import BasisError, LinComb, _lincomb_sum
 
 coefficients = st.one_of(
     st.integers(-3, 3),
@@ -32,6 +32,18 @@ def test_construction_is_a_per_key_sum_without_zeros(terms):
 def test_addition_is_a_per_key_sum_without_zeros(left, right):
     got = LinComb("B", left) + LinComb("B", right)
     assert dict(got.items()) == naive_sum(left + right)
+
+
+@given(st.lists(pairs, max_size=4))
+def test_lincomb_sum_is_a_per_key_sum_without_zeros(parts):
+    got = _lincomb_sum("B", [LinComb("B", terms) for terms in parts])
+    assert got == LinComb("B", naive_sum([kv for terms in parts for kv in terms]))
+    assert got.basis == "B"
+
+
+def test_lincomb_sum_rejects_a_foreign_basis():
+    with pytest.raises(BasisError):
+        _lincomb_sum("B", [LinComb.term("B", 1), LinComb.term("C", 1)])
 
 
 def test_zero_terms_cancellation_and_return():

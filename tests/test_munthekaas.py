@@ -33,19 +33,26 @@ def test_derive():
 
 
 def test_mb_low_degrees_verbatim():
-    assert mb_tpoly(1).coeff(1) == nc_word(1)
+    assert mb_tpoly(1)[1] == nc_word(1)
     mb2 = mb_tpoly(2)
-    assert mb2.coeff(2) == nc_word(1, 1)
-    assert mb2.coeff(1) == nc_word(2)
+    assert mb2[2] == nc_word(1, 1)
+    assert mb2[1] == nc_word(2)
     mb3 = mb_tpoly(3)
-    assert mb3.coeff(3) == nc_word(1, 1, 1)
-    assert mb3.coeff(2) == nc_word(2, 1) * 2 + nc_word(1, 2)
-    assert mb3.coeff(1) == nc_word(3)
+    assert mb3[3] == nc_word(1, 1, 1)
+    assert mb3[2] == nc_word(2, 1) * 2 + nc_word(1, 2)
+    assert mb3[1] == nc_word(3)
     mb4 = mb_tpoly(4)
-    assert mb4.coeff(4) == nc_word(1, 1, 1, 1)
-    assert mb4.coeff(3) == nc_word(2, 1, 1) * 3 + nc_word(1, 2, 1) * 2 + nc_word(1, 1, 2)
-    assert mb4.coeff(2) == nc_word(3, 1) * 3 + nc_word(2, 2) * 3 + nc_word(1, 3)
-    assert mb4.coeff(1) == nc_word(4)
+    assert mb4[4] == nc_word(1, 1, 1, 1)
+    assert mb4[3] == nc_word(2, 1, 1) * 3 + nc_word(1, 2, 1) * 2 + nc_word(1, 1, 2)
+    assert mb4[2] == nc_word(3, 1) * 3 + nc_word(2, 2) * 3 + nc_word(1, 3)
+    assert mb4[1] == nc_word(4)
+
+
+def test_mb_partial_outside_the_ladder_is_zero():
+    # k = -1 must not read the top coefficient of the list
+    for n in range(4):
+        for k in (-1, n + 1):
+            assert mb_partial(n, k) == LinComb.zero("NC")
 
 
 def test_xi_examples_and_morphism():
@@ -118,14 +125,14 @@ def test_zinbiel_axioms():
 def test_p_triangular():
     entry = complete_phi_matrix(1)
     p1 = p_triangular(entry, 1)
-    assert p1.coeff(1) == phi_elem(SetPartition.single_block(1))
-    assert p1.degree == 1
+    assert p1[1] == phi_elem(SetPartition.single_block(1))
+    assert len(p1) == 2
     # the complete-function matrix grades by block count
     for n in range(1, 7):
         poly = p_triangular(complete_phi_matrix(n), n)
         for k in range(1, n + 1):
-            assert poly.coeff(k) == word_partial_bell(n, k)
-        assert not poly.coeff(0)
+            assert poly[k] == word_partial_bell(n, k)
+        assert not poly[0]
 
 
 def test_p_triangular_structure_matches_expansion():
@@ -136,9 +143,9 @@ def test_p_triangular_structure_matches_expansion():
     t3 = zinbiel_right(zinbiel_right(a[1, 1], a[2, 2]), a[3, 3])
     t2 = zinbiel_right(a[1, 1], a[2, 3]) + zinbiel_right(a[1, 2], a[3, 3])
     t1 = a[1, 3]
-    assert poly.coeff(3) == t3
-    assert poly.coeff(2) == t2
-    assert poly.coeff(1) == t1
+    assert poly[3] == t3
+    assert poly[2] == t2
+    assert poly[1] == t1
 
 
 def test_hessenberg():

@@ -152,7 +152,7 @@ _polys = st.lists(st.tuples(_words, _coeffs), max_size=4).map(
 )
 
 
-def _assert_settled(poly):
+def _assert_normal_form(poly):
     for _, c in poly.items():
         assert c != 0
         if c.denominator == 1:
@@ -164,7 +164,7 @@ def _assert_settled(poly):
 def test_shuffle_matches_first_letter_recursion(x, y):
     got = shuffle(x, y)
     assert got == _oracle_shuffle(x, y)
-    _assert_settled(got)
+    _assert_normal_form(got)
 
 
 def test_shuffle_cancellation_and_empty_word():
@@ -172,18 +172,18 @@ def test_shuffle_cancellation_and_empty_word():
     b = LinComb.term("Word", word(2))
     got = shuffle(a - b, a + b)  # the ab and ba terms cancel
     assert got == LinComb("Word", {word(1, 1): 2, word(2, 2): -2})
-    _assert_settled(got)
+    _assert_normal_form(got)
     half = LinComb.term("Word", (), Fraction(1, 2))
     assert shuffle(half, half) == LinComb.term("Word", (), Fraction(1, 4))
     got = shuffle(a * Fraction(4, 2), half)  # Fraction(2, 1) times 1/2
     assert got == a
-    _assert_settled(got)
+    _assert_normal_form(got)
 
 
 def _checked_shuffle(x, y):
     got = shuffle(x, y)
     assert got == _oracle_shuffle(x, y)
-    _assert_settled(got)
+    _assert_normal_form(got)
     return got
 
 
@@ -239,7 +239,15 @@ def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
             if n - i < len(b):
                 want = want + shuffle(a[i], b[n - i])
         assert coeff == want
-        _assert_settled(coeff)
+        _assert_normal_form(coeff)
+
+
+def test_series_shuffle_mul_cancels_across_degree_pairs():
+    # [t] (1 + a t)(1 - a t): the pair with coefficient -1 comes first and the
+    # pair with coefficient 1 cancels it; [t^2] is a shuffle (-a) = -2 aa
+    a = LinComb.term("Word", word(1))
+    got = series_shuffle_mul([word_one(), a], [word_one(), -a], 2)
+    assert got == [word_one(), word_zero(), LinComb.term("Word", word(1, 1), -2)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,7 +261,7 @@ def test_series_shuffle_power_is_k_fold_mul(a, valuation_one, k, order):
         want = series_shuffle_mul(want, a, order)
     assert got == want + [word_zero()] * (order + 1 - len(want))
     for coeff in got:
-        _assert_settled(coeff)
+        _assert_normal_form(coeff)
 
 
 def test_complete_s_is_one_block_s_function():

@@ -88,9 +88,17 @@ def test_h_k_parts():
         )
         assert h_k_part(n, 1) == SparsePoly.var(n)
         total = SparsePoly.zero()
-        for k, poly in scaled_h(n).items():
+        for poly in scaled_h(n):
             total = total + poly
         assert total == h_from_c(n)
+
+
+def test_scaled_h_lists_every_alpha_degree():
+    for n in range(6):
+        parts = scaled_h(n)
+        assert len(parts) == n + 1
+        for k, poly in enumerate(parts):
+            assert poly == h_k_part(n, k)
 
 
 def test_h_k_gives_partial_bell():
