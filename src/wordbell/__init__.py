@@ -48,7 +48,7 @@ from .sympoly import SparsePoly
 
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps, as in a fresh process: the nine
+    """Empty every memo the package keeps, as in a fresh process: the eight
     ``lru_cache`` tables below and ``realization._COMPLETE_SERIES``.  Values
     with a closed form are computed, not memoized."""
     from . import bell, combinatorics, hopf, realization, symfun
@@ -56,11 +56,10 @@ def clear_caches() -> None:
     for cached in (
         combinatorics.bell_number,
         combinatorics.int_partitions,
-        combinatorics.interleavings,
+        combinatorics._interleave_gather,
         combinatorics.set_partitions,
         hopf._antipode_key,
         bell._mixed_bell_series_cached,
-        realization._interleave_gather,
         symfun._h_values,
         symfun._e_values,
     ):

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 
 
 class InvalidColorError(ValueError):
@@ -281,10 +282,6 @@ class SetPartition:
         n = self._size  # type: ignore[attr-defined]
         return SetPartition._trusted(self.blocks + tuple(tuple(x + n for x in b) for b in other.blocks))
 
-    def relabel(self, positions) -> tuple[tuple[int, ...], ...]:
-        """Blocks with label i replaced by positions[i-1] (positions sorted)."""
-        return tuple(tuple(positions[x - 1] for x in b) for b in self.blocks)
-
     def sub_std(self, indices) -> "SetPartition":
         """Standardization of the sub-partition made of the chosen blocks.
 
@@ -391,11 +388,6 @@ class ColoredSetPartition:
             self.seq,
         )
 
-    def relabel(self, positions) -> tuple[tuple[tuple[int, ...], int], ...]:
-        return tuple(
-            (tuple(positions[x - 1] for x in b), c) for b, c in self.parts
-        )
-
     def sub_std(self, indices) -> "ColoredSetPartition":
         """As :meth:`SetPartition.sub_std`; block sizes and so colors are kept."""
         chosen = [self.parts[i] for i in sorted(indices)]
@@ -457,43 +449,62 @@ def standardize(raw_parts, seq: ColorSequence) -> ColoredSetPartition:
 
 
 @lru_cache(maxsize=None)
-def interleavings(n: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The C(n+m, n) splits (I, J) of the labels {1, ..., n+m} into an n-set I
-    and its complement J, both increasing, with I in lexicographic order.
+def _interleave_gather(n: int, m: int) -> itemgetter:
+    """The interleaving kernel: one gather that, applied to the n + m letters
+    of u + v (n, m >= 1), returns all C(n+m, n) shuffles of u with v end to
+    end.
 
-    Every interleaving of an n-letter support with an m-letter one is read
-    from this table.  The splits with label 1 in I come first (there are
-    C(n+m-1, n-1) of them for n >= 1), which the half-shuffles rely on.
+    Shuffle i places u at the i-th n-subset of the positions in
+    ``combinations`` order, so the first C(n+m-1, n-1) shuffles start with
+    u's first letter and the rest with v's.  With n = 0 or m = 0 the gather
+    would have one index and return a letter, not a tuple.
     """
-    universe = range(1, n + m + 1)
-    out = []
-    for I in combinations(universe, n):
-        in_i = set(I)
-        out.append((I, tuple(p for p in universe if p not in in_i)))
-    return tuple(out)
+    def indices():  # streamed, so the gather's index tuple is the one copy
+        for at in combinations(range(n + m), n):
+            u, v = iter(range(n)), iter(range(n, n + m))
+            for p in range(n + m):
+                yield next(u) if p in at else next(v)
+
+    return itemgetter(*indices())
 
 
 def interleave_keys(x, y):
     """All x-hat U y-hat over support splittings (with repetitions).
 
-    Yields one partition per way of choosing which |x| labels of
-    {1, ..., |x|+|y|} carry x, in the order of :func:`interleavings`; the
-    results standardize back to x and y.  Consumers wanting multiplicities
-    count repetitions; see :func:`matching_unions` for the deduplicated set.
+    The union x U shifted y is read as the word of its block numbers, x's
+    blocks first.  Each shuffle of x's part of that word with y's, from
+    :func:`_interleave_gather`, is packed back into blocks ordered by their
+    minimum; so the keys standardize back to x and y and come in the
+    kernel's order, those that give label 1 to x first.  With an empty side
+    the one key is the union.  Consumers wanting multiplicities count
+    repetitions; see :func:`matching_unions` for the deduplicated set.
     """
-    colored = isinstance(x, ColoredSetPartition)
+    union = x.shifted_union(y)  # also rejects mismatched sequences
+    n, m = x.size, y.size
+    if not (n and m):
+        yield union
+        return
+    colored = isinstance(union, ColoredSetPartition)
     if colored:
-        x._check_seq(y)
-    for I, J in interleavings(x.size, y.size):
+        blocks, colors = zip(*union.parts)
+    else:
+        blocks = union.blocks
+    word = [0] * (n + m)
+    for label, block in enumerate(blocks):
+        for pos in block:
+            word[pos - 1] = label
+    flat = iter(_interleave_gather(n, m)(word))
+    for shuffled in zip(*[flat] * (n + m)):
+        packed: dict[int, list[int]] = {}  # first occurrence is the block minimum
+        for pos, label in enumerate(shuffled, 1):
+            packed.setdefault(label, []).append(pos)
+        packed_blocks = map(tuple, packed.values())
         if colored:
             yield ColoredSetPartition._trusted(
-                tuple(sorted(x.relabel(I) + y.relabel(J), key=lambda p: p[0][0])),
-                x.seq,
+                tuple(zip(packed_blocks, map(colors.__getitem__, packed))), union.seq
             )
         else:
-            yield SetPartition._trusted(
-                tuple(sorted(x.relabel(I) + y.relabel(J), key=lambda b: b[0]))
-            )
+            yield SetPartition._trusted(tuple(packed_blocks))
 
 
 def matching_unions(x, y) -> list:

@@ -7,9 +7,11 @@ functions, the Zinbiel half-shuffles on the dual side, the triangular
 polynomial of an upper triangular matrix and the Hessenberg path expansion
 all live here.
 
-The two half-shuffles are complementary slices of one interleaving: the
-keys of ``combinatorics.interleave_keys`` that give label 1 to the left
-factor come first, and their sum is ``hopf.psi_product`` read on Phi tags.
+The two half-shuffles are complementary slices of one interleaving:
+``combinatorics.interleave_keys`` yields first the keys that give label 1 to
+the left factor, since the leading shuffles of the interleaving kernel start
+with the left factor's first letter, and their sum is ``hopf.psi_product``
+read on Phi tags.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def _half_shuffle(x: LinComb, y: LinComb, min_left: bool) -> LinComb:
                 n, m = kx.size, ky.size
                 if n + m == 0:
                     continue  # no label 1 to place: both half-products vanish
-                # interleave_keys follows the lexicographic order of the labels
-                # kx takes, so the C(n+m-1, n-1) keys with label 1 in kx lead
+                # the kernel places kx at the n-subsets of the positions in
+                # combinations order, so the C(n+m-1, n-1) keys with label 1 in kx lead
                 first = math.comb(n + m - 1, n - 1) if n else 0
                 keys = list(interleave_keys(kx, ky))
                 c = cx * cy

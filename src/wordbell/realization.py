@@ -23,31 +23,31 @@ The shuffle kernel: ``_cleared`` turns operands (a whole series at once)
 into integer numerators over one common denominator.  ``_shuffle_acc``
 groups each operand's words by (length, numerator) and, for each pair of
 groups, runs one pass of C iterators over all the word pairs: u + v through
-the cached ``_interleave_gather(n, m)``, one itemgetter that returns all
-C(n+m, n) shuffles end to end, cut back into words and counted by
-``Counter.update``.  The gathers are built from the label splits of
-``combinatorics.interleavings``, the one table every interleaving in the
-package is read from.  Words whose product coefficient is 1 count straight
-into the sum; the others are added in once at the end, where a word whose
-sum reaches 0 is deleted.  ``shuffle`` and ``series_shuffle_mul`` divide the
-zero-free sum by the common denominator with ``LinComb`` division, which
-keeps integral coefficients as int.
+``combinatorics._interleave_gather(n, m)``, one cached itemgetter that
+returns all C(n+m, n) shuffles end to end, cut back into words and counted
+by ``Counter.update``.  It is the package's one interleaving kernel:
+``combinatorics.interleave_keys`` shuffles the block-number words of keys
+through it, so the dual product of keys and its word realization read one
+table.  Words whose product coefficient is 1 count straight into the sum;
+the others are added in once at the end, where a word whose sum reaches 0
+is deleted.  ``shuffle`` and ``series_shuffle_mul`` divide the zero-free sum
+by the common denominator with ``LinComb`` division, which keeps integral
+coefficients as int.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import chain, permutations, product, starmap
-from operator import add, itemgetter
+from operator import add
 
 from . import series
 from .combinatorics import (
     ColoredSetPartition,
     CyclePermutation,
     SetPartition,
-    interleavings,
+    _interleave_gather,
     refinements,
 )
 from .lincomb import BasisError, LinComb
@@ -168,20 +168,6 @@ def complete_s(n: int, alphabet, k: int = 1) -> LinComb:
 
 # ---------------------------------------------------------------------------
 # shuffle machinery
-
-
-@lru_cache(maxsize=None)
-def _interleave_gather(n: int, m: int) -> itemgetter:
-    # For n, m >= 1: one gather that returns all C(n+m, n) shuffles of an
-    # n-letter u with an m-letter v, end to end, when applied to u + v.  For
-    # the label split (I, J), letter i of u + v goes to label (I + J)[i], so
-    # that shuffle reads the inverse permutation.  With n = 0 or m = 0 the
-    # gather would have one index and return a letter, not a tuple.
-    return itemgetter(*(
-        i
-        for I, J in interleavings(n, m)
-        for i in sorted(range(n + m), key=(I + J).__getitem__)
-    ))
 
 
 def _cleared(polys) -> tuple[list[list], int]:

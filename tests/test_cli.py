@@ -356,6 +356,7 @@ def test_ladder_items_report_the_first_counterexample(monkeypatch):
     items = _items(verify.mk_suite(max_n=4))
     assert items["low-degree noncommutative Bell polynomials"] == {"n": 3, "k": 2}
     assert items["block-size morphism maps word to noncommutative Bell"] == {"n": 3, "k": 1}
+    assert items["coefficients count partitions by block-size composition"] == {"n": 3, "comp": (2, 1)}
     assert items["Hessenberg path expansion at t = 1"] is None
 
 

@@ -30,8 +30,8 @@ from wordbell.combinatorics import (
     from_idempotent,
     from_level2,
     from_list_partition,
+    _interleave_gather,
     interleave_keys,
-    interleavings,
     matching_unions,
     part_bipartitions,
     set_partitions,
@@ -242,20 +242,83 @@ def test_matching_unions_with_empty():
     assert matching_unions(x, ColoredSetPartition.empty(CONST9)) == [x]
 
 
-def test_interleavings_table():
-    for n in range(6):
-        for m in range(6):
-            table = interleavings(n, m)
-            assert len(table) == math.comb(n + m, n)
-            assert [I for I, _ in table] == sorted(I for I, _ in table)
-            labels = set(range(1, n + m + 1))
-            for I, J in table:
-                assert len(I) == n and list(J) == sorted(J)
-                assert set(I) | set(J) == labels and not set(I) & set(J)
-            if n + m:
-                lead = math.comb(n + m - 1, n - 1) if n else 0
-                assert all(1 in I for I, _ in table[:lead])
-                assert not any(1 in I for I, _ in table[lead:])
+def test_interleave_gather_shuffles():
+    for n in range(1, 6):
+        for m in range(1, 6):
+            u, v = tuple(f"u{i}" for i in range(n)), tuple(f"v{j}" for j in range(m))
+            flat = _interleave_gather(n, m)(u + v)
+            shuffles = [flat[i:i + n + m] for i in range(0, len(flat), n + m)]
+            assert len(shuffles) == math.comb(n + m, n)
+            assert len(set(shuffles)) == len(shuffles)
+            for w in shuffles:
+                assert sorted(w) == sorted(u + v)
+                assert tuple(a for a in w if a in u) == u
+                assert tuple(a for a in w if a in v) == v
+            lead = math.comb(n + m - 1, n - 1)
+            assert all(w[0] == u[0] for w in shuffles[:lead])
+            assert all(w[0] == v[0] for w in shuffles[lead:])
+
+
+def _oracle_interleavings(x, y):
+    # every choice of the labels that carry x, in combinations order, with the
+    # relabeled parts sorted by their minimum; plain keys get color None
+    colored = isinstance(x, ColoredSetPartition)
+    if colored and (not isinstance(y, ColoredSetPartition) or x.seq != y.seq):
+        raise SequenceMismatchError("oracle: sequences differ")
+    parts = lambda k: k.parts if colored else [(b, None) for b in k.blocks]
+    n, m = x.size, y.size
+    out = []
+    for I in combinations(range(1, n + m + 1), n):
+        J = [p for p in range(1, n + m + 1) if p not in I]
+        relabeled = [(tuple(I[a - 1] for a in b), c) for b, c in parts(x)]
+        relabeled += [(tuple(J[a - 1] for a in b), c) for b, c in parts(y)]
+        out.append(sorted(relabeled))
+    return out
+
+
+def _parts(key):
+    if isinstance(key, ColoredSetPartition):
+        return list(key.parts)
+    return [(b, None) for b in key.blocks]
+
+
+def test_interleave_keys_match_the_label_split_oracle():
+    pairs = 0
+    for keys in (
+        lambda n: colored_partitions(FACTORIAL, n),
+        lambda n: colored_partitions(TREE, n),
+        set_partitions,
+    ):
+        for n in range(7):
+            for m in range(7 - n):
+                for x in keys(n):
+                    for y in keys(m):
+                        got = list(interleave_keys(x, y))
+                        assert [_parts(k) for k in got] == _oracle_interleavings(x, y)
+                        assert all(type(k) is type(x) and k.size == n + m for k in got)
+                        pairs += 1
+    assert pairs == 11160 + 40489 + 815
+    key = ColoredSetPartition([((1, 3), 2), ((2,), 1)], FACTORIAL)
+    assert list(interleave_keys(key, ColoredSetPartition.empty(FACTORIAL))) == [key]
+    assert list(interleave_keys(ColoredSetPartition.empty(FACTORIAL), key)) == [key]
+    assert list(interleave_keys(SetPartition(), key.underlying())) == [key.underlying()]
+    assert list(interleave_keys(key.underlying(), SetPartition())) == [key.underlying()]
+    other = ColoredSetPartition([((1,), 1)], TREE)
+    for x, y in (
+        (key, other),
+        (other, key),
+        (key, ColoredSetPartition.empty(TREE)),
+        (ColoredSetPartition.empty(TREE), key),
+        (key, key.underlying()),
+    ):
+        with pytest.raises(SequenceMismatchError):
+            list(interleave_keys(x, y))
+
+
+def test_interleave_keys_rejects_an_uncolored_key_with_a_colored_one():
+    key = ColoredSetPartition([((1, 3), 2), ((2,), 1)], FACTORIAL)
+    with pytest.raises(SequenceMismatchError):
+        list(interleave_keys(key.underlying(), key))
 
 
 def test_sub_std_and_split_at_match_the_validating_constructors():
