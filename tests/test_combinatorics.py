@@ -259,27 +259,26 @@ def test_interleave_gather_shuffles():
             assert all(w[0] == v[0] for w in shuffles[lead:])
 
 
+def _parts(key):
+    # (block, color) pairs; plain keys get color None
+    if isinstance(key, ColoredSetPartition):
+        return list(key.parts)
+    return [(b, None) for b in key.blocks]
+
+
 def _oracle_interleavings(x, y):
     # every choice of the labels that carry x, in combinations order, with the
-    # relabeled parts sorted by their minimum; plain keys get color None
-    colored = isinstance(x, ColoredSetPartition)
-    if colored and (not isinstance(y, ColoredSetPartition) or x.seq != y.seq):
+    # relabeled parts sorted by their minimum
+    if isinstance(x, ColoredSetPartition) and (not isinstance(y, ColoredSetPartition) or x.seq != y.seq):
         raise SequenceMismatchError("oracle: sequences differ")
-    parts = lambda k: k.parts if colored else [(b, None) for b in k.blocks]
     n, m = x.size, y.size
     out = []
     for I in combinations(range(1, n + m + 1), n):
         J = [p for p in range(1, n + m + 1) if p not in I]
-        relabeled = [(tuple(I[a - 1] for a in b), c) for b, c in parts(x)]
-        relabeled += [(tuple(J[a - 1] for a in b), c) for b, c in parts(y)]
+        relabeled = [(tuple(I[a - 1] for a in b), c) for b, c in _parts(x)]
+        relabeled += [(tuple(J[a - 1] for a in b), c) for b, c in _parts(y)]
         out.append(sorted(relabeled))
     return out
-
-
-def _parts(key):
-    if isinstance(key, ColoredSetPartition):
-        return list(key.parts)
-    return [(b, None) for b in key.blocks]
 
 
 def test_interleave_keys_match_the_label_split_oracle():
