@@ -4,9 +4,11 @@ Four incarnations of the same combinatorics live here:
 
 * classical complete/partial Bell polynomials as exact symbolic polynomials
   in a1, a2, ... and their exact evaluation by triangular recurrences;
-* word Bell polynomials in the Phi basis, generated by the ladder operator
-  that adjoins a new largest element to a block;
-* their normalized images on the dual (Psi) side for any color sequence;
+* word Bell polynomials in the Phi basis: sums of Phi over set partitions,
+  with the ladder operator that adjoins a new largest element to a block as
+  their defining recursion;
+* their normalized images on the dual (Psi) side for any color sequence,
+  sums of Psi over colored set partitions;
 * shuffle-power Bell polynomials for arbitrary word polynomial arguments.
 
 The module also hosts the specialization morphisms connecting symmetric
@@ -27,7 +29,9 @@ from .combinatorics import (
     ColorSequence,
     SetPartition,
     colored_partitions,
+    colored_partitions_k,
     int_partitions,
+    set_partitions,
 )
 from .hopf import (
     PHI,
@@ -190,7 +194,7 @@ def deriv(x: LinComb) -> LinComb:
     if not all(isinstance(key, SetPartition) for key in x.keys()):
         raise BasisError("the ladder operator is defined on uncolored keys")
     return LinComb(PHI, (
-        (SetPartition._trusted(key.blocks[:i] + (b + (key.size + 1,),) + key.blocks[i + 1:]), c)
+        (SetPartition._trusted(key.blocks[:i] + (b + (key.size + 1,),) + key.blocks[i + 1:], key.size + 1), c)
         for key, c in x.items()
         for i, b in enumerate(key.blocks)
     ))
@@ -202,18 +206,23 @@ def _append_singleton(x: LinComb) -> LinComb:
 
 def word_bell_tpoly(n: int) -> list[LinComb]:
     """The t-marked operator power as its n + 1 coefficients: entry k is the
-    partial word Bell polynomial with k blocks."""
+    partial word Bell polynomial with k blocks.
+
+    This is the defining recursion (t x + d)^n 1 with d the ladder operator;
+    the served polynomials below enumerate, and this is their check."""
     return _ladder(phi_elem(SetPartition()), _append_singleton, deriv, n)
 
 
 def word_partial_bell(n: int, k: int) -> LinComb:
-    if not 0 <= k <= n:
-        return LinComb.zero(PHI)
-    return word_bell_tpoly(n)[k]
+    """The partial word Bell polynomial: the sum of Phi_pi over the set
+    partitions pi of [n] with k blocks, zero for k outside 0..n.  Entry k of
+    :func:`word_bell_tpoly`, built by enumeration."""
+    return LinComb._raw(PHI, dict.fromkeys((p for p in set_partitions(n) if p.part_count == k), 1))
 
 
 def word_complete_bell(n: int) -> LinComb:
-    return _lincomb_sum(PHI, word_bell_tpoly(n))
+    """The sum of Phi_pi over all set partitions pi of [n]."""
+    return LinComb._raw(PHI, dict.fromkeys(set_partitions(n), 1))
 
 
 def deriv_via_monomial(x: LinComb) -> LinComb:
@@ -241,27 +250,25 @@ def psi_atom(seq: ColorSequence, m: int) -> LinComb:
     out: dict = {}
     block = tuple(range(1, m + 1))
     for c in range(1, seq(m) + 1):
-        out[ColoredSetPartition._trusted(((block, c),), seq)] = 1
+        out[ColoredSetPartition._trusted(((block, c),), seq, m)] = 1
     return LinComb._raw(PSI, out)
 
 
 def colored_psi_bell(seq: ColorSequence, n: int, k: int) -> LinComb:
-    """The normalized partial Bell polynomial of the atomic generators,
-    computed as [t^n] (sum_i F_i t^i)^k / k! in the dual algebra.
+    """The normalized partial Bell polynomial of the atomic generators
+    F_m = :func:`psi_atom`, defined as [t^n] (sum_m F_m t^m)^k / k! in the
+    dual algebra.
 
-    Equals the plain sum of Psi over all colored partitions of size n with
-    exactly k parts.
+    Built as what that power equals: the plain sum of Psi over the colored
+    partitions of size n with exactly k parts, zero for k outside 0..n.  The
+    series power itself is the check, in ``verify``.
     """
-    if k < 0 or k > n:
-        return LinComb.zero(PSI)
-    unit = psi_elem(ColoredSetPartition.empty(seq))
-    generators = [LinComb.zero(PSI)] + [psi_atom(seq, m) for m in range(1, n + 1)]
-    product = lambda x, y, top: series.mul(x, y, top, unit, psi_product)
-    return series.power(generators, k, n, unit, product)[n] / math.factorial(k)
+    return LinComb._raw(PSI, dict.fromkeys(colored_partitions_k(seq, n, k), 1))
 
 
 def colored_psi_complete(seq: ColorSequence, n: int) -> LinComb:
-    return _lincomb_sum(PSI, (colored_psi_bell(seq, n, k) for k in range(0 if n == 0 else 1, n + 1)))
+    """The sum over k of :func:`colored_psi_bell`: Psi summed over CP_n(a)."""
+    return LinComb._raw(PSI, dict.fromkeys(colored_partitions(seq, n), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +352,7 @@ def beta(x: LinComb, seq: ColorSequence) -> LinComb:
 
     # a block size with no colors (a_m = 0) leaves an empty product: no terms
     return LinComb(PSI, (
-        (ColoredSetPartition._trusted(tuple(zip(key.blocks, colors)), seq), c)
+        (ColoredSetPartition._trusted(tuple(zip(key.blocks, colors)), seq, key.size), c)
         for key, c in x.items()
         for colors in _product(*(range(1, seq(len(b)) + 1) for b in key.blocks))
     ))

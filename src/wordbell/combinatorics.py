@@ -234,10 +234,11 @@ class SetPartition:
         object.__setattr__(self, "_hash", hash((canon,)))
 
     @classmethod
-    def _trusted(cls, canon: tuple[tuple[int, ...], ...]) -> "SetPartition":
+    def _trusted(cls, canon: tuple[tuple[int, ...], ...], size: int) -> "SetPartition":
+        # the caller vouches for canon and gives its size, which it already knows
         obj = cls.__new__(cls)
         object.__setattr__(obj, "blocks", canon)
-        object.__setattr__(obj, "_size", sum(len(b) for b in canon))
+        object.__setattr__(obj, "_size", size)
         object.__setattr__(obj, "_hash", hash((canon,)))
         return obj
 
@@ -246,11 +247,11 @@ class SetPartition:
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
-        return cls._trusted(tuple((i,) for i in range(1, n + 1)))
+        return cls._trusted(tuple((i,) for i in range(1, n + 1)), n)
 
     @classmethod
     def single_block(cls, n: int) -> "SetPartition":
-        return cls._trusted((tuple(range(1, n + 1)),) if n else ())
+        return cls._trusted((tuple(range(1, n + 1)),) if n else (), n)
 
     @property
     def size(self) -> int:
@@ -273,14 +274,16 @@ class SetPartition:
 
     def shift(self, n: int) -> "SetPartition":
         return SetPartition._trusted(
-            tuple(tuple(x + n for x in b) for b in self.blocks)
+            tuple(tuple(x + n for x in b) for b in self.blocks), self.size
         )
 
     def shifted_union(self, other: "SetPartition") -> "SetPartition":
         if not isinstance(other, SetPartition):
             raise SequenceMismatchError("cannot mix colored and uncolored keys")
         n = self._size  # type: ignore[attr-defined]
-        return SetPartition._trusted(self.blocks + tuple(tuple(x + n for x in b) for b in other.blocks))
+        return SetPartition._trusted(
+            self.blocks + tuple(tuple(x + n for x in b) for b in other.blocks), n + other._size
+        )
 
     def sub_std(self, indices) -> "SetPartition":
         """Standardization of the sub-partition made of the chosen blocks.
@@ -290,7 +293,7 @@ class SetPartition:
         chosen = [self.blocks[i] for i in sorted(indices)]
         support = sorted(x for b in chosen for x in b)
         rank = {x: i + 1 for i, x in enumerate(support)}
-        return SetPartition._trusted(tuple(tuple(rank[x] for x in b) for b in chosen))
+        return SetPartition._trusted(tuple(tuple(rank[x] for x in b) for b in chosen), len(support))
 
     def split_at(self, j: int):
         """Deconcatenation at j: (left, right) if no block straddles, else None."""
@@ -302,7 +305,7 @@ class SetPartition:
                 right.append(tuple(x - j for x in b))
             else:
                 return None
-        return SetPartition._trusted(tuple(left)), SetPartition._trusted(tuple(right))
+        return SetPartition._trusted(tuple(left), j), SetPartition._trusted(tuple(right), self.size - j)
 
 
 @dataclass(frozen=True, init=False)
@@ -333,11 +336,12 @@ class ColoredSetPartition:
         object.__setattr__(self, "_hash", hash((canon, seq)))
 
     @classmethod
-    def _trusted(cls, parts, seq) -> "ColoredSetPartition":
+    def _trusted(cls, parts, seq, size: int) -> "ColoredSetPartition":
+        # as SetPartition._trusted: canonical, validly colored parts of this size
         obj = cls.__new__(cls)
         object.__setattr__(obj, "parts", parts)
         object.__setattr__(obj, "seq", seq)
-        object.__setattr__(obj, "_size", sum(len(b) for b, _ in parts))
+        object.__setattr__(obj, "_size", size)
         object.__setattr__(obj, "_hash", hash((parts, seq)))
         return obj
 
@@ -346,7 +350,7 @@ class ColoredSetPartition:
 
     @classmethod
     def empty(cls, seq: ColorSequence) -> "ColoredSetPartition":
-        return cls._trusted((), seq)
+        return cls._trusted((), seq, 0)
 
     @property
     def size(self) -> int:
@@ -358,7 +362,7 @@ class ColoredSetPartition:
 
     def underlying(self) -> SetPartition:
         """Forget the colors (the projection onto ordinary set partitions)."""
-        return SetPartition._trusted(tuple(b for b, _ in self.parts))
+        return SetPartition._trusted(tuple(b for b, _ in self.parts), self.size)
 
     def type_signature(self) -> tuple[tuple[int, int], ...]:
         """The multiset of (block size, color) pairs, sorted."""
@@ -375,7 +379,7 @@ class ColoredSetPartition:
 
     def shift(self, n: int) -> "ColoredSetPartition":
         return ColoredSetPartition._trusted(
-            tuple((tuple(x + n for x in b), c) for b, c in self.parts), self.seq
+            tuple((tuple(x + n for x in b), c) for b, c in self.parts), self.seq, self.size
         )
 
     def shifted_union(self, other: "ColoredSetPartition") -> "ColoredSetPartition":
@@ -386,6 +390,7 @@ class ColoredSetPartition:
         return ColoredSetPartition._trusted(
             self.parts + tuple((tuple(x + n for x in b), c) for b, c in other.parts),
             self.seq,
+            n + other._size,
         )
 
     def sub_std(self, indices) -> "ColoredSetPartition":
@@ -394,7 +399,7 @@ class ColoredSetPartition:
         support = sorted(x for b, _ in chosen for x in b)
         rank = {x: i + 1 for i, x in enumerate(support)}
         return ColoredSetPartition._trusted(
-            tuple((tuple(rank[x] for x in b), c) for b, c in chosen), self.seq
+            tuple((tuple(rank[x] for x in b), c) for b, c in chosen), self.seq, len(support)
         )
 
     def split_at(self, j: int):
@@ -407,8 +412,8 @@ class ColoredSetPartition:
             else:
                 return None
         return (
-            ColoredSetPartition._trusted(tuple(left), self.seq),
-            ColoredSetPartition._trusted(tuple(right), self.seq),
+            ColoredSetPartition._trusted(tuple(left), self.seq, j),
+            ColoredSetPartition._trusted(tuple(right), self.seq, self.size - j),
         )
 
 
@@ -501,10 +506,10 @@ def interleave_keys(x, y):
         packed_blocks = map(tuple, packed.values())
         if colored:
             yield ColoredSetPartition._trusted(
-                tuple(zip(packed_blocks, map(colors.__getitem__, packed))), union.seq
+                tuple(zip(packed_blocks, map(colors.__getitem__, packed))), union.seq, n + m
             )
         else:
-            yield SetPartition._trusted(tuple(packed_blocks))
+            yield SetPartition._trusted(tuple(packed_blocks), n + m)
 
 
 def matching_unions(x, y) -> list:
@@ -592,42 +597,42 @@ def set_partitions(n: int) -> tuple[SetPartition, ...]:
         return (SetPartition(),)
     out = []
     for p in set_partitions(n - 1):
-        out.append(SetPartition._trusted(p.blocks + ((n,),)))
+        out.append(SetPartition._trusted(p.blocks + ((n,),), n))
         for i in range(p.part_count):
             blocks = list(p.blocks)
             blocks[i] = blocks[i] + (n,)
-            out.append(SetPartition._trusted(tuple(blocks)))
+            out.append(SetPartition._trusted(tuple(blocks), n))
     return tuple(out)
 
 
-def colored_partitions(seq: ColorSequence, n: int) -> list[ColoredSetPartition]:
-    """CP_n(a), duplicate-free and canonically sorted.
+def _colorings(seq: ColorSequence, n: int, partitions) -> list[ColoredSetPartition]:
+    """Every coloring over ``seq`` of the given set partitions of {1, ..., n},
+    sorted by ``parts``.
 
-    Colors ordinary partitions blockwise, so each colored partition appears
-    exactly once; blocks of size m are skipped entirely when a_m = 0.
+    Colors each partition blockwise, so each colored partition appears
+    exactly once; a partition with a block of size m has no coloring when
+    a_m = 0 (its product of color ranges is empty).
     """
-    out = []
-    for p in set_partitions(n):
-        ranges = []
-        possible = True
-        for b in p.blocks:
-            bound = seq(len(b))
-            if bound == 0:
-                possible = False
-                break
-            ranges.append(range(1, bound + 1))
-        if not possible:
-            continue
-        for colors in product(*ranges):
-            parts = tuple((b, c) for b, c in zip(p.blocks, colors))
-            out.append(ColoredSetPartition._trusted(parts, seq))
+    colors = [range(0)] + [range(1, seq(m) + 1) for m in range(1, n + 1)]
+    out = [
+        ColoredSetPartition._trusted(tuple(zip(p.blocks, c)), seq, n)
+        for p in partitions
+        for c in product(*(colors[len(b)] for b in p.blocks))
+    ]
     out.sort(key=lambda cp: cp.parts)
     return out
 
 
+def colored_partitions(seq: ColorSequence, n: int) -> list[ColoredSetPartition]:
+    """CP_n(a), duplicate-free and canonically sorted."""
+    return _colorings(seq, n, set_partitions(n))
+
+
 def colored_partitions_k(seq: ColorSequence, n: int, k: int) -> list[ColoredSetPartition]:
-    """CP_{n,k}(a): the colored partitions of size n with exactly k parts."""
-    return [p for p in colored_partitions(seq, n) if p.part_count == k]
+    """CP_{n,k}(a): the colored partitions of size n with exactly k parts,
+    sorted as in :func:`colored_partitions`.  Only the set partitions with k
+    blocks are colored."""
+    return _colorings(seq, n, (p for p in set_partitions(n) if p.part_count == k))
 
 
 def count_by_type(seq: ColorSequence, n: int) -> int:

@@ -19,8 +19,8 @@ a list, which evaluates it at t = 1.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
 
 Scalar = int | Fraction
 

@@ -49,6 +49,8 @@ def sort_key(key):
 
 
 def _coeff_parts(c) -> tuple[str, str]:
+    if type(c) is int:  # most coefficients: no Fraction needed
+        return str(c), "1"
     f = Fraction(c)
     return str(f.numerator), str(f.denominator)
 

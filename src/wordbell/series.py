@@ -26,8 +26,8 @@ symmetric-function calculus and run over the rationals only.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 Scalar = int | Fraction
 Series = list

@@ -11,8 +11,8 @@ a1, a2, ... and symmetric functions written in the generators c1, c2, ...
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 from .lincomb import LinComb, _add_terms
 

@@ -49,6 +49,7 @@ from wordbell.hopf import phi_elem, psi_elem, psi_product
 from wordbell.lincomb import BasisError, LinComb
 from wordbell.realization import WORD, expand_phi, expand_psi, letters
 from wordbell.sympoly import SparsePoly
+from wordbell.verify import _colored_psi_bell_table
 
 
 def sp(blocks):
@@ -304,6 +305,15 @@ def test_word_bell_enumeration():
     assert len(word_bell_tpoly(4)) == 4 + 1
 
 
+def test_served_word_bell_equals_the_ladder():
+    # the enumeration against the recursion that defines it
+    for n in range(8):
+        ladder = word_bell_tpoly(n)
+        assert word_complete_bell(n) == sum(ladder, LinComb.zero("Phi"))
+        for k in range(n + 1):
+            assert word_partial_bell(n, k) == ladder[k]
+
+
 def test_word_partial_bell_outside_the_ladder_is_zero():
     # k = -1 must not read the top coefficient of the list
     for n in range(4):
@@ -330,6 +340,20 @@ def test_colored_psi_bell_enumerates():
             )
 
 
+@pytest.mark.parametrize("spec", [
+    "ones", "factorial", "shifted-factorial", "idempotent", "bell", "tree", "0,1,3 tail:1", "1,1 tail:0",
+])
+def test_colored_psi_bell_equals_the_series_power(spec):
+    # the enumeration against [t^n] F^k / k!, computed by the verify oracle's power chain
+    seq = ColorSequence.parse(spec)
+    table = _colored_psi_bell_table(seq, 6)
+    for n in range(7):
+        for k in range(-1, n + 2):
+            want = table[k][n] if 0 <= k <= n else LinComb.zero("Psi")
+            assert colored_psi_bell(seq, n, k) == want
+        assert colored_psi_complete(seq, n) == sum((table[k][n] for k in range(n + 1)), LinComb.zero("Psi"))
+
+
 def test_colored_psi_bell_counts():
     assert len(colored_psi_bell(FACTORIAL, 4, 2)) == 36
     assert gamma(colored_psi_bell(FACTORIAL, 4, 2)) == Fraction(36, 24)
@@ -346,6 +370,19 @@ def test_psi_atom():
     atom = psi_atom(IDEMPOTENT, 2)
     assert len(atom) == 2
     assert all(key.part_count == 1 and key.size == 2 for key in atom.keys())
+
+
+def test_bell_key_builders_pass_the_right_size():
+    # deriv, psi_atom and beta build keys through _trusted, which takes the size on trust
+    def sized(key):
+        blocks = key.blocks if isinstance(key, SetPartition) else [b for b, _ in key.parts]
+        return key.size == sum(len(b) for b in blocks)
+
+    for n in range(5):
+        everything = LinComb("Phi", {p: 1 for p in set_partitions(n)})
+        assert all(map(sized, deriv(everything).keys()))
+        assert all(map(sized, psi_atom(FACTORIAL, n + 1).keys()))
+        assert all(map(sized, beta(everything.retag("Psi"), FACTORIAL).keys()))
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,36 @@ def test_ladder_items_report_the_first_counterexample(monkeypatch):
     assert items["Hessenberg path expansion at t = 1"] is None
 
 
+def test_served_bell_items_report_the_first_counterexample(monkeypatch):
+    # the enumerations the CLI serves, each checked against its definition
+    from wordbell import bell, verify
+    from wordbell.lincomb import LinComb
+
+    def failures():
+        return {i["identity"]: i["counterexample"] for i in verify.bell_suite(max_n=4) if i["status"] == "fail"}
+
+    real_word = bell.word_partial_bell
+
+    def word_without_last_key_at_4_2(n, k):
+        out = real_word(n, k)
+        return LinComb(out.basis, list(out.items())[:-1]) if (n, k) == (4, 2) else out
+
+    monkeypatch.setattr(bell, "word_partial_bell", word_without_last_key_at_4_2)
+    assert failures() == {"word Bell polynomials enumerate partitions by blocks": {"n": 4, "k": 2}}
+    monkeypatch.undo()
+
+    real_keys = bell.colored_partitions_k
+
+    def keys_without_the_last_at_k_2(seq, n, k):
+        keys = real_keys(seq, n, k)
+        return keys[:-1] if k == 2 else keys
+
+    monkeypatch.setattr(bell, "colored_partitions_k", keys_without_the_last_at_k_2)
+    assert failures() == {
+        "colored dual Bell polynomials enumerate colored partitions": {"seq": "factorial", "n": 2, "k": 2}
+    }
+
+
 def test_word_suite_first_counterexample_on_the_psi_family(monkeypatch):
     from wordbell import bell, verify
 
@@ -441,6 +471,9 @@ GOLDEN_STDOUT = {
     "verify hopf --max-n 5": "49b345565cbeae9e9384d7e4d991acdaf1cb89550ad7b2eb634d10f77ade5af7",
     "mk --n 5": "847b5beda9ad5e1e68cd1d19f38714d51fb054aebbf0bfd02ca04103d4606cc3",
     "mk --n 4 --k 2": "75064f49e01d8c86974da03c5cfaf19040d604e19c5796bd485c5d9a14e24d9c",
+    "expand wordBell --n 8 --k 3": "82e175b29f49772af5dab92fcc05ffa73c25c37cc92f62e2fea6932717a678ee",
+    "expand coloredPsi --n 6 --k 3 --seq factorial":
+        "8bc76dd6bdcef63cba3fda26fd890081a80abb08edc79d48fde4fafb07ad0e7b",
 }
 
 

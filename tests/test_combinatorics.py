@@ -371,7 +371,7 @@ def test_key_hashes_are_cached_with_the_dataclass_formula():
             for got in (SetPartition(plain.blocks[::-1]), SetPartition().shifted_union(plain)):
                 _assert_same_key(got, plain)
             _assert_same_key(key.shift(2), ColoredSetPartition._trusted(
-                tuple((tuple(x + 2 for x in b), c) for b, c in key.parts), FACTORIAL
+                tuple((tuple(x + 2 for x in b), c) for b, c in key.parts), FACTORIAL, n
             ))
             for r in range(key.part_count + 1):
                 for sel in combinations(range(key.part_count), r):
@@ -424,14 +424,14 @@ def test_shifted_union_equals_the_union_with_the_shifted_key():
                 for y in colored_partitions(named, m):
                     # equal sequences held in distinct objects still combine
                     _assert_same_key(x.shifted_union(y), ColoredSetPartition._trusted(
-                        x.parts + y.shift(n).parts, FACTORIAL
+                        x.parts + y.shift(n).parts, FACTORIAL, n + m
                     ))
                     _assert_same_key(y.shifted_union(x), ColoredSetPartition._trusted(
-                        y.parts + x.shift(m).parts, named
+                        y.parts + x.shift(m).parts, named, n + m
                     ))
                     px, py = x.underlying(), y.underlying()
                     _assert_same_key(px.shifted_union(py), SetPartition._trusted(
-                        px.blocks + py.shift(n).blocks
+                        px.blocks + py.shift(n).blocks, n + m
                     ))
 
 
@@ -504,6 +504,47 @@ def test_enumerate_colored_size_three_listing():
     got_k = colored_partitions_k(IDEMPOTENT, 3, 2)
     assert len(got_k) == 6
     assert all(p.part_count == 2 for p in got_k)
+
+
+def test_colored_partitions_k_is_the_sorted_k_part_slice():
+    # it colors only the k-block set partitions, in the order of colored_partitions
+    for seq in (ONES, FACTORIAL, TREE, ColorSequence.parse("0,1,3 tail:1")):
+        for n in range(6):
+            every = colored_partitions(seq, n)
+            assert every == sorted(every, key=lambda p: p.parts)
+            for k in range(-1, n + 2):
+                assert colored_partitions_k(seq, n, k) == [p for p in every if p.part_count == k]
+
+
+def _assert_sized(key):
+    blocks = key.blocks if isinstance(key, SetPartition) else [b for b, _ in key.parts]
+    assert key.size == sum(len(b) for b in blocks), key
+
+
+def test_trusted_keys_carry_the_size_their_builder_passes():
+    # _trusted stores the size its caller gives; every builder must give the right one
+    families = [{n: list(set_partitions(n)) for n in range(6)}]
+    for seq in (ONES, FACTORIAL):
+        families.append({n: colored_partitions(seq, n) for n in range(6)})
+        for n in range(6):
+            for k in range(n + 1):
+                for key in colored_partitions_k(seq, n, k):
+                    _assert_sized(key)
+    for keys in families:
+        for n, at_n in keys.items():
+            for x in at_n:
+                _assert_sized(x)
+                for pair in part_bipartitions(x):
+                    for half in pair:
+                        _assert_sized(half)
+                for j in range(n + 1):
+                    for half in x.split_at(j) or ():
+                        _assert_sized(half)
+                for m in range(6 - n):
+                    for y in keys[m]:
+                        _assert_sized(x.shifted_union(y))
+                        for union in interleave_keys(x, y):
+                            _assert_sized(union)
 
 
 def test_enumerate_colored_counts_and_eq1_oracle():

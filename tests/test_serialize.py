@@ -1,6 +1,7 @@
 """JSON forms of every key type: the sort key, written by json as nested arrays."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -44,3 +45,12 @@ def test_json_form_is_the_sort_key(key, form):
 def test_unsupported_keys_raise(key):
     with pytest.raises(TypeError):
         lincomb_to_jsonable(LinComb("B", {key: 1}))
+
+
+@pytest.mark.parametrize("coeff, num, den", [
+    (3, "3", "1"), (-7, "-7", "1"), (Fraction(-3, 4), "-3", "4"), (Fraction(4, 2), "2", "1"),
+])
+def test_coefficients_are_numerator_and_denominator_strings(coeff, num, den):
+    # int coefficients skip Fraction; both kinds give the same strings
+    payload = lincomb_to_jsonable(LinComb("B", {PARTITION: coeff}))
+    assert payload["terms"] == [{"key": PARTITION.blocks, "num": num, "den": den}]
