@@ -297,6 +297,8 @@ class SetPartition:
 
     def split_at(self, j: int):
         """Deconcatenation at j: (left, right) if no block straddles, else None."""
+        if not 0 <= j <= self.size:
+            raise ValueError(f"split point {j} outside 0..{self.size}")
         left, right = [], []
         for b in self.blocks:
             if b[-1] <= j:
@@ -403,6 +405,8 @@ class ColoredSetPartition:
         )
 
     def split_at(self, j: int):
+        if not 0 <= j <= self.size:
+            raise ValueError(f"split point {j} outside 0..{self.size}")
         left, right = [], []
         for b, c in self.parts:
             if b[-1] <= j:

@@ -10,7 +10,6 @@ key order so output is byte-deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 
 from .combinatorics import (
@@ -49,10 +48,7 @@ def sort_key(key):
 
 
 def _coeff_parts(c) -> tuple[str, str]:
-    if type(c) is int:  # most coefficients: no Fraction needed
-        return str(c), "1"
-    f = Fraction(c)
-    return str(f.numerator), str(f.denominator)
+    return str(c.numerator), str(c.denominator)
 
 
 def lincomb_to_jsonable(x: LinComb, sequence: str | None = None) -> dict:

@@ -208,12 +208,16 @@ def test_criterion_05_word_bell_polynomials():
     ]
     ok = b42 == LinComb("Phi", {SetPartition(b): 1 for b in keys})
     for n in range(7):
+        # the served enumeration against set_partitions and against the ladder recursion
+        ladder = bell.word_bell_tpoly(n)
         ok = ok and bell.word_complete_bell(n) == LinComb(
             "Phi", {p: 1 for p in set_partitions(n)}
         )
+        ok = ok and bell.word_complete_bell(n) == sum(ladder, LinComb.zero("Phi"))
         for k in range(n + 1):
             want = LinComb("Phi", {p: 1 for p in set_partitions(n) if p.part_count == k})
             ok = ok and bell.word_partial_bell(n, k) == want
+            ok = ok and bell.word_partial_bell(n, k) == ladder[k]
     report(ok, "criterion 5: word Bell polynomials enumerate partitions, n <= 6")
 
 

@@ -291,27 +291,22 @@ def test_word_partial_bell_four_two():
 
 
 def test_word_bell_enumeration():
+    # the served enumeration against set_partitions and against the ladder that defines it
     assert word_complete_bell(0) == phi_elem(SetPartition())
-    for n in range(7):
+    for n in range(8):
+        ladder = word_bell_tpoly(n)
         assert word_complete_bell(n) == LinComb(
             "Phi", {p: 1 for p in set_partitions(n)}
         )
+        assert word_complete_bell(n) == sum(ladder, LinComb.zero("Phi"))
         for k in range(n + 1):
             want = LinComb(
                 "Phi", {p: 1 for p in set_partitions(n) if p.part_count == k}
             )
             assert word_partial_bell(n, k) == want
+            assert word_partial_bell(n, k) == ladder[k]
     # the t-polynomial has degree n: n + 1 coefficients
     assert len(word_bell_tpoly(4)) == 4 + 1
-
-
-def test_served_word_bell_equals_the_ladder():
-    # the enumeration against the recursion that defines it
-    for n in range(8):
-        ladder = word_bell_tpoly(n)
-        assert word_complete_bell(n) == sum(ladder, LinComb.zero("Phi"))
-        for k in range(n + 1):
-            assert word_partial_bell(n, k) == ladder[k]
 
 
 def test_word_partial_bell_outside_the_ladder_is_zero():
@@ -326,32 +321,28 @@ def test_word_partial_bell_outside_the_ladder_is_zero():
 
 
 def test_colored_psi_bell_enumerates():
-    for seq in (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT):
-        for n in range(6):
-            for k in range(n + 1):
+    # the served enumeration against colored_partitions and against [t^n] F^k / k!,
+    # computed by the verify oracle's power chain
+    for spec in (
+        "ones", "factorial", "shifted-factorial", "idempotent", "bell", "tree", "0,1,3 tail:1", "1,1 tail:0",
+    ):
+        seq = ColorSequence.parse(spec)
+        table = _colored_psi_bell_table(seq, 6)
+        for n in range(7):
+            for k in range(-1, n + 2):
                 got = colored_psi_bell(seq, n, k)
                 want = LinComb(
                     "Psi",
                     {p: 1 for p in colored_partitions(seq, n) if p.part_count == k},
                 )
                 assert got == want
+                assert got == (table[k][n] if 0 <= k <= n else LinComb.zero("Psi"))
             assert colored_psi_complete(seq, n) == LinComb(
                 "Psi", {p: 1 for p in colored_partitions(seq, n)}
             )
-
-
-@pytest.mark.parametrize("spec", [
-    "ones", "factorial", "shifted-factorial", "idempotent", "bell", "tree", "0,1,3 tail:1", "1,1 tail:0",
-])
-def test_colored_psi_bell_equals_the_series_power(spec):
-    # the enumeration against [t^n] F^k / k!, computed by the verify oracle's power chain
-    seq = ColorSequence.parse(spec)
-    table = _colored_psi_bell_table(seq, 6)
-    for n in range(7):
-        for k in range(-1, n + 2):
-            want = table[k][n] if 0 <= k <= n else LinComb.zero("Psi")
-            assert colored_psi_bell(seq, n, k) == want
-        assert colored_psi_complete(seq, n) == sum((table[k][n] for k in range(n + 1)), LinComb.zero("Psi"))
+            assert colored_psi_complete(seq, n) == sum(
+                (table[k][n] for k in range(n + 1)), LinComb.zero("Psi")
+            )
 
 
 def test_colored_psi_bell_counts():

@@ -341,6 +341,16 @@ def test_sub_std_and_split_at_match_the_validating_constructors():
                         assert half == want and half.size == want.size
 
 
+def test_split_at_outside_the_key_raises():
+    # the halves take their sizes from j, so j must lie in 0..size
+    for n in range(4):
+        for key in colored_partitions(FACTORIAL, n):
+            for x in (key, key.underlying()):
+                for j in (-1, n + 1):
+                    with pytest.raises(ValueError):
+                        x.split_at(j)
+
+
 def _assert_same_key(got, want):
     assert got == want and hash(got) == hash(want)
     # the cached hash is the dataclass formula, so set and dict orders are unchanged

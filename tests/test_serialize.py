@@ -51,6 +51,6 @@ def test_unsupported_keys_raise(key):
     (3, "3", "1"), (-7, "-7", "1"), (Fraction(-3, 4), "-3", "4"), (Fraction(4, 2), "2", "1"),
 ])
 def test_coefficients_are_numerator_and_denominator_strings(coeff, num, den):
-    # int coefficients skip Fraction; both kinds give the same strings
+    # int and Fraction coefficients both write their numerator and denominator
     payload = lincomb_to_jsonable(LinComb("B", {PARTITION: coeff}))
     assert payload["terms"] == [{"key": PARTITION.blocks, "num": num, "den": den}]
