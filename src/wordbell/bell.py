@@ -250,7 +250,7 @@ def psi_atom(seq: ColorSequence, m: int) -> LinComb:
     out: dict = {}
     block = tuple(range(1, m + 1))
     for c in range(1, seq(m) + 1):
-        out[ColoredSetPartition._trusted(((block, c),), seq, m)] = 1
+        out[ColoredSetPartition._trusted((block,), (c,), seq, m)] = 1
     return LinComb._raw(PSI, out)
 
 
@@ -352,7 +352,7 @@ def beta(x: LinComb, seq: ColorSequence) -> LinComb:
 
     # a block size with no colors (a_m = 0) leaves an empty product: no terms
     return LinComb(PSI, (
-        (ColoredSetPartition._trusted(tuple(zip(key.blocks, colors)), seq, key.size), c)
+        (ColoredSetPartition._trusted(key.blocks, colors, seq, key.size), c)
         for key, c in x.items()
         for colors in _product(*(range(1, seq(len(b)) + 1) for b in key.blocks))
     ))

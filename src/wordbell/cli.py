@@ -1,7 +1,8 @@
 """Batch command line: tables, expansions, realizations and verification.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage errors (argparse's convention).  All output is deterministic:
+2 on usage errors (argparse's convention), an ``--out`` path that cannot be
+written among them.  All output is deterministic:
 terms are canonically sorted and JSON keys are sorted.  The environment
 variable WORDBELL_MAX_DEGREE caps every size argument (default 12); a value
 that is not an integer is a usage error.
@@ -56,6 +57,8 @@ def _emit(parser, args, text: str) -> None:
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, args.out)
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

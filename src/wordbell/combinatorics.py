@@ -15,7 +15,16 @@ Canonical form conventions, used everywhere:
 * the basis keys (``SetPartition``, ``ColoredSetPartition``) and
   ``ColorSequence`` compute their hash once, at construction, and return it
   on every dict lookup.  The stored value is the dataclass formula (the hash
-  of the tuple of fields), so iteration orders and outputs are unchanged.
+  of the tuple of fields: ``(blocks,)``, or ``(parts, seq)`` for a colored
+  key), so iteration orders and outputs are unchanged.
+
+The two kinds of key share one layout, in slots, and one implementation of
+every structural operation (shift, shifted union, standardized sub-partition,
+deconcatenation, interleaving).  Every key stores its ``blocks``; a colored
+key also stores ``parts``, its (block, color) pairs built on the same block
+tuples, and ``seq``.  For an uncolored key ``parts`` is ``blocks`` and ``seq``
+is None.  A colored key is not a ``SetPartition``; ``underlying`` forgets its
+colors.
 
 A colored set partition of size n is a set of pairs (block, color) whose
 blocks partition {1, ..., n} and whose color on a block of size m lies in
@@ -26,7 +35,7 @@ impossible when a_m = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
@@ -219,31 +228,133 @@ def _validate_cover(blocks, size: int, what: str) -> None:
         raise ValueError(f"{what} must cover {{1,...,{size}}} exactly")
 
 
-@dataclass(frozen=True, init=False)
-class SetPartition:
+def _shifted(blocks, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple([tuple([x + n for x in b]) for b in blocks])
+
+
+_new = object.__new__
+_color = itemgetter(1)
+
+
+class _PartitionKey:
+    """What both kinds of key share (see the module docstring for the layout).
+
+    The structural operations work on the blocks alone and build each result
+    through the hook ``_keyed(blocks, size, sources)`` that each class defines:
+    a key of that class whose block i is ``blocks[i]``, colored as the part
+    ``sources[i]`` it came from.  Keys are immutable and equal when their
+    class, ``parts`` and ``seq`` are; ``_FIELDS`` name what ``repr`` shows and
+    the constructor takes.
+    """
+
+    __slots__ = ("blocks", "_size", "_hash")
+
+    def _fill(self, blocks, size: int, fields: tuple):
+        # the caller vouches for the blocks and gives their size, which it already knows
+        _set_blocks(self, blocks)
+        _set_size(self, size)
+        _set_hash(self, hash(fields))
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts, self.seq) == (other.parts, other.seq)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor: the slots are frozen
+        return type(self), tuple(getattr(self, f) for f in self._FIELDS)
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    @property
+    def part_count(self) -> int:
+        return len(self.blocks)
+
+    def shift(self, n: int):
+        return self._keyed(_shifted(self.blocks, n), self._size, self.parts)
+
+    def shifted_union(self, other):
+        if other.__class__ is not self.__class__:
+            raise SequenceMismatchError("cannot mix colored and uncolored keys")
+        # the same sequence object needs no comparison; an uncolored key's seq is None
+        if other.seq is not self.seq and other.seq != self.seq:
+            raise SequenceMismatchError(
+                f"color sequences differ: {self.seq.spec_string()} vs {other.seq.spec_string()}"
+            )
+        n = self._size
+        return self._keyed(
+            self.blocks + _shifted(other.blocks, n), n + other._size, self.parts + other.parts
+        )
+
+    def sub_std(self, indices):
+        """Standardization of the sub-partition made of the chosen blocks.
+
+        Relabeling is increasing and the chosen blocks keep their order of
+        minima, so the result is canonical as built."""
+        picked = sorted(indices)
+        chosen = [self.blocks[i] for i in picked]
+        support = sorted([x for b in chosen for x in b])
+        rank = {x: i for i, x in enumerate(support, 1)}
+        return self._keyed(
+            tuple([tuple([rank[x] for x in b]) for b in chosen]),
+            len(support),
+            map(self.parts.__getitem__, picked),
+        )
+
+    def split_at(self, j: int):
+        """Deconcatenation at j: (left, right) if no block straddles, else None."""
+        if not 0 <= j <= self._size:
+            raise ValueError(f"split point {j} outside 0..{self._size}")
+        # blocks come in order of minima, so the blocks left of j are a prefix
+        blocks, cut = self.blocks, 0
+        for b in blocks:
+            if b[0] > j:
+                break
+            if b[-1] > j:
+                return None
+            cut += 1
+        parts = self.parts
+        return (
+            self._keyed(blocks[:cut], j, parts[:cut]),
+            self._keyed(_shifted(blocks[cut:], -j), self._size - j, parts[cut:]),
+        )
+
+
+class SetPartition(_PartitionKey):
     """A set partition of {1, ..., n} in canonical form."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _FIELDS = ("blocks",)
+    parts = _PartitionKey.blocks  # an uncolored key's parts are its blocks
+    seq = None  # and it has no color sequence
 
-    def __init__(self, blocks=()):
+    def __new__(cls, blocks=()):
         canon = _canonical_blocks(blocks)
         size = sum(len(b) for b in canon)
         _validate_cover(canon, size, "set partition")
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "_size", size)
-        object.__setattr__(self, "_hash", hash((canon,)))
+        return cls._trusted(canon, size)
 
     @classmethod
     def _trusted(cls, canon: tuple[tuple[int, ...], ...], size: int) -> "SetPartition":
-        # the caller vouches for canon and gives its size, which it already knows
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "blocks", canon)
-        object.__setattr__(obj, "_size", size)
-        object.__setattr__(obj, "_hash", hash((canon,)))
-        return obj
+        return _new(cls)._fill(canon, size, (canon,))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def _keyed(self, blocks, size: int, sources) -> "SetPartition":
+        return SetPartition._trusted(blocks, size)
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
@@ -252,14 +363,6 @@ class SetPartition:
     @classmethod
     def single_block(cls, n: int) -> "SetPartition":
         return cls._trusted((tuple(range(1, n + 1)),) if n else (), n)
-
-    @property
-    def size(self) -> int:
-        return self._size  # type: ignore[attr-defined]
-
-    @property
-    def part_count(self) -> int:
-        return len(self.blocks)
 
     def block_sizes(self) -> tuple[int, ...]:
         """Block sizes in canonical (minimum-first) order."""
@@ -272,157 +375,62 @@ class SetPartition:
             out *= math.factorial(len(b))
         return out
 
-    def shift(self, n: int) -> "SetPartition":
-        return SetPartition._trusted(
-            tuple(tuple(x + n for x in b) for b in self.blocks), self.size
-        )
 
-    def shifted_union(self, other: "SetPartition") -> "SetPartition":
-        if not isinstance(other, SetPartition):
-            raise SequenceMismatchError("cannot mix colored and uncolored keys")
-        n = self._size  # type: ignore[attr-defined]
-        return SetPartition._trusted(
-            self.blocks + tuple(tuple(x + n for x in b) for b in other.blocks), n + other._size
-        )
-
-    def sub_std(self, indices) -> "SetPartition":
-        """Standardization of the sub-partition made of the chosen blocks.
-
-        Relabeling is increasing and the chosen blocks keep their order of
-        minima, so the result is canonical as built."""
-        chosen = [self.blocks[i] for i in sorted(indices)]
-        support = sorted(x for b in chosen for x in b)
-        rank = {x: i + 1 for i, x in enumerate(support)}
-        return SetPartition._trusted(tuple(tuple(rank[x] for x in b) for b in chosen), len(support))
-
-    def split_at(self, j: int):
-        """Deconcatenation at j: (left, right) if no block straddles, else None."""
-        if not 0 <= j <= self.size:
-            raise ValueError(f"split point {j} outside 0..{self.size}")
-        left, right = [], []
-        for b in self.blocks:
-            if b[-1] <= j:
-                left.append(b)
-            elif b[0] > j:
-                right.append(tuple(x - j for x in b))
-            else:
-                return None
-        return SetPartition._trusted(tuple(left), j), SetPartition._trusted(tuple(right), self.size - j)
-
-
-@dataclass(frozen=True, init=False)
-class ColoredSetPartition:
+class ColoredSetPartition(_PartitionKey):
     """A colored set partition: canonical (block, color) pairs plus its sequence."""
 
-    parts: tuple[tuple[tuple[int, ...], int], ...]
-    seq: ColorSequence
+    __slots__ = ("parts", "seq")
+    _FIELDS = ("parts", "seq")
 
-    def __init__(self, parts, seq: ColorSequence):
-        canon = tuple(
-            sorted(
-                ((tuple(sorted(b)), int(c)) for b, c in parts),
-                key=lambda p: p[0][0] if p[0] else 0,
-            )
-        )
-        size = sum(len(b) for b, _ in canon)
-        _validate_cover([b for b, _ in canon], size, "colored set partition")
-        for b, c in canon:
+    def __new__(cls, parts, seq: ColorSequence):
+        parts = [(tuple(sorted(b)), int(c)) for b, c in parts]
+        canon = _canonical_blocks(b for b, _ in parts)
+        size = sum(len(b) for b in canon)
+        _validate_cover(canon, size, "colored set partition")
+        color = dict(parts)  # the blocks are distinct, having passed the cover check
+        for b in canon:
             bound = seq(len(b))
-            if not 1 <= c <= bound:
+            if not 1 <= color[b] <= bound:
                 raise InvalidColorError(
-                    f"color {c} out of range 1..{bound} for a block of size {len(b)}"
+                    f"color {color[b]} out of range 1..{bound} for a block of size {len(b)}"
                 )
-        object.__setattr__(self, "parts", canon)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "_size", size)
-        object.__setattr__(self, "_hash", hash((canon, seq)))
+        return cls._trusted(canon, map(color.__getitem__, canon), seq, size)
 
     @classmethod
-    def _trusted(cls, parts, seq, size: int) -> "ColoredSetPartition":
-        # as SetPartition._trusted: canonical, validly colored parts of this size
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "parts", parts)
-        object.__setattr__(obj, "seq", seq)
-        object.__setattr__(obj, "_size", size)
-        object.__setattr__(obj, "_hash", hash((parts, seq)))
-        return obj
+    def _trusted(cls, blocks, colors, seq: ColorSequence, size: int) -> "ColoredSetPartition":
+        # as SetPartition._trusted: canonical blocks, valid colors for them, and their size
+        key = _new(cls)
+        parts = tuple(zip(blocks, colors))
+        _set_parts(key, parts)
+        _set_seq(key, seq)
+        return key._fill(blocks, size, (parts, seq))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def _keyed(self, blocks, size: int, sources) -> "ColoredSetPartition":
+        return ColoredSetPartition._trusted(blocks, map(_color, sources), self.seq, size)
 
     @classmethod
     def empty(cls, seq: ColorSequence) -> "ColoredSetPartition":
-        return cls._trusted((), seq, 0)
-
-    @property
-    def size(self) -> int:
-        return self._size  # type: ignore[attr-defined]
-
-    @property
-    def part_count(self) -> int:
-        return len(self.parts)
+        return cls._trusted((), (), seq, 0)
 
     def underlying(self) -> SetPartition:
         """Forget the colors (the projection onto ordinary set partitions)."""
-        return SetPartition._trusted(tuple(b for b, _ in self.parts), self.size)
+        return SetPartition._trusted(self.blocks, self._size)
 
     def type_signature(self) -> tuple[tuple[int, int], ...]:
         """The multiset of (block size, color) pairs, sorted."""
         return tuple(sorted((len(b), c) for b, c in self.parts))
 
-    def _check_seq(self, other: "ColoredSetPartition") -> None:
-        if not isinstance(other, ColoredSetPartition):
-            raise SequenceMismatchError("cannot mix colored and uncolored keys")
-        if self.seq != other.seq:
-            raise SequenceMismatchError(
-                f"color sequences differ: {self.seq.spec_string()} vs "
-                f"{other.seq.spec_string()}"
-            )
 
-    def shift(self, n: int) -> "ColoredSetPartition":
-        return ColoredSetPartition._trusted(
-            tuple((tuple(x + n for x in b), c) for b, c in self.parts), self.seq, self.size
-        )
-
-    def shifted_union(self, other: "ColoredSetPartition") -> "ColoredSetPartition":
-        # the parts of other.shift(n), built without that key; one sequence object needs no check
-        if not isinstance(other, ColoredSetPartition) or other.seq is not self.seq:
-            self._check_seq(other)
-        n = self._size  # type: ignore[attr-defined]
-        return ColoredSetPartition._trusted(
-            self.parts + tuple((tuple(x + n for x in b), c) for b, c in other.parts),
-            self.seq,
-            n + other._size,
-        )
-
-    def sub_std(self, indices) -> "ColoredSetPartition":
-        """As :meth:`SetPartition.sub_std`; block sizes and so colors are kept."""
-        chosen = [self.parts[i] for i in sorted(indices)]
-        support = sorted(x for b, _ in chosen for x in b)
-        rank = {x: i + 1 for i, x in enumerate(support)}
-        return ColoredSetPartition._trusted(
-            tuple((tuple(rank[x] for x in b), c) for b, c in chosen), self.seq, len(support)
-        )
-
-    def split_at(self, j: int):
-        if not 0 <= j <= self.size:
-            raise ValueError(f"split point {j} outside 0..{self.size}")
-        left, right = [], []
-        for b, c in self.parts:
-            if b[-1] <= j:
-                left.append((b, c))
-            elif b[0] > j:
-                right.append((tuple(x - j for x in b), c))
-            else:
-                return None
-        return (
-            ColoredSetPartition._trusted(tuple(left), self.seq, j),
-            ColoredSetPartition._trusted(tuple(right), self.seq, self.size - j),
-        )
+# the keys are frozen, so their slots are filled through the slot descriptors
+_set_blocks = _PartitionKey.blocks.__set__
+_set_size = _PartitionKey._size.__set__
+_set_hash = _PartitionKey._hash.__set__
+_set_parts = ColoredSetPartition.parts.__set__
+_set_seq = ColoredSetPartition.seq.__set__
 
 
-def standardize_blocks(blocks) -> SetPartition:
-    """std for plain blocks: rename the i-th smallest integer to i."""
+def _relabel(blocks) -> list[tuple[int, ...]]:
+    """Rename the i-th smallest integer across pairwise disjoint blocks to i."""
     blocks = [tuple(sorted(b)) for b in blocks]
     support: set[int] = set()
     for b in blocks:
@@ -431,7 +439,12 @@ def standardize_blocks(blocks) -> SetPartition:
                 raise ValueError(f"blocks overlap at {x}")
             support.add(x)
     rank = {x: i + 1 for i, x in enumerate(sorted(support))}
-    return SetPartition(tuple(tuple(rank[x] for x in b) for b in blocks))
+    return [tuple(rank[x] for x in b) for b in blocks]
+
+
+def standardize_blocks(blocks) -> SetPartition:
+    """std for plain blocks: rename the i-th smallest integer to i."""
+    return SetPartition(_relabel(blocks))
 
 
 def standardize(raw_parts, seq: ColorSequence) -> ColoredSetPartition:
@@ -440,17 +453,8 @@ def standardize(raw_parts, seq: ColorSequence) -> ColoredSetPartition:
     ``raw_parts`` is any iterable of (finite integer set, color) pairs with
     pairwise disjoint blocks; colors are kept and must respect the sequence.
     """
-    parts = [(tuple(sorted(b)), int(c)) for b, c in raw_parts]
-    support: set[int] = set()
-    for b, _ in parts:
-        for x in b:
-            if x in support:
-                raise ValueError(f"blocks overlap at {x}")
-            support.add(x)
-    rank = {x: i + 1 for i, x in enumerate(sorted(support))}
-    return ColoredSetPartition(
-        tuple((tuple(rank[x] for x in b), c) for b, c in parts), seq
-    )
+    raw_parts = list(raw_parts)
+    return ColoredSetPartition(zip(_relabel(b for b, _ in raw_parts), map(_color, raw_parts)), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +487,9 @@ def interleave_keys(x, y):
     The union x U shifted y is read as the word of its block numbers, x's
     blocks first.  Each shuffle of x's part of that word with y's, from
     :func:`_interleave_gather`, is packed back into blocks ordered by their
-    minimum; so the keys standardize back to x and y and come in the
-    kernel's order, those that give label 1 to x first.  With an empty side
+    minimum, each taking the color of the union block its label numbers; so
+    the keys standardize back to x and y and come in the kernel's order,
+    those that give label 1 to x first.  With an empty side
     the one key is the union.  Consumers wanting multiplicities count
     repetitions; see :func:`matching_unions` for the deduplicated set.
     """
@@ -493,35 +498,22 @@ def interleave_keys(x, y):
     if not (n and m):
         yield union
         return
-    colored = isinstance(union, ColoredSetPartition)
-    if colored:
-        blocks, colors = zip(*union.parts)
-    else:
-        blocks = union.blocks
     word = [0] * (n + m)
-    for label, block in enumerate(blocks):
+    for label, block in enumerate(union.blocks):
         for pos in block:
             word[pos - 1] = label
+    source, keyed = union.parts.__getitem__, union._keyed
     flat = iter(_interleave_gather(n, m)(word))
     for shuffled in zip(*[flat] * (n + m)):
         packed: dict[int, list[int]] = {}  # first occurrence is the block minimum
         for pos, label in enumerate(shuffled, 1):
             packed.setdefault(label, []).append(pos)
-        packed_blocks = map(tuple, packed.values())
-        if colored:
-            yield ColoredSetPartition._trusted(
-                tuple(zip(packed_blocks, map(colors.__getitem__, packed))), union.seq, n + m
-            )
-        else:
-            yield SetPartition._trusted(tuple(packed_blocks), n + m)
+        yield keyed(tuple(map(tuple, packed.values())), n + m, map(source, packed))
 
 
 def matching_unions(x, y) -> list:
     """The set x ⋓ y, duplicate-free and canonically sorted."""
-    seen = set(interleave_keys(x, y))
-    if isinstance(x, ColoredSetPartition):
-        return sorted(seen, key=lambda p: p.parts)
-    return sorted(seen, key=lambda p: p.blocks)
+    return sorted(set(interleave_keys(x, y)), key=lambda p: p.parts)
 
 
 def splitting_count(left, right, whole) -> int:
@@ -615,11 +607,12 @@ def _colorings(seq: ColorSequence, n: int, partitions) -> list[ColoredSetPartiti
 
     Colors each partition blockwise, so each colored partition appears
     exactly once; a partition with a block of size m has no coloring when
-    a_m = 0 (its product of color ranges is empty).
+    a_m = 0 (its product of color ranges is empty).  Each key shares its
+    blocks with the set partition it colors.
     """
     colors = [range(0)] + [range(1, seq(m) + 1) for m in range(1, n + 1)]
     out = [
-        ColoredSetPartition._trusted(tuple(zip(p.blocks, c)), seq, n)
+        ColoredSetPartition._trusted(p.blocks, c, seq, n)
         for p in partitions
         for c in product(*(colors[len(b)] for b in p.blocks))
     ]

@@ -104,14 +104,12 @@ def expand_phi(part, truncation: int) -> LinComb:
     plain set partitions embed with every block in alphabet 1.
     """
     if isinstance(part, ColoredSetPartition):
-        blocks = [b for b, _ in part.parts]
         choices = [letters(c, truncation) for _, c in part.parts]
     elif isinstance(part, SetPartition):
-        blocks = list(part.blocks)
         choices = [letters(1, truncation) for _ in part.blocks]
     else:
         raise TypeError(f"cannot expand {type(part).__name__}")
-    return _blockwise_expand(blocks, product(*choices))
+    return _blockwise_expand(part.blocks, product(*choices))
 
 
 def expand_monomial(pi: SetPartition, truncation: int) -> LinComb:

@@ -18,7 +18,7 @@ from .combinatorics import (
     IdempotentEndofunction,
     Level2Partition,
     ListPartition,
-    SetPartition,
+    _PartitionKey,
 )
 from .lincomb import LinComb
 
@@ -28,10 +28,8 @@ def sort_key(key):
 
     A key maps to the nested tuples of its integer entries.  This is also
     its JSON form: ``json`` writes tuples as arrays."""
-    if isinstance(key, SetPartition):
-        return key.blocks
-    if isinstance(key, ColoredSetPartition):
-        return key.parts
+    if isinstance(key, _PartitionKey):
+        return key.parts  # the blocks of an uncolored key
     if isinstance(key, ListPartition):
         return key.lists
     if isinstance(key, CyclePermutation):

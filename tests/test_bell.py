@@ -366,8 +366,7 @@ def test_psi_atom():
 def test_bell_key_builders_pass_the_right_size():
     # deriv, psi_atom and beta build keys through _trusted, which takes the size on trust
     def sized(key):
-        blocks = key.blocks if isinstance(key, SetPartition) else [b for b, _ in key.parts]
-        return key.size == sum(len(b) for b in blocks)
+        return key.size == sum(len(b) for b in key.blocks)
 
     for n in range(5):
         everything = LinComb("Phi", {p: 1 for p in set_partitions(n)})

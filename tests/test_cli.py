@@ -176,14 +176,24 @@ def test_out_file_is_replaced_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", fail)
-    try:
+    with pytest.raises(SystemExit) as exc:  # the failed rename is a usage error, not swallowed
         main(["table", "bell", "6", "--out", str(target)])
-    except OSError:
-        pass
-    else:
-        raise AssertionError("the failed rename was swallowed")
+    assert exc.value.code == 2
     assert os.listdir(tmp_path) == ["table.json"]
     assert json.loads(target.read_text())["complete"] == [1, 1, 2, 5, 15, 52]
+
+
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    # exit 1 means that an identity failed, so a bad --out must not end with it
+    (tmp_path / "dir").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "dir"):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "bell", "3", "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write --out {target}: " in captured.err
+    assert os.listdir(tmp_path) == ["dir"] and os.listdir(tmp_path / "dir") == []
 
 
 def test_suites_report_the_first_counterexample(monkeypatch):

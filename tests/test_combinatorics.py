@@ -1,7 +1,9 @@
 """Tests for the combinatorial index sets, enumeration and bijections."""
 
+import copy
 import inspect
 import math
+import pickle
 from itertools import combinations, permutations, product
 
 import pytest
@@ -356,6 +358,17 @@ def _assert_same_key(got, want):
     # the cached hash is the dataclass formula, so set and dict orders are unchanged
     fields = (got.blocks,) if isinstance(got, SetPartition) else (got.parts, got.seq)
     assert hash(got) == hash(fields)
+    # a colored key's blocks are the very tuples its parts carry
+    assert list(map(id, got.blocks)) == [id(p if isinstance(got, SetPartition) else p[0]) for p in got.parts]
+
+
+def _colors(key):
+    return [c for _, c in key.parts]
+
+
+def _tagged(key, first):
+    # the key's blocks colored first, first + 1, ...: each color names its block
+    return ColoredSetPartition(zip(key.blocks, range(first, first + key.part_count)), CONST9)
 
 
 def test_key_hashes_are_cached_with_the_dataclass_formula():
@@ -370,6 +383,9 @@ def test_key_hashes_are_cached_with_the_dataclass_formula():
     for n in range(5):
         for key in colored_partitions(FACTORIAL, n):
             plain = key.underlying()
+            # slotted keys: no per-key __dict__; an uncolored key's parts are its blocks
+            assert not hasattr(key, "__dict__") and not hasattr(plain, "__dict__")
+            assert plain.parts is plain.blocks and plain.seq is None
             for got in (
                 ColoredSetPartition(key.parts[::-1], FACTORIAL),
                 standardize([(tuple(2 * x for x in b), c) for b, c in key.parts], FACTORIAL),
@@ -380,25 +396,57 @@ def test_key_hashes_are_cached_with_the_dataclass_formula():
                 _assert_same_key(got, key)
             for got in (SetPartition(plain.blocks[::-1]), SetPartition().shifted_union(plain)):
                 _assert_same_key(got, plain)
-            _assert_same_key(key.shift(2), ColoredSetPartition._trusted(
-                tuple((tuple(x + 2 for x in b), c) for b, c in key.parts), FACTORIAL, n
+            # each operation on a colored key acts on its blocks as on the uncolored key's,
+            # and each result block keeps the color of the block it came from
+            shifted = key.shift(2)
+            _assert_same_key(shifted, ColoredSetPartition._trusted(
+                tuple(tuple(x + 2 for x in b) for b in key.blocks), _colors(key), FACTORIAL, n
             ))
+            _assert_same_key(plain.shift(2), shifted.underlying())
             for r in range(key.part_count + 1):
                 for sel in combinations(range(key.part_count), r):
                     want = standardize([key.parts[i] for i in sel], FACTORIAL)
                     _assert_same_key(key.sub_std(sel), want)
-                    _assert_same_key(plain.sub_std(sel), SetPartition(want.underlying().blocks))
+                    _assert_same_key(plain.sub_std(sel), want.underlying())
+                    assert _colors(want) == [key.parts[i][1] for i in sel]
             for j in range(n + 1):
-                for half in key.split_at(j) or ():
+                halves = key.split_at(j)
+                assert (halves is None) == (plain.split_at(j) is None)
+                for half, plain_half in zip(halves or (), plain.split_at(j) or ()):
                     _assert_same_key(half, ColoredSetPartition(half.parts, FACTORIAL))
-                for half in plain.split_at(j) or ():
-                    _assert_same_key(half, SetPartition(half.blocks))
+                    _assert_same_key(plain_half, half.underlying())
+                if halves:
+                    assert _colors(halves[0]) + _colors(halves[1]) == _colors(key)
             for m in range(5 - n):
                 for other in colored_partitions(FACTORIAL, m):
-                    for union in interleave_keys(key, other):
+                    union = key.shifted_union(other)
+                    _assert_same_key(union.underlying(), plain.shifted_union(other.underlying()))
+                    assert _colors(union) == _colors(key) + _colors(other)
+                    unions = list(interleave_keys(key, other))
+                    for union in unions:
                         _assert_same_key(union, ColoredSetPartition(union.parts, FACTORIAL))
-                    for union in interleave_keys(plain, other.underlying()):
+                    plain_unions = list(interleave_keys(plain, other.underlying()))
+                    assert [union.underlying() for union in unions] == plain_unions
+                    for union in plain_unions:
                         _assert_same_key(union, SetPartition(union.blocks))
+                    k = key.part_count
+                    x, y = _tagged(key, 1), _tagged(other, k + 1)
+                    for union in interleave_keys(x, y):
+                        assert standardize([p for p in union.parts if p[1] <= k], CONST9) == x
+                        assert standardize([p for p in union.parts if p[1] > k], CONST9) == y
+    key = ColoredSetPartition([((1, 3), 2), ((2,), 1)], FACTORIAL)
+    assert repr(key) == (
+        "ColoredSetPartition(parts=(((1, 3), 2), ((2,), 1)), "
+        "seq=ColorSequence(name='factorial', values=(), tail=None))"
+    )
+    assert repr(key.underlying()) == "SetPartition(blocks=((1, 3), (2,)))"
+    for frozen in (key, key.underlying()):
+        with pytest.raises(AttributeError):
+            frozen.blocks = ()
+        with pytest.raises(AttributeError):
+            del frozen.blocks
+        _assert_same_key(copy.copy(frozen), frozen)
+        _assert_same_key(pickle.loads(pickle.dumps(frozen)), frozen)
 
 
 def _two_sub_std_bipartitions(whole):
@@ -434,10 +482,10 @@ def test_shifted_union_equals_the_union_with_the_shifted_key():
                 for y in colored_partitions(named, m):
                     # equal sequences held in distinct objects still combine
                     _assert_same_key(x.shifted_union(y), ColoredSetPartition._trusted(
-                        x.parts + y.shift(n).parts, FACTORIAL, n + m
+                        x.blocks + y.shift(n).blocks, _colors(x) + _colors(y), FACTORIAL, n + m
                     ))
                     _assert_same_key(y.shifted_union(x), ColoredSetPartition._trusted(
-                        y.parts + x.shift(m).parts, named, n + m
+                        y.blocks + x.shift(m).blocks, _colors(y) + _colors(x), named, n + m
                     ))
                     px, py = x.underlying(), y.underlying()
                     _assert_same_key(px.shifted_union(py), SetPartition._trusted(
@@ -527,8 +575,7 @@ def test_colored_partitions_k_is_the_sorted_k_part_slice():
 
 
 def _assert_sized(key):
-    blocks = key.blocks if isinstance(key, SetPartition) else [b for b, _ in key.parts]
-    assert key.size == sum(len(b) for b in blocks), key
+    assert key.size == sum(len(b) for b in key.blocks), key
 
 
 def test_trusted_keys_carry_the_size_their_builder_passes():
