@@ -92,8 +92,6 @@ def seq_values(a):
     Accepts a ColorSequence, a callable, or an indexable of values for
     a_1, a_2, ... (finite lists are zero-extended).
     """
-    if isinstance(a, ColorSequence):
-        return lambda m: Fraction(a(m))
     if callable(a):
         return lambda m: Fraction(a(m))
     values = [Fraction(v) for v in a]

@@ -48,14 +48,17 @@ def _max_degree(parser) -> int:
 
 
 def _emit(parser, args, text: str) -> None:
-    if not getattr(args, "out", None):
+    """Write ``text`` and a closing newline to stdout or to ``--out``."""
+    if not args.out:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
         return
     # write beside the target, then rename over it: never a half-written file
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
+            fh.write("\n")
         os.replace(tmp, args.out)
     except OSError as exc:
         parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
@@ -65,7 +68,7 @@ def _emit(parser, args, text: str) -> None:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_seq(parser, text: str) -> ColorSequence:
@@ -118,7 +121,7 @@ def _cmd_table(parser, args) -> int:
         else:
             for n, value in enumerate(column):
                 lines.append(f"{n},{value}")
-        _emit(parser, args, "\n".join(lines) + "\n")
+        _emit(parser, args, "\n".join(lines))
     return 0
 
 
@@ -139,13 +142,11 @@ def _cmd_expand(parser, args) -> int:
         else:
             poly = bell.colored_psi_bell(seq, n, k)
         _emit(parser, args, _json(lincomb_to_jsonable(poly, seq.spec_string())))
-    elif args.kind == "mk":
+    else:  # mk
         if k is None:
             _emit(parser, args, _json(tpoly_to_jsonable(munthekaas.mb_tpoly(n))))
         else:
             _emit(parser, args, _json(lincomb_to_jsonable(munthekaas.mb_partial(n, k))))
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown expand kind {args.kind!r}")
     return 0
 
 
@@ -191,15 +192,13 @@ def _cmd_realize(parser, args) -> int:
         except ValueError as exc:
             parser.error(f"bad permutation: {exc}")
         poly = realization.cycle_specialization(sigma)
-    elif args.kind == "cycleBell":
+    else:  # cycleBell
         if args.n is None or args.k is None:
             parser.error("realize cycleBell requires --n and --k")
         n = _check_bound(parser, args.n, "n")
         if not 0 <= args.k <= n:
             parser.error("need 0 <= k <= n")
         poly = realization.cycle_bell(n, args.k)
-    else:  # pragma: no cover
-        parser.error(f"unknown realize kind {args.kind!r}")
     _emit(parser, args, _json(lincomb_to_jsonable(poly)))
     return 0
 
@@ -232,14 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--seq", help='sequence literal, e.g. "1,2,9,64 tail:tree"')
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
     p_table.add_argument("--out")
+    p_table.set_defaults(run=_cmd_table)
 
     p_expand = sub.add_parser("expand", help="emit a Bell polynomial expansion")
     p_expand.add_argument("kind", choices=("wordBell", "coloredPsi", "mk"))
     p_expand.add_argument("--n", type=int, required=True)
     p_expand.add_argument("--k", type=int)
     p_expand.add_argument("--seq")
-    p_expand.add_argument("--format", choices=("json",), default="json")
     p_expand.add_argument("--out")
+    p_expand.set_defaults(run=_cmd_expand)
 
     p_realize = sub.add_parser("realize", help="emit word polynomial realizations")
     p_realize.add_argument("kind", choices=("phi", "monomial", "cycle", "cycleBell"))
@@ -250,18 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("--n", type=int)
     p_realize.add_argument("--k", type=int)
     p_realize.add_argument("--out")
+    p_realize.set_defaults(run=_cmd_realize)
 
     p_mk = sub.add_parser("mk", help="emit noncommutative Bell polynomials")
     p_mk.add_argument("--n", type=int, required=True)
     p_mk.add_argument("--k", type=int)
     p_mk.add_argument("--out")
-    p_mk.set_defaults(kind="mk")  # the same handler as `expand mk`
+    p_mk.set_defaults(run=_cmd_expand, kind="mk")  # the same handler as `expand mk`
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES)
     p_verify.add_argument("--max-n", type=int, dest="max_n")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out")
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -269,16 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table":
-        return _cmd_table(parser, args)
-    if args.command in ("expand", "mk"):
-        return _cmd_expand(parser, args)
-    if args.command == "realize":
-        return _cmd_realize(parser, args)
-    if args.command == "verify":
-        return _cmd_verify(parser, args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2
+    return args.run(parser, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -104,16 +104,12 @@ def perm_lex_rank(perm: tuple[int, ...]) -> int:
 # color sequences
 
 
-def _bell_rule(m: int) -> int:
-    return bell_number(m)
-
-
 _NAMED_RULES = {
     "ones": lambda m: 1,
     "factorial": math.factorial,
     "shifted-factorial": lambda m: math.factorial(m - 1),
     "idempotent": lambda m: m,
-    "bell": _bell_rule,
+    "bell": bell_number,
     "tree": lambda m: m ** (m - 1),
 }
 

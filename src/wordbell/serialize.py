@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .combinatorics import (
-    ColoredSetPartition,
-    CyclePermutation,
-    IdempotentEndofunction,
-    Level2Partition,
-    ListPartition,
-    _PartitionKey,
-)
+from .combinatorics import _PartitionKey
 from .lincomb import LinComb
 
 
@@ -30,14 +23,6 @@ def sort_key(key):
     its JSON form: ``json`` writes tuples as arrays."""
     if isinstance(key, _PartitionKey):
         return key.parts  # the blocks of an uncolored key
-    if isinstance(key, ListPartition):
-        return key.lists
-    if isinstance(key, CyclePermutation):
-        return key.cycles
-    if isinstance(key, Level2Partition):
-        return key.groups
-    if isinstance(key, IdempotentEndofunction):
-        return key.images
     if isinstance(key, tuple):
         if all(isinstance(v, int) for v in key):
             return key  # noncommutative word, or one letter of a word
@@ -50,11 +35,8 @@ def _coeff_parts(c) -> tuple[str, str]:
 
 
 def lincomb_to_jsonable(x: LinComb, sequence: str | None = None) -> dict:
-    if sequence is None:
-        for key in x.keys():
-            if isinstance(key, ColoredSetPartition):
-                sequence = key.seq.spec_string()
-                break
+    """The terms of ``x`` in key order; ``sequence`` is the color sequence's
+    spec string when the keys are colored, else None."""
     terms = []
     # one sort key per term: it orders the terms and is their JSON form
     ranked = sorted(((sort_key(key), coeff) for key, coeff in x.items()), key=itemgetter(0))
@@ -64,6 +46,6 @@ def lincomb_to_jsonable(x: LinComb, sequence: str | None = None) -> dict:
     return {"basis": x.basis, "sequence": sequence, "terms": terms}
 
 
-def tpoly_to_jsonable(coeffs: list[LinComb], sequence: str | None = None) -> dict:
+def tpoly_to_jsonable(coeffs: list[LinComb]) -> dict:
     """A t-polynomial, given as its series coefficient list, entry k that of t^k."""
-    return {"coefficients": [lincomb_to_jsonable(c, sequence) for c in coeffs]}
+    return {"coefficients": [lincomb_to_jsonable(c) for c in coeffs]}

@@ -105,6 +105,8 @@ def test_usage_errors_exit_2():
     assert run_cli(["table", "custom", "4", "--seq", "oops!!"]).returncode == 2
     assert run_cli(["table", "nosuch", "4"]).returncode == 2
     assert run_cli(["expand", "wordBell", "--n", "3", "--k", "9"]).returncode == 2
+    # --format is a table option only
+    assert run_cli(["expand", "wordBell", "--n", "3", "--format", "json"]).returncode == 2
 
 
 def test_realize_truncation_zero_exit_2():
