@@ -16,6 +16,10 @@ COLORED = ColoredSetPartition((((1, 3), 2), ((2,), 1)), FACTORIAL)
 CASES = [
     (PARTITION, [[1, 3], [2]]),
     (COLORED, [[[1, 3], 2], [[2], 1]]),
+    (SetPartition(((1, 2, 3),)), [[1, 2, 3]]),  # one block
+    (SetPartition(()), []),  # the empty partition
+    (ColoredSetPartition((((1, 2), 1),), FACTORIAL), [[[1, 2], 1]]),  # one colored block
+    ((5,), [5]),  # one-letter word
     ((2, 1, 1), [2, 1, 1]),  # noncommutative word
     (((1, 2), (2, 1)), [[1, 2], [2, 1]]),  # word of [alphabet, letter] pairs
     ((), []),  # empty word
