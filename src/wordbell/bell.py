@@ -25,9 +25,13 @@ from functools import lru_cache
 
 from . import series
 from .combinatorics import (
-    ColoredSetPartition,
+    FACTORIAL,
+    IDEMPOTENT,
+    ONES,
+    SHIFTED_FACTORIAL,
     ColorSequence,
     SetPartition,
+    _colorings,
     colored_partitions,
     colored_partitions_k,
     int_partitions,
@@ -244,12 +248,11 @@ def deriv_via_monomial(x: LinComb) -> LinComb:
 
 
 def psi_atom(seq: ColorSequence, m: int) -> LinComb:
-    """The degree-m generator: the sum of Psi over all one-block colorings."""
-    out: dict = {}
-    block = tuple(range(1, m + 1))
-    for c in range(1, seq(m) + 1):
-        out[ColoredSetPartition._trusted((block,), (c,), seq, m)] = 1
-    return LinComb._raw(PSI, out)
+    """The degree-m generator (m >= 1): the sum of Psi over all one-block colorings."""
+    if m < 1:
+        raise ValueError(f"psi_atom needs m >= 1, got {m}")
+    atoms = _colorings(seq, m, (SetPartition.single_block(m),))
+    return LinComb._raw(PSI, dict.fromkeys(atoms, 1))
 
 
 def colored_psi_bell(seq: ColorSequence, n: int, k: int) -> LinComb:
@@ -346,13 +349,8 @@ def beta(x: LinComb, seq: ColorSequence) -> LinComb:
     """Color each uncolored key in all ways allowed by the sequence."""
     if x.basis != PSI:
         raise BasisError("beta acts on the Psi basis")
-    from itertools import product as _product
-
-    # a block size with no colors (a_m = 0) leaves an empty product: no terms
     return LinComb(PSI, (
-        (ColoredSetPartition._trusted(key.blocks, colors, seq, key.size), c)
-        for key, c in x.items()
-        for colors in _product(*(range(1, seq(len(b)) + 1) for b in key.blocks))
+        (colored, c) for key, c in x.items() for colored in _colorings(seq, key.size, (key,))
     ))
 
 
@@ -408,8 +406,6 @@ def morphism_diagram_report(
 ) -> list[dict]:
     """Verify that the specialization diagram commutes and that the character
     is multiplicative; returns one report entry per check."""
-    from .combinatorics import FACTORIAL, IDEMPOTENT, ONES, SHIFTED_FACTORIAL
-
     if sequences is None:
         sequences = (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT)
     report = []

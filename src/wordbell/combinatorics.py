@@ -438,6 +438,12 @@ def _relabel(blocks) -> list[tuple[int, ...]]:
     return [tuple(rank[x] for x in b) for b in blocks]
 
 
+def standardize_word(word) -> tuple[int, ...]:
+    """std for a word of distinct integers: rename its i-th smallest letter to i."""
+    rank = {x: i for i, x in enumerate(sorted(word), 1)}
+    return tuple([rank[x] for x in word])
+
+
 def standardize_blocks(blocks) -> SetPartition:
     """std for plain blocks: rename the i-th smallest integer to i."""
     return SetPartition(_relabel(blocks))
@@ -631,27 +637,18 @@ def colored_partitions_k(seq: ColorSequence, n: int, k: int) -> list[ColoredSetP
 def count_by_type(seq: ColorSequence, n: int) -> int:
     """Number of isomorphism types of colored partitions of size n.
 
-    Coefficient of t^n in prod_{i>0} (1 - t^i)^(-a_i), by truncated expansion;
-    equals the number of distinct (block size, color) multisets over CP_n(a).
+    Coefficient b_n of t^n in prod_{i>0} (1 - t^i)^(-a_i), by the Euler
+    transform m b_m = sum_j c_j b_{m-j} with c_j = sum_{d | j} d a_d; equals
+    the number of distinct (block size, color) multisets over CP_n(a).
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for i in range(1, n + 1):
-        a = seq(i)
-        if a == 0:
-            continue
-        # (1 - t^i)^(-a) = sum_j C(a+j-1, j) t^(i*j)
-        out = [0] * (n + 1)
-        for j in range(n // i + 1):
-            w = math.comb(a + j - 1, j)
-            base = i * j
-            for d in range(n + 1 - base):
-                if coeffs[d]:
-                    out[base + d] += w * coeffs[d]
-        coeffs = out
-    return coeffs[n]
+    a = [0] + [seq(d) for d in range(1, n + 1)]
+    c = [0] + [sum(d * a[d] for d in range(1, j + 1) if j % d == 0) for j in range(1, n + 1)]
+    b = [1]
+    for m in range(1, n + 1):
+        b.append(sum(c[j] * b[m - j] for j in range(1, m + 1)) // m)
+    return b[n]
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +697,8 @@ def to_list_partition(p: ColoredSetPartition) -> ListPartition:
 
 
 def from_list_partition(lp: ListPartition) -> ColoredSetPartition:
-    parts = []
-    for lst in lp.lists:
-        support = tuple(sorted(lst))
-        rank = {x: i + 1 for i, x in enumerate(support)}
-        perm = tuple(rank[x] for x in lst)
-        parts.append((support, perm_lex_rank(perm) + 1))
-    return ColoredSetPartition(tuple(parts), FACTORIAL)
+    parts = [(lst, perm_lex_rank(standardize_word(lst)) + 1) for lst in lp.lists]
+    return ColoredSetPartition(parts, FACTORIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -807,13 +799,8 @@ def to_cycle_permutation(p: ColoredSetPartition, unrank=None) -> CyclePermutatio
 def from_cycle_permutation(sigma: CyclePermutation, rank=None) -> ColoredSetPartition:
     if rank is None:
         rank = cycle_rank
-    parts = []
-    for cyc in sigma.cycles:
-        support = tuple(sorted(cyc))
-        pos = {x: i + 1 for i, x in enumerate(support)}
-        std_cycle = tuple(pos[x] for x in cyc)
-        parts.append((support, rank(std_cycle) + 1))
-    return ColoredSetPartition(tuple(parts), SHIFTED_FACTORIAL)
+    parts = [(cyc, rank(standardize_word(cyc)) + 1) for cyc in sigma.cycles]
+    return ColoredSetPartition(parts, SHIFTED_FACTORIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -863,12 +850,10 @@ def to_level2(p: ColoredSetPartition) -> Level2Partition:
 def from_level2(l2: Level2Partition) -> ColoredSetPartition:
     parts = []
     for g in l2.groups:
-        support = tuple(sorted(x for b in g for x in b))
-        pos = {x: i + 1 for i, x in enumerate(support)}
-        inner = SetPartition(tuple(tuple(pos[x] for x in b) for b in g))
-        color = set_partitions(len(support)).index(inner) + 1
+        support = [x for b in g for x in b]
+        color = set_partitions(len(support)).index(standardize_blocks(g)) + 1
         parts.append((support, color))
-    return ColoredSetPartition(tuple(parts), BELL)
+    return ColoredSetPartition(parts, BELL)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ by ``Counter.update``.  It is the package's one interleaving kernel:
 through it, so the dual product of keys and its word realization read one
 table.  Words whose product coefficient is 1 count straight into the sum;
 the others are added in once at the end, where a word whose sum reaches 0
-is deleted.  ``shuffle`` and ``series_shuffle_mul`` divide the zero-free sum
-by the common denominator with ``LinComb`` division, which keeps integral
-coefficients as int.
+is deleted.  ``series_shuffle_mul`` divides the zero-free sum by the common
+denominator with ``LinComb`` division, which keeps integral coefficients as
+int; ``shuffle`` is its product of two constant series.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .combinatorics import (
     SetPartition,
     _interleave_gather,
     refinements,
+    standardize_word,
 )
 from .lincomb import BasisError, LinComb
 
@@ -221,9 +222,7 @@ def shuffle(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear shuffle product of word polynomials."""
     if x.basis != WORD or y.basis != WORD:
         raise BasisError("shuffle is defined on word polynomials")
-    (xs,), dx = _cleared([x])
-    (ys,), dy = _cleared([y])
-    return LinComb._raw(WORD, _shuffle_acc([(xs, ys)])) / (dx * dy)
+    return series_shuffle_mul([x], [y], 0)[0]
 
 
 def shuffle_scatter(composition, words) -> Word | None:
@@ -301,11 +300,7 @@ def cycle_word(sigma: CyclePermutation) -> Word:
     Each cycle, written minimum first and standardized, contributes the word
     b_{std[1]} ... b_{std[l]} scattered into its sorted support.
     """
-    words = []
-    for cyc in sigma.cycles:
-        support = sorted(cyc)
-        pos = {x: i + 1 for i, x in enumerate(support)}
-        words.append(tuple((1, pos[x]) for x in cyc))
+    words = [tuple((1, i) for i in standardize_word(cyc)) for cyc in sigma.cycles]
     scattered = shuffle_scatter(sigma.supports(), words)
     assert scattered is not None
     return scattered

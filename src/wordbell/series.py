@@ -19,8 +19,12 @@ Truncation rule of ``power``: for a base of valuation v (its lowest nonzero
 degree), a term of degree d in F^j reaches at least degree d + (k - j) v in
 F^k, so the j-th partial power is kept only up to degree order - (k - j) v.
 
-Composition, reciprocal and reversion back the alphabet operations of the
-symmetric-function calculus and run over the rationals only.
+Composition and reversion back the alphabet operations of the
+symmetric-function calculus and run over the rationals only.  An inverse
+series is not among them: an alphabet's elementary values are the
+exponential exp(sum_n (-1)^(n-1) c_n t^n).  ``combinatorics.count_by_type``
+runs the exponential's recurrence on integers (the Euler transform), where
+Fraction coefficients would cost about ten times as much.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def power(
     :func:`mul` with the ring's own ``*``.  The word ring passes its batched
     shuffle kernel.  The base usually has small supports, so k long-by-short
     products beat repeated squaring of ever-larger series.  A negative k
-    raises ValueError (an inverse over the rationals is :func:`reciprocal`).
+    raises ValueError.
     """
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
@@ -121,21 +125,6 @@ def compose(a: Sequence[Scalar], b: Sequence[Scalar], order: int) -> Series:
         result = mul(result, b, order)
         result[0] += coeff
     return result
-
-
-def reciprocal(a: Sequence[Scalar], order: int) -> Series:
-    a = pad(a, order)
-    if not a[0]:
-        raise ValueError("reciprocal requires nonzero constant term")
-    b = [Fraction(0)] * (order + 1)
-    b[0] = 1 / Fraction(a[0])
-    for m in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            if a[j]:
-                acc += a[j] * b[m - j]
-        b[m] = -acc / a[0]
-    return b
 
 
 def reversion(a: Sequence[Scalar], order: int) -> Series:

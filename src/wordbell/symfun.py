@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import series
-from .bell import eval_partial_bell, report_item
+from .bell import eval_partial_bell, report_item, seq_values
 from .combinatorics import int_partitions
 from .sympoly import SparsePoly
 
@@ -129,10 +129,9 @@ def _h_values(x: VirtualAlphabet) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _e_values(x: VirtualAlphabet) -> tuple[Fraction, ...]:
-    order = x.degree
-    h = _h_values(x)
-    sig_neg = [h[i] * (-1) ** i for i in range(order + 1)]
-    return tuple(series.reciprocal(sig_neg, order))
+    # lambda_t = 1 / sigma_{-t} = exp(sum_n (-1)^(n-1) c_n t^n)
+    arg = [Fraction(0)] + [(-1) ** (n - 1) * c for n, c in enumerate(x.c_values, 1)]
+    return tuple(series.exp(arg, x.degree))
 
 
 def eval_sym(p: SparsePoly, x: VirtualAlphabet) -> Fraction:
@@ -263,8 +262,6 @@ def _rand_sequence(rng: random.Random, length: int, unit_head: bool = True):
 
 def hat_alphabet(a, degree: int) -> VirtualAlphabet:
     """The alphabet with h_i = a_{i+1}/(i+1)!; requires a_1 = 1."""
-    from .bell import seq_values
-
     value = seq_values(a)
     if value(1) != 1:
         raise ValueError("the hat alphabet needs a_1 = 1")

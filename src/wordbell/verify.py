@@ -194,11 +194,12 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
         anti = {a: _interned(hopf.antipode(e), canon) for a, e in phi.items()}
         for n in range(max_n + 1):
             for a in keys[n]:
-                # the sum of S(x1) x2 over the Phi coproduct
+                # the sum of x1 S(x2) over the Phi coproduct: the side that the
+                # antipode's recursion, which solves sum S(x1) x2 = eps, does not impose
                 total = LinComb(hopf.PHI, (
                     (k, c * d)
                     for (l, r), c in cop[hopf.PHI][a].items()
-                    for k, d in times[hopf.PHI](anti[l], phi[r]).items()
+                    for k, d in times[hopf.PHI](phi[l], anti[r]).items()
                 ))
                 expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
                 if failure is None and total != expect:

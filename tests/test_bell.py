@@ -361,6 +361,8 @@ def test_psi_atom():
     atom = psi_atom(IDEMPOTENT, 2)
     assert len(atom) == 2
     assert all(key.part_count == 1 and key.size == 2 for key in atom.keys())
+    with pytest.raises(ValueError):
+        psi_atom(IDEMPOTENT, 0)
 
 
 def test_bell_key_builders_pass_the_right_size():

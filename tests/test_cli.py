@@ -315,6 +315,25 @@ def test_hopf_suite_first_counterexample_of_the_antipode(monkeypatch):
     assert [i["identity"] for i in report if i["status"] == "fail"] == ["antipode axiom [factorial]"]
 
 
+def test_hopf_suite_antipode_axiom_is_not_the_antipode_recursion(monkeypatch):
+    from wordbell import hopf, verify
+    from wordbell.combinatorics import ONES
+
+    # the antipode solves sum S(x1) x2 = eps over these same splittings, so that
+    # side would still hold; sum x1 S(x2) = eps does not
+    real = hopf.part_bipartitions
+    monkeypatch.setattr(
+        hopf, "part_bipartitions",
+        lambda whole: ((l, r) for l, r in real(whole) if (l.part_count, r.part_count) != (1, 2)),
+    )
+    hopf._antipode_key.cache_clear()
+    try:
+        items = _items(verify.hopf_suite(max_n=4, sequences=(ONES,)))
+    finally:
+        hopf._antipode_key.cache_clear()
+    assert items["antipode axiom"] == {"key": _cp(((1,), 1), ((2,), 1), ((3,), 1), seq=ONES)}
+
+
 def test_hopf_suite_computes_each_coproduct_and_key_product_once(monkeypatch):
     from collections import Counter
 
@@ -476,6 +495,7 @@ GOLDEN_STDOUT = {
     "realize phi --partition [[1,3],[2]] --truncation 2":
         "36523ba0a993be50bc993db1694fcd20e5d43b6446452a5a272d44b9f71714b9",
     "realize cycleBell --n 6 --k 3": "0fe24ed49a4553e7d82076e4424213cb8f6795314b7a5b28fbf856b72089c837",
+    "realize cycle --sigma 3,2,4,1,5,8,6,7": "fe04788f23d7175c475b46c0be537ab489716b86d5548843caac2faa0030a886",
     "expand coloredPsi --n 5 --seq tree": "6f95627749ba7566100dcfdfe7ede5c87cef08d45330acaeec3160186a1acdc6",
     "expand coloredPsi --n 4 --k 2 --seq factorial":
         "64a3ce401b326508df2286717c42e9146b5dbb1210685420bf0a3d99efd77a71",

@@ -40,6 +40,7 @@ from wordbell.combinatorics import (
     splitting_count,
     standardize,
     standardize_blocks,
+    standardize_word,
     to_cycle_permutation,
     to_idempotent,
     to_level2,
@@ -180,6 +181,8 @@ def test_standardize_scattered_labels():
     assert got == ColoredSetPartition(
         [((1, 3, 5), 1), ((2, 6), 1), ((4,), 3), ((7,), 1)], CONST9
     )
+    assert standardize_word((7, 3, 10, 4)) == (3, 1, 4, 2)
+    assert standardize_word(()) == ()
 
 
 def test_standardize_identity_and_rank():
@@ -730,7 +733,8 @@ def test_count_by_type_partition_numbers():
 
 
 def test_count_by_type_matches_classification():
-    for seq in (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT):
+    zero_counts = (ColorSequence.parse("0,1,3 tail:1"), ColorSequence.parse("1,1 tail:0"))
+    for seq in (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT, *zero_counts):
         for n in range(7):
             types = {p.type_signature() for p in colored_partitions(seq, n)}
             assert count_by_type(seq, n) == len(types), (seq.spec_string(), n)

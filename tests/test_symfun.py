@@ -71,6 +71,12 @@ def test_eval_known_alphabets():
     assert zero.h(0) == 1 and all(zero.h(n) == 0 for n in range(1, 7))
     with pytest.raises(ValueError):
         zero.c(7)
+    assert [ones.e(n) for n in range(9)] == [1, 1] + [0] * 7
+    # lambda_{-t} sigma_t = 1: sum_i (-1)^i e_i h_{n-i} = [n = 0]
+    for degree in (1, 4, 8):
+        x = random_alphabet(degree)
+        for n in range(degree + 1):
+            assert sum((-1) ** i * x.e(i) * x.h(n - i) for i in range(n + 1)) == (n == 0)
 
 
 def test_specialization_gives_complete_bell():
