@@ -55,6 +55,7 @@ from .realization import (
     letters,
     series_shuffle_power,
     shuffle,
+    shuffle_sum,
     word_degree,
     word_one,
     word_zero,
@@ -276,20 +277,21 @@ def colored_psi_complete(seq: ColorSequence, n: int) -> LinComb:
 # shuffle-power Bell polynomials for word polynomial arguments
 
 
-def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
-    """Coefficients of (sum_i F_i t^i)^(shuffle k) / k! up to t^order.
-
-    ``generators`` maps degree i >= 1 to the word polynomial F_i (list with
-    index 0 unused, or mapping).
-    """
+def _generator_series(generators, order: int) -> list[LinComb]:
+    """[0, F_1, ..., F_order]: ``generators`` maps degree i >= 1 to the word
+    polynomial F_i (list with index 0 unused, or mapping), missing ones 0."""
     base = [word_zero()]
     for i in range(1, order + 1):
         try:
-            f = generators[i]
+            base.append(generators[i])
         except (IndexError, KeyError):
-            f = word_zero()
-        base.append(f)
-    powered = series_shuffle_power(base, k, order)
+            base.append(word_zero())
+    return base
+
+
+def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
+    """Coefficients of (sum_i F_i t^i)^(shuffle k) / k! up to t^order."""
+    powered = series_shuffle_power(_generator_series(generators, order), k, order)
     if k < 2:
         return powered  # k! = 1: nothing to divide
     return [p / math.factorial(k) for p in powered]
@@ -297,16 +299,13 @@ def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
 
 def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
     """[t^n] of the k-fold shuffle power over k!, for homogeneous generators."""
-    for i in range(1, n + 1):
-        try:
-            f = generators[i]
-        except (IndexError, KeyError):
-            continue
+    base = _generator_series(generators, n)
+    for i, f in enumerate(base):
         if f and word_degree(f) != i:
             raise ValueError(f"generator {i} is not homogeneous of degree {i}")
     if k <= 0:
         return word_one() if n == k == 0 else word_zero()
-    return shuffle_bell_series(generators, k, n)[n]
+    return series_shuffle_power(base, k, n)[n] / math.factorial(k)
 
 
 def shuffle_complete_bell(generators, n: int) -> LinComb:
@@ -409,14 +408,15 @@ def morphism_diagram_report(
     if sequences is None:
         sequences = (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT)
     report = []
+    images = [alpha(h_in_c(n)) for n in range(max_n + 1)]  # read by every route
     for seq in sequences:
         failure = None
-        for n in range(max_n + 1):
-            got = gamma_beta_alpha_h(n, seq)
+        for n, image in enumerate(images):
+            got = gamma_beta(image, seq)
             want = eval_complete_bell(seq, n) / math.factorial(n)
             if failure is None and got != want:
                 failure = {"n": n, "got": str(got), "want": str(want)}
-            materialized = gamma(beta(alpha(h_in_c(n)), seq))
+            materialized = gamma(beta(image, seq))
             if failure is None and materialized != want:
                 failure = {"n": n, "route": "materialized", "got": str(materialized)}
         report.append(
@@ -426,8 +426,8 @@ def morphism_diagram_report(
     for t in range(rational_trials):
         a = _random_rational_sequence(rng, max_n + 1)
         failure = None
-        for n in range(max_n + 1):
-            got = gamma_beta_alpha_h(n, a)
+        for n, image in enumerate(images):
+            got = gamma_beta(image, a)
             if failure is None and got != eval_complete_bell(a, n) / math.factorial(n):
                 failure = {"n": n, "a": [str(v) for v in a], "got": str(got)}
         report.append(
@@ -479,11 +479,6 @@ def mixed_bell_series(a_prime, a_second, k: int, order: int) -> list[LinComb]:
     return _mixed_bell_series_cached(tuple(a_prime), tuple(a_second), k, order)
 
 
-def _shuffle_sum(pairs) -> LinComb:
-    """The sum of x shuffle y over the (x, y) pairs, in one accumulation."""
-    return _lincomb_sum(WORD, (shuffle(x, y) for x, y in pairs if x and y))
-
-
 def _faithful_alphabets(n: int, k: int) -> tuple[list, list]:
     """A' and A'' at the faithful truncation for degree n with k positions in A'.
 
@@ -520,7 +515,7 @@ def binomiality_check(n: int, k1: int, k2: int) -> dict:
     series_1 = mixed_bell_series(a_prime, a_second, k1, n)
     series_2 = mixed_bell_series(a_prime, a_second, k2, n)
     lhs = series_k[n] * math.comb(k, k1)
-    rhs = _shuffle_sum((series_1[i], series_2[n - i]) for i in range(n + 1))
+    rhs = shuffle_sum((series_1[i], series_2[n - i]) for i in range(n + 1))
     failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
     return report_item("binomiality of partial word Bell polynomials", f"n={n}, k1={k1}, k2={k2}", failure)
 
@@ -544,7 +539,7 @@ def _convolution_batch(max_n: int, max_k: int) -> list[dict]:
         singles = expand_s_on(SetPartition.singletons(k), a_prime)
         for n in range(k, max_n + 1):
             lhs = shuffle(singles, series_u[n])
-            rhs = _shuffle_sum(
+            rhs = shuffle_sum(
                 (series_1[i], series_2[n + k - i]) for i in range(max(k, n + k - max_n), n + 1)
             )
             failure = None if lhs == rhs else {"n": n, "k": k}

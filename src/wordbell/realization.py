@@ -19,20 +19,19 @@ polynomial is determined by its words whose letters are numbered in order of
 first use, so two of them agree iff they agree when each alphabet keeps as
 many letters as the positions it fills in a word.
 
-The shuffle kernel: ``_cleared`` turns operands (a whole series at once)
-into integer numerators over one common denominator.  ``_shuffle_acc``
-groups each operand's words by (length, numerator) and, for each pair of
-groups, runs one pass of C iterators over all the word pairs: u + v through
-``combinatorics._interleave_gather(n, m)``, one cached itemgetter that
-returns all C(n+m, n) shuffles end to end, cut back into words and counted
-by ``Counter.update``.  It is the package's one interleaving kernel:
-``combinatorics.interleave_keys`` shuffles the block-number words of keys
-through it, so the dual product of keys and its word realization read one
-table.  Words whose product coefficient is 1 count straight into the sum;
-the others are added in once at the end, where a word whose sum reaches 0
-is deleted.  ``series_shuffle_mul`` divides the zero-free sum by the common
-denominator with ``LinComb`` division, which keeps integral coefficients as
-int; ``shuffle`` is its product of two constant series.
+The shuffle kernel: ``_shuffle_acc`` takes the operands' own (word,
+coefficient) items and groups each operand's words by (length,
+coefficient).  For each pair of groups it runs one pass of C iterators over
+all the word pairs: u + v through ``combinatorics._interleave_gather(n,
+m)``, one cached itemgetter that returns all C(n+m, n) shuffles end to end,
+cut back into words and counted by ``Counter.update``.  It is the package's
+one interleaving kernel: ``combinatorics.interleave_keys`` shuffles the
+block-number words of keys through it, so the dual product of keys and its
+word realization read one table.  Words whose product coefficient is 1
+count straight into the sum; the others are added in once at the end, where
+a word whose sum reaches 0 is deleted and an integral sum is stored as int.
+Summed over a list of pairs, it is the word ring's dot for ``series``;
+``shuffle`` is its one-pair sum.
 """
 
 from __future__ import annotations
@@ -169,37 +168,21 @@ def complete_s(n: int, alphabet, k: int = 1) -> LinComb:
 # shuffle machinery
 
 
-def _cleared(polys) -> tuple[list[list], int]:
-    """The polynomials as (word, integer numerator) lists over one common
-    denominator, which is returned with them."""
-    den = math.lcm(*{c.denominator for p in polys for c in p._terms.values()})
-    return [
-        [(w, c.numerator * (den // c.denominator)) for w, c in p.items()]
-        for p in polys
-    ], den
-
-
-def _by_length_and_coeff(terms) -> dict:
+def _by_length_and_coeff(x: LinComb) -> dict:
     groups: dict = {}
-    for w, c in terms:
+    for w, c in x.items():
         groups.setdefault((len(w), c), []).append(w)
     return groups
 
 
 def _shuffle_acc(pairs) -> Counter:
-    """The shuffle kernel: the sum of xs shuffle ys over the pairs of integer
-    (word, coeff) lists, zero-free.
-
-    The shuffles of each pair of (length, coefficient) groups are counted in
-    one Counter.update: straight into the sum when the product coefficient c
-    is 1, else into one Counter per c.  So the sum holds only positive counts
-    until those are added in, as c times the count, once at the end; a word
-    whose sum reaches 0 there is deleted."""
+    """The shuffle kernel of the module docstring: the sum of x shuffle y
+    over the (x, y) pairs of word polynomials, zero-free."""
     acc = Counter()
-    scaled: dict[int, Counter] = {}
-    for xs, ys in pairs:
-        y_groups = _by_length_and_coeff(ys).items()
-        for (n, cu), us in _by_length_and_coeff(xs).items():
+    scaled: dict = {}
+    for x, y in pairs:
+        y_groups = _by_length_and_coeff(y).items()
+        for (n, cu), us in _by_length_and_coeff(x).items():
             for (m, cv), vs in y_groups:
                 c = cu * cv
                 words = starmap(add, product(us, vs))
@@ -212,17 +195,23 @@ def _shuffle_acc(pairs) -> Counter:
         for w, count in counts.items():
             total = get(w, 0) + c * count
             if total:
-                acc[w] = total
+                acc[w] = total if total.denominator > 1 else total.numerator
             else:
                 del acc[w]
     return acc
+
+
+def shuffle_sum(pairs) -> LinComb:
+    """The sum of x shuffle y over the (x, y) pairs, the word ring's dot for
+    ``series``: a plain dict, since ``Counter.__eq__`` loops in Python."""
+    return LinComb._raw(WORD, dict(_shuffle_acc(pairs)))
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear shuffle product of word polynomials."""
     if x.basis != WORD or y.basis != WORD:
         raise BasisError("shuffle is defined on word polynomials")
-    return series_shuffle_mul([x], [y], 0)[0]
+    return shuffle_sum([(x, y)])
 
 
 def shuffle_scatter(composition, words) -> Word | None:
@@ -278,16 +267,9 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
 # series of word polynomials (shuffle powers)
 
 
-def series_shuffle_mul(a: list[LinComb], b: list[LinComb], order: int) -> list[LinComb]:
-    xs, dx = _cleared(a[: order + 1])
-    ys, dy = _cleared(b[: order + 1])
-    pairs = lambda d: ((x, ys[d - i]) for i, x in enumerate(xs) if 0 <= d - i < len(ys))
-    return [LinComb._raw(WORD, _shuffle_acc(pairs(d))) / (dx * dy) for d in range(order + 1)]
-
-
 def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:
     """The k-th shuffle power of a word series up to t^order."""
-    return series.power(a, k, order, word_one(), series_shuffle_mul)
+    return series.power(a, k, order, word_one(), shuffle_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ A series is a plain list ``[c0, c1, ..., cN]`` of coefficients from one ring:
 Fractions by default, or LinComb elements of one basis: polynomials (the
 SparsePoly subclass), the Psi basis or word polynomials.
 A caller names the ring by its unit ``one`` (its zero is ``one * 0``) and,
-for ``mul``, by the coefficient product ``times``; every function takes the
-truncation order explicitly and returns a list of length order+1.  The
-product, power, exponential and logarithm here are the only ones in the
-package: the Bell polynomials of every algebra are [t^n] F(t)^k / k!, and
-the complete ones [t^n] exp F(t).
+for ``mul`` and ``power``, by its ``dot``: the sum of x y over a list of
+nonzero coefficient pairs (x, y), by default with the ring's own ``*`` and
+``+``.  The word ring's dot is ``realization.shuffle_sum``.  Every function
+takes the truncation order explicitly and returns a list of length order+1.
+The product, power, exponential and logarithm here are the only ones in
+the package: the Bell polynomials of every algebra are [t^n] F(t)^k / k!,
+and the complete ones [t^n] exp F(t).
 
 Every polynomial in a marker t is such a list, entry k the coefficient of
 t^k.  That includes the word and noncommutative Bell polynomials, which
@@ -32,6 +34,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import reduce
+from itertools import starmap
 
 Scalar = int | Fraction
 Series = list
@@ -44,43 +48,39 @@ def pad(a: Sequence, order: int, zero=Fraction(0)) -> Series:
     return out
 
 
-def mul(
-    a: Sequence, b: Sequence, order: int, one=Fraction(1), times: Callable = operator.mul
-) -> Series:
-    """The product a b up to t^order, multiplying coefficients by ``times``."""
-    out = [one * 0] * (order + 1)
-    for i, ca in enumerate(a[: order + 1]):
-        if not ca:
-            continue
-        for j, cb in enumerate(b[: order + 1 - i]):
-            if cb:
-                out[i + j] = out[i + j] + times(ca, cb)
+def _ring_dot(pairs: list):
+    """The default dot: the sum of x * y over the pairs, by the ring's own operators."""
+    return reduce(operator.add, starmap(operator.mul, pairs))
+
+
+def mul(a: Sequence, b: Sequence, order: int, one=Fraction(1), dot: Callable = _ring_dot) -> Series:
+    """The product a b up to t^order: coefficient d is ``dot`` of the nonzero
+    pairs (a_i, b_(d-i)), the zero of the ring when there are none."""
+    a, b = a[: order + 1], b[: order + 1]
+    out = []
+    for d in range(order + 1):
+        pairs = [(x, b[d - i]) for i, x in enumerate(a[: d + 1]) if x and d - i < len(b) and b[d - i]]
+        out.append(dot(pairs) if pairs else one * 0)
     return out
 
 
-def power(
-    a: Sequence, k: int, order: int, one=Fraction(1), product: Callable | None = None
-) -> Series:
-    """a^k up to t^order by k products with the base, each partial power
-    truncated by the valuation rule of the module docstring.
+def power(a: Sequence, k: int, order: int, one=Fraction(1), dot: Callable = _ring_dot) -> Series:
+    """a^k up to t^order by k products with the base (:func:`mul` over
+    ``dot``), each partial power truncated by the valuation rule of the
+    module docstring.
 
-    ``product(x, y, top)`` multiplies two series up to t^top; the default is
-    :func:`mul` with the ring's own ``*``.  The word ring passes its batched
-    shuffle kernel.  The base usually has small supports, so k long-by-short
-    products beat repeated squaring of ever-larger series.  A negative k
-    raises ValueError.
+    The base usually has small supports, so k long-by-short products beat
+    repeated squaring of ever-larger series.  A negative k raises ValueError.
     """
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
-    if product is None:
-        product = lambda x, y, top: mul(x, y, top, one)
     base = a[: order + 1]
     v = next((i for i, c in enumerate(base) if c), None)
     if k and (v is None or k * v > order):
         return [one * 0] * (order + 1)
     result = pad([one], order, one * 0)
     for j in range(1, k + 1):
-        result = product(result, base, order - (k - j) * v)
+        result = mul(result, base, order - (k - j) * v, one, dot)
     return result
 
 

@@ -25,7 +25,12 @@ definition it replaces:
   ``bell.word_bell_tpoly`` and its sum over t;
 * "colored dual Bell polynomials enumerate colored partitions": the
   enumerated ``bell.colored_psi_bell`` against [t^n] F^k / k!, computed by
-  one series-power chain over ``hopf.psi_product``.
+  one series-power chain whose dot sums ``hopf.psi_product`` terms.
+
+The word item "shuffle realization of the dual product" shuffles the word
+expansions of Psi_x and Psi_y, and expands Psi_x Psi_y read off the Phi
+coproduct by duality (Psi_z counts the splittings of z into (x, y)), since
+``hopf.psi_product`` shares the shuffle's interleaving kernel.
 
 The products and coproducts are looked up on the ``hopf`` module per suite
 call, so a patched module is what gets checked.  An identity that holds on
@@ -51,6 +56,7 @@ from .combinatorics import (
     SHIFTED_FACTORIAL,
     SetPartition,
     colored_partitions,
+    part_bipartitions,
     refines,
     set_partitions,
 )
@@ -257,13 +263,14 @@ def _colored_psi_bell_table(seq, top: int) -> list[list[LinComb]]:
     """The normalized colored Bell polynomials by their definition: entry
     [k][n] is [t^n] F^k / k! for F = sum_m psi_atom(seq, m) t^m and all
     n, k <= top.  One power chain serves every k: F^k is F^(k-1) F, a
-    series product over ``hopf.psi_product``."""
+    series product whose dot sums ``hopf.psi_product`` terms."""
     unit = hopf.one(hopf.PSI, seq)
     generators = [LinComb.zero(hopf.PSI)] + [bell.psi_atom(seq, m) for m in range(1, top + 1)]
+    psi_dot = lambda pairs: _lincomb_sum(hopf.PSI, (hopf.psi_product(x, y) for x, y in pairs))
     power = series.pad([unit], top, unit * 0)
     table = [power]
     for k in range(1, top + 1):
-        power = series.mul(power, generators, top, unit, hopf.psi_product)
+        power = series.mul(power, generators, top, unit, psi_dot)
         table.append([c / math.factorial(k) for c in power])
     return table
 
@@ -387,6 +394,10 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
                         failure = {"left": str(p1), "right": str(p2)}
     report.append(report_item("expansion intertwines product and concatenation", f"sizes <= {min(max_n, 4)}", failure))
 
+    splittings = {}  # (x, y) -> {z: number of splittings of z into (x, y)}
+    for z in chain.from_iterable(map(set_partitions, range(2, max_n + 1))):
+        for pair in part_bipartitions(z):
+            splittings.setdefault(pair, Counter())[z] += 1
     failure = None
     for n1 in range(1, max_n):
         for n2 in range(1, max_n - n1 + 1):
@@ -394,9 +405,10 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
             for p1 in set_partitions(n1):
                 for p2 in set_partitions(n2):
                     lhs = realization.shuffle(expanded(expand_psi, p1, L), expanded(expand_psi, p2, L))
-                    prod = hopf.psi_product(hopf.psi_elem(p1), hopf.psi_elem(p2))
                     rhs = LinComb(realization.WORD, (
-                        (w, c * d) for key, c in prod.items() for w, d in expanded(expand_psi, key, L).items()
+                        (w, c * d)
+                        for key, c in splittings[p1, p2].items()
+                        for w, d in expanded(expand_psi, key, L).items()
                     ))
                     if failure is None and lhs != rhs:
                         failure = {"left": str(p1), "right": str(p2)}

@@ -334,6 +334,34 @@ def test_hopf_suite_antipode_axiom_is_not_the_antipode_recursion(monkeypatch):
     assert items["antipode axiom"] == {"key": _cp(((1,), 1), ((2,), 1), ((3,), 1), seq=ONES)}
 
 
+def test_word_suite_dual_product_is_not_the_interleaving_kernel(monkeypatch):
+    import math
+
+    import wordbell
+    from wordbell import combinatorics, realization, verify
+
+    # the shuffle and psi_product share this kernel, so a fault in it would
+    # hold on both sides; the Phi coproduct does not read it
+    real = combinatorics._interleave_gather
+
+    def drops_the_last_of_many(n, m):
+        gather = real(n, m)
+        return gather if math.comb(n + m, n) <= 2 else lambda word: gather(word)[: -(n + m)]
+
+    wordbell.clear_caches()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(combinatorics, "_interleave_gather", drops_the_last_of_many)
+            patched.setattr(realization, "_interleave_gather", drops_the_last_of_many)
+            items = _items(verify.word_suite(4))
+    finally:
+        wordbell.clear_caches()
+    assert items["shuffle realization of the dual product"] == {
+        "left": str(SetPartition([[1]])),
+        "right": str(SetPartition([[1], [2]])),
+    }
+
+
 def test_hopf_suite_computes_each_coproduct_and_key_product_once(monkeypatch):
     from collections import Counter
 
@@ -495,6 +523,7 @@ GOLDEN_STDOUT = {
     "realize phi --partition [[1,3],[2]] --truncation 2":
         "36523ba0a993be50bc993db1694fcd20e5d43b6446452a5a272d44b9f71714b9",
     "realize cycleBell --n 6 --k 3": "0fe24ed49a4553e7d82076e4424213cb8f6795314b7a5b28fbf856b72089c837",
+    "realize cycleBell --n 8 --k 4": "dde5d8d4e1903159061c4f6952186a99c08c80026daf6f4c91f95ebbe899d2dd",
     "realize cycle --sigma 3,2,4,1,5,8,6,7": "fe04788f23d7175c475b46c0be537ab489716b86d5548843caac2faa0030a886",
     "expand coloredPsi --n 5 --seq tree": "6f95627749ba7566100dcfdfe7ede5c87cef08d45330acaeec3160186a1acdc6",
     "expand coloredPsi --n 4 --k 2 --seq factorial":

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordbell import series
 from wordbell.combinatorics import (
     IDEMPOTENT,
     ColoredSetPartition,
@@ -29,11 +30,11 @@ from wordbell.realization import (
     expand_phi,
     expand_psi,
     letters,
-    series_shuffle_mul,
     series_shuffle_power,
     shuffle,
     shuffle_composite,
     shuffle_scatter,
+    shuffle_sum,
     specialize_complete,
     word_one,
     word_zero,
@@ -211,7 +212,7 @@ def test_shuffle_kernel_edge_cases():
     a, b = LinComb.term("Word", u), LinComb.term("Word", v)
     one = word_one()
     x = a * 3 + LinComb.term("Word", word(2, 1)) + one * 2
-    # cleared numerators 4, 3 and 5 over 6, and 9 and -2 over 12
+    # each (length, coefficient) group of fx meets each of fy with its own c
     fx = LinComb("Word", {u: Fraction(2, 3), word(2): Fraction(1, 2), word(1, 2): Fraction(5, 6)})
     fy = LinComb("Word", {v: Fraction(3, 4), word(2, 1): Fraction(-1, 6)})
     cases = {
@@ -222,6 +223,19 @@ def test_shuffle_kernel_edge_cases():
         "one letter, scaled": (a * 3, a * -2, LinComb.term("Word", u + u, -12)),
         # the groups c and -c give ab and ba counts that cancel
         "cancelling groups": (a * 3 - b * 3, a + b, LinComb("Word", {u + u: 6, v + v: -6})),
+        # c = 3/2 * 2/3 is 1, so these count straight into the sum
+        "fractions with product 1": (a * Fraction(3, 2), b * Fraction(2, 3), LinComb("Word", {u + v: 1, v + u: 1})),
+        "fractions with product 2": (a * Fraction(3, 2), b * Fraction(4, 3), LinComb("Word", {u + v: 2, v + u: 2})),
+        # uv and vu get 1/2 from c = 1/2 and 3/2 from c = 3/2; uu is 1/2 * 2
+        "merged sum integral": (
+            a * Fraction(1, 2) + b * Fraction(3, 2), a + b, LinComb("Word", {u + u: 1, u + v: 2, v + u: 2, v + v: 3}),
+        ),
+        "merged sum cancels": (
+            a * Fraction(1, 2) - b * Fraction(1, 2), a + b, LinComb("Word", {u + u: 1, v + v: -1}),
+        ),
+        "integral Fraction operand": (
+            LinComb("Word", {u: Fraction(4, 2)}), b, LinComb("Word", {u + v: 2, v + u: 2}),
+        ),
     }
     for name, (left, right, want) in cases.items():
         assert _checked_shuffle(left, right) == want, name
@@ -231,7 +245,7 @@ def test_shuffle_kernel_edge_cases():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_polys, max_size=3), st.lists(_polys, max_size=3), st.integers(0, 3))
 def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
-    got = series_shuffle_mul(a, b, order)
+    got = series.mul(a, b, order, word_one(), shuffle_sum)
     assert len(got) == order + 1
     for n, coeff in enumerate(got):
         want = word_zero()
@@ -240,13 +254,21 @@ def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
                 want = want + shuffle(a[i], b[n - i])
         assert coeff == want
         _assert_normal_form(coeff)
+    # the dot itself, over all the pairs at once, zero operands included
+    pairs = list(zip(a, b))
+    got = shuffle_sum(pairs)
+    want = word_zero()
+    for x, y in pairs:
+        want = want + _oracle_shuffle(x, y)
+    assert got == want
+    _assert_normal_form(got)
 
 
 def test_series_shuffle_mul_cancels_across_degree_pairs():
     # [t] (1 + a t)(1 - a t): the pair with coefficient -1 comes first and the
     # pair with coefficient 1 cancels it; [t^2] is a shuffle (-a) = -2 aa
     a = LinComb.term("Word", word(1))
-    got = series_shuffle_mul([word_one(), a], [word_one(), -a], 2)
+    got = series.mul([word_one(), a], [word_one(), -a], 2, word_one(), shuffle_sum)
     assert got == [word_one(), word_zero(), LinComb.term("Word", word(1, 1), -2)]
 
 
@@ -258,7 +280,7 @@ def test_series_shuffle_power_is_k_fold_mul(a, valuation_one, k, order):
     got = series_shuffle_power(a, k, order)
     want = [word_one()]
     for _ in range(k):
-        want = series_shuffle_mul(want, a, order)
+        want = series.mul(want, a, order, word_one(), shuffle_sum)
     assert got == want + [word_zero()] * (order + 1 - len(want))
     for coeff in got:
         _assert_normal_form(coeff)
