@@ -7,6 +7,11 @@ Keys may be plain set partitions (the uncolored case) or colored set
 partitions over any color sequence; basis tags keep the four bases
 Phi / Psi / M / S apart, and tensors carry pair keys.
 
+The Phi antipode is an anti-morphism, S(xy) = S(y) S(x), and every key is
+the shifted union of its atoms, the keys that no split point divides; so a
+key that splits gets the product of its factors' antipodes in reverse order,
+and only an atom runs the graded recursion over its coproduct.
+
 All coefficients are exact rationals; there is no floating point anywhere.
 """
 
@@ -222,13 +227,41 @@ def duality_pairing(x: LinComb, y: LinComb) -> Fraction | int:
 # antipode
 
 
+def _first_split(key):
+    """The two factors of ``key`` at its smallest split point, or None for an atom.
+
+    A split point j, 0 < j < size, is one that no block straddles; the key is
+    then the shifted union of the two halves.
+    """
+    for j in range(1, key.size):
+        split = key.split_at(j)
+        if split is not None:
+            return split
+    return None
+
+
 @lru_cache(maxsize=None)
 def _antipode_key(key) -> LinComb:
+    """S(Phi_key), built from keys alone by shifted unions.
+
+    A key that splits into left and right gets S(right) S(left), the
+    anti-morphism rule; an atom gets the graded recursion. The cached value
+    depends on the key alone, never on what the module's `phi_product` is
+    at the time.
+    """
     if key.size == 0:
         return phi_elem(key)
-    # S(x) = -x - sum S(x1) x2 over the splittings with both halves nonempty,
-    # each product with the key x2 a shifted union: the value depends on the
-    # key alone, never on what the module's `phi_product` is at the time
+    split = _first_split(key)
+    if split is not None:
+        left, right = split
+        s_left = _antipode_key(left).items()
+        return LinComb(PHI, (
+            (kr.shifted_union(kl), cr * cl)
+            for kr, cr in _antipode_key(right).items()
+            for kl, cl in s_left
+        ))
+    # an atom: S(x) = -x - sum S(x1) x2 over the splittings with both halves
+    # nonempty, each product with the key x2 a shifted union
     return LinComb(PHI, chain([(key, -1)], (
         (k.shifted_union(right), -c)
         for left, right in part_bipartitions(key)
@@ -238,7 +271,12 @@ def _antipode_key(key) -> LinComb:
 
 
 def antipode(x: LinComb) -> LinComb:
-    """Antipode of the Phi basis by the graded connected recursion."""
+    """Antipode of the Phi basis.
+
+    S is an anti-morphism over the atoms: S(Phi_pi) is the product of the
+    antipodes of pi's atoms in reverse order, and only an atom runs the
+    graded connected recursion S(x) = -sum S(x1) x2 over its Phi coproduct.
+    """
     _require(x, PHI)
     return LinComb(PHI, (
         (k, c * d) for key, c in x.items() for k, d in _antipode_key(key).items()

@@ -334,6 +334,28 @@ def test_hopf_suite_antipode_axiom_is_not_the_antipode_recursion(monkeypatch):
     assert items["antipode axiom"] == {"key": _cp(((1,), 1), ((2,), 1), ((3,), 1), seq=ONES)}
 
 
+def test_hopf_suite_antipode_axiom_pins_the_factor_order(monkeypatch):
+    from wordbell import hopf, verify
+    from wordbell.combinatorics import ONES
+
+    # a key that splits gets S(right) S(left); with the halves swapped it gets
+    # S(left) S(right), which the noncommutative Phi product tells apart
+    real = hopf._first_split
+
+    def swapped(key):
+        split = real(key)
+        return None if split is None else split[::-1]
+
+    monkeypatch.setattr(hopf, "_first_split", swapped)
+    hopf._antipode_key.cache_clear()
+    try:
+        report = verify.hopf_suite(max_n=4, sequences=(ONES,))
+    finally:
+        hopf._antipode_key.cache_clear()
+    assert _items(report)["antipode axiom"] == {"key": _cp(((1,), 1), ((2, 3), 1), seq=ONES)}
+    assert [i["identity"] for i in report if i["status"] == "fail"] == ["antipode axiom [ones]"]
+
+
 def test_word_suite_dual_product_is_not_the_interleaving_kernel(monkeypatch):
     import math
 

@@ -1,6 +1,7 @@
 """Tests for the Hopf structure: products, coproducts, bases, duality."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -287,9 +288,10 @@ def test_antipode_basics_and_axiom():
 
 
 def test_antipode_is_an_involution_and_reverses_products():
-    # Checks the antipode apart from its own recursion: the Phi side is
-    # cocommutative, so S is an involution, and S(xy) = S(y) S(x) in any Hopf
-    # algebra.  A wrong sub-key in the recursion breaks one or the other.
+    # The Phi side is cocommutative, so S is an involution, and S(xy) = S(y) S(x)
+    # in any Hopf algebra.  The antipode computes every key that splits by that
+    # second rule, so the involution and the Takeuchi oracle below are the
+    # checks independent of how it is computed.
     for seq in DEFAULT_SEQUENCES:
         by_size = [[phi_elem(key) for key in colored_partitions(seq, n)] for n in range(6)]
         for xs in by_size:
@@ -301,6 +303,26 @@ def test_antipode_is_an_involution_and_reverses_products():
                     sx = antipode(x)
                     for y in by_size[m]:
                         assert antipode(phi_product(x, y)) == phi_product(antipode(y), sx)
+
+
+def test_antipode_matches_takeuchis_formula():
+    # S(Phi_pi) = sum over the ordered set partitions (G1, ..., Gj) of pi's parts
+    # of (-1)^j Phi_{std G1} ... Phi_{std Gj}: no recursion and no factorization
+    def takeuchi(key):
+        total = LinComb.zero("Phi")
+        for groups in set_partitions(key.part_count):
+            for order in permutations(groups.blocks):
+                term = one(seq=key.seq)
+                for group in order:
+                    term = phi_product(term, phi_elem(key.sub_std(i - 1 for i in group)))
+                total = total + term * (-1) ** len(order)
+        return total
+
+    ranges = [(seq, 4) for seq in DEFAULT_SEQUENCES] + [(ONES, 5)]
+    for seq, max_n in ranges:
+        for n in range(max_n + 1):
+            for key in colored_partitions(seq, n):
+                assert antipode(phi_elem(key)) == takeuchi(key), key
 
 
 def test_tensor_multiply_matches_a_double_loop():
