@@ -6,6 +6,10 @@ written among them.  All output is deterministic:
 terms are canonically sorted and JSON keys are sorted.  The environment
 variable WORDBELL_MAX_DEGREE caps every size argument (default 12); a value
 that is not an integer is a usage error.
+
+There is one parser per process: ``main(argv)`` builds it on its first call
+and reuses it for every later one, so one process can serve many requests.
+Parsing leaves the parser unchanged; each call gets a fresh namespace.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ def _emit(parser, args, text: str) -> None:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # a payload is a tree the handler has just built: no container repeats
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _parse_seq(parser, text: str) -> ColorSequence:
@@ -268,8 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first ``main`` call, reused by every later one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     return args.run(parser, args)
 

@@ -6,10 +6,14 @@ noncommutative words as plain integer lists: each is the key's sort key,
 written by ``json``.  Rational coefficients are always decimal strings of
 numerator and denominator, never floats, and terms are sorted by canonical
 key order so output is byte-deterministic.
+
+A word and a noncommutative word are their own sort keys: each is emitted as
+the nested tuples it already is, not rebuilt letter by letter.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .combinatorics import _PartitionKey
@@ -24,25 +28,21 @@ def sort_key(key):
     if isinstance(key, _PartitionKey):
         return key.parts  # the blocks of an uncolored key
     if isinstance(key, tuple):
-        if all(isinstance(v, int) for v in key):
+        if all(map(isinstance, key, repeat(int))):
             return key  # noncommutative word, or one letter of a word
-        return tuple(sort_key(v) for v in key)  # word, tensor pair et al.
+        letters = all(map(isinstance, key, repeat(tuple)))
+        if letters and all(map(isinstance, chain.from_iterable(key), repeat(int))):
+            return key  # word: a tuple of letters
+        return tuple(sort_key(v) for v in key)  # tensor pair et al.
     raise TypeError(f"cannot serialize key of type {type(key).__name__}")
-
-
-def _coeff_parts(c) -> tuple[str, str]:
-    return str(c.numerator), str(c.denominator)
 
 
 def lincomb_to_jsonable(x: LinComb, sequence: str | None = None) -> dict:
     """The terms of ``x`` in key order; ``sequence`` is the color sequence's
     spec string when the keys are colored, else None."""
-    terms = []
     # one sort key per term: it orders the terms and is their JSON form
     ranked = sorted(((sort_key(key), coeff) for key, coeff in x.items()), key=itemgetter(0))
-    for rank, coeff in ranked:
-        num, den = _coeff_parts(coeff)
-        terms.append({"key": rank, "num": num, "den": den})
+    terms = [{"key": rank, "num": str(c.numerator), "den": str(c.denominator)} for rank, c in ranked]
     return {"basis": x.basis, "sequence": sequence, "terms": terms}
 
 

@@ -198,6 +198,74 @@ def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["dir"] and os.listdir(tmp_path / "dir") == []
 
 
+def test_words_are_emitted_as_they_are():
+    from wordbell.serialize import sort_key
+
+    # a word of letters, or of integers, is its own sort key: not rebuilt
+    for word in (((1, 2), (2, 1)), ((True, 1),), (3, 1, 2), ()):
+        assert sort_key(word) is word
+    # a tuple that is not a word still recurses, and still refuses what it did
+    for key in (((1, (2, 3)),), ((1, 2), (3, "x")), ((1,), 2.5)):
+        with pytest.raises(TypeError):
+            sort_key(key)
+
+
+def _reply(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_carries_nothing_between_requests(tmp_path, capsys, monkeypatch):
+    from wordbell import bell, cli, munthekaas
+    from wordbell.serialize import lincomb_to_jsonable, tpoly_to_jsonable
+
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    monkeypatch.setattr(cli, "_PARSER", None)  # as in a fresh process
+
+    # an option of the previous request does not fill in a missing one
+    assert _reply(["table", "custom", "3", "--seq", "1,2"], capsys)[0] == 0
+    code, out, err = _reply(["table", "custom", "3"], capsys)
+    assert (code, out) == (2, "") and "requires --seq" in err
+
+    # nor does --out: the same request without it writes to stdout
+    target = tmp_path / "reply.json"
+    argv = ["expand", "wordBell", "--n", "3"]
+    assert _reply([*argv, "--out", str(target)], capsys) == (0, "", "")
+    written, stamp = target.read_text(), target.stat().st_mtime_ns
+    assert _reply(argv, capsys) == (0, written, "")
+    assert target.read_text() == written and target.stat().st_mtime_ns == stamp
+
+    # without --k the reply is the complete polynomial, not the last k's part
+    assert _reply(["expand", "wordBell", "--n", "3", "--k", "2"], capsys)[0] == 0
+    code, out, _ = _reply(["expand", "wordBell", "--n", "3"], capsys)
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(lincomb_to_jsonable(bell.word_complete_bell(3))))
+
+    # the mk subcommand keeps its own kind after an expand of another kind
+    assert _reply(["expand", "coloredPsi", "--n", "3", "--seq", "tree"], capsys)[0] == 0
+    code, out, _ = _reply(["mk", "--n", "3"], capsys)
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(tpoly_to_jsonable(munthekaas.mb_tpoly(3))))
+
+    # a malformed request leaves the parser able to serve the next one
+    code, out, err = _reply(["expand", "wordBell", "--n", "x"], capsys)
+    assert (code, out) == (2, "") and "invalid int value" in err
+    code, out, _ = _reply(["table", "bell", "5"], capsys)
+    assert code == 0 and json.loads(out)["complete"] == [1, 1, 2, 5, 15, 52]
+
+    # the 10 requests above and 40 more: 50 calls of main, one parser built
+    for _ in range(40):
+        assert _reply(["mk", "--n", "2", "--k", "1"], capsys)[0] == 0
+    assert len(built) == 1
+
+
 def test_suites_report_the_first_counterexample(monkeypatch):
     from wordbell import bell, hopf, verify
     from wordbell.combinatorics import ONES, colored_partitions
@@ -567,3 +635,11 @@ def test_golden_stdout(command):
     )
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_golden_stdout_in_one_process(capsys):
+    # one process serves every command in turn, as a long-lived caller does
+    for command in sorted(GOLDEN_STDOUT):
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command], command
