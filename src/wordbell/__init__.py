@@ -5,8 +5,8 @@ The package is organized bottom-up:
 * ``combinatorics`` — canonical index sets (set partitions, colored set
   partitions, list partitions, cycle decompositions, level-2 partitions,
   idempotent endofunctions), enumeration and bijections;
-* ``hopf`` — products, coproducts, basis changes, duality and antipode for
-  the colored word symmetric functions and their graded dual;
+* ``hopf`` — products, coproducts, basis changes and antipode for the
+  colored word symmetric functions and their graded dual;
 * ``realization`` — word polynomial expansions inside the free algebra over
   indexed alphabets, shuffle machinery and virtual-alphabet specializations;
 * ``bell`` — classical, word, colored and shuffle Bell polynomials plus the
@@ -20,6 +20,7 @@ The package is organized bottom-up:
 All arithmetic is exact (integers and fractions); nothing here floats.
 """
 
+from .bell import complete_bell_poly, partial_bell_poly
 from .combinatorics import (
     BELL,
     FACTORIAL,
@@ -38,12 +39,35 @@ from .combinatorics import (
     colored_partitions,
     colored_partitions_k,
     count_by_type,
+    from_cycle_permutation,
+    from_idempotent,
+    from_level2,
+    from_list_partition,
     matching_unions,
     set_partitions,
     splitting_count,
     standardize,
+    to_cycle_permutation,
+    to_idempotent,
+    to_level2,
+    to_list_partition,
 )
+from .hopf import complete_to_psi
 from .lincomb import BasisError, LinComb
+from .realization import specialize_complete
+from .symfun import (
+    VirtualAlphabet,
+    alphabet_compose,
+    alphabet_inverse,
+    alphabet_product,
+    alphabet_scale,
+    alphabet_sum,
+    c_from_h,
+    h_from_c,
+    h_k_part,
+    inverse_closed_form,
+    schur,
+)
 from .sympoly import SparsePoly
 
 
@@ -67,24 +91,17 @@ def clear_caches() -> None:
     realization._COMPLETE_SERIES.clear()
 
 __all__ = [
+    # index sets and enumeration
     "BELL",
     "FACTORIAL",
     "IDEMPOTENT",
     "ONES",
     "SHIFTED_FACTORIAL",
     "TREE",
-    "BasisError",
     "ColoredSetPartition",
     "ColorSequence",
-    "CyclePermutation",
-    "IdempotentEndofunction",
-    "Level2Partition",
-    "LinComb",
-    "ListPartition",
     "SetPartition",
-    "SparsePoly",
     "bell_number",
-    "clear_caches",
     "colored_partitions",
     "colored_partitions_k",
     "count_by_type",
@@ -92,4 +109,40 @@ __all__ = [
     "set_partitions",
     "splitting_count",
     "standardize",
+    # the bijections from colored set partitions at the named sequences
+    "CyclePermutation",
+    "IdempotentEndofunction",
+    "Level2Partition",
+    "ListPartition",
+    "from_cycle_permutation",
+    "from_idempotent",
+    "from_level2",
+    "from_list_partition",
+    "to_cycle_permutation",
+    "to_idempotent",
+    "to_level2",
+    "to_list_partition",
+    # classical Bell polynomials in a1, a2, ...
+    "complete_bell_poly",
+    "partial_bell_poly",
+    # Sym and virtual alphabets
+    "VirtualAlphabet",
+    "alphabet_compose",
+    "alphabet_inverse",
+    "alphabet_product",
+    "alphabet_scale",
+    "alphabet_sum",
+    "c_from_h",
+    "h_from_c",
+    "h_k_part",
+    "inverse_closed_form",
+    "schur",
+    # complete functions in WSym: in the Psi basis and in words
+    "complete_to_psi",
+    "specialize_complete",
+    # containers and caches
+    "BasisError",
+    "LinComb",
+    "SparsePoly",
+    "clear_caches",
 ]

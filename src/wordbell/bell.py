@@ -47,9 +47,8 @@ from .hopf import (
     psi_elem,
     psi_product,
 )
-from .lincomb import BasisError, LinComb, _ladder, _lincomb_sum
+from .lincomb import BasisError, LinComb, _ladder
 from .realization import (
-    WORD,
     complete_s,
     expand_s_on,
     letters,
@@ -308,12 +307,6 @@ def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
     return series_shuffle_power(base, k, n)[n] / math.factorial(k)
 
 
-def shuffle_complete_bell(generators, n: int) -> LinComb:
-    if n == 0:
-        return word_one()
-    return _lincomb_sum(WORD, (shuffle_partial_bell(generators, n, k) for k in range(1, n + 1)))
-
-
 # ---------------------------------------------------------------------------
 # the specialization morphisms
 
@@ -372,11 +365,6 @@ def gamma_beta(x: LinComb, a) -> Fraction:
             weight *= value(len(b))
         total += Fraction(c) * weight / math.factorial(key.size)
     return total
-
-
-def gamma_beta_alpha_h(n: int, a) -> Fraction:
-    """The composite of the specialization diagram applied to h_n."""
-    return gamma_beta(alpha(h_in_c(n)), a)
 
 
 def report_item(identity: str, range_desc: str, failure) -> dict:

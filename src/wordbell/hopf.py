@@ -4,8 +4,10 @@ The algebra side (basis Phi) multiplies by shifted union of keys and
 comultiplies by splitting parts in all ways; the dual side (basis Psi)
 multiplies by interleaving supports and comultiplies by deconcatenation.
 Keys may be plain set partitions (the uncolored case) or colored set
-partitions over any color sequence; basis tags keep the four bases
-Phi / Psi / M / S apart, and tensors carry pair keys.
+partitions over any color sequence; basis tags keep the three bases
+Phi / Psi / M apart, and tensors carry pair keys.  The complete functions
+S_pi are not a basis tag of their own: ``complete_to_psi`` writes S_pi in
+the Psi basis.
 
 The Phi antipode is an anti-morphism, S(xy) = S(y) S(x), and every key is
 the shifted union of its atoms, the keys that no split point divides; so a
@@ -18,7 +20,6 @@ All coefficients are exact rationals; there is no floating point anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -36,9 +37,6 @@ from .lincomb import BasisError, LinComb, tensor_tag
 PHI = "Phi"
 PSI = "Psi"
 MONOMIAL = "M"
-COMPLETE = "S"
-
-_DUAL = {PHI: PSI, PSI: PHI, MONOMIAL: COMPLETE, COMPLETE: MONOMIAL}
 
 
 def _require(x: LinComb, basis: str) -> None:
@@ -52,14 +50,6 @@ def phi_elem(key) -> LinComb:
 
 def psi_elem(key) -> LinComb:
     return LinComb.term(PSI, key)
-
-
-def m_elem(key) -> LinComb:
-    return LinComb.term(MONOMIAL, key)
-
-
-def s_elem(key) -> LinComb:
-    return LinComb.term(COMPLETE, key)
 
 
 def empty_key(seq: ColorSequence | None = None):
@@ -111,17 +101,6 @@ def psi_coproduct(x: LinComb) -> LinComb:
     return LinComb(tensor_tag(PSI), ((split, c) for split, c in splits if split is not None))
 
 
-def tensor(x: LinComb, y: LinComb) -> LinComb:
-    """x (x) y as a pair-keyed linear combination."""
-    if x.basis != y.basis:
-        raise BasisError("tensor legs must share a basis")
-    out: dict = {}
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            out[(kx, ky)] = cx * cy
-    return LinComb._raw(tensor_tag(x.basis), out)
-
-
 def tensor_multiply(s: LinComb, t: LinComb, product) -> LinComb:
     """Componentwise product (a(x)b)(c(x)d) = ac (x) bd of two tensors."""
     if s.basis != t.basis:
@@ -147,15 +126,6 @@ def tensor_multiply(s: LinComb, t: LinComb, product) -> LinComb:
 
 def tensor_swap(t: LinComb) -> LinComb:
     return LinComb._raw(t.basis, {(b, a): c for (a, b), c in t.items()})
-
-
-def counit(x: LinComb) -> Fraction | int:
-    """Coefficient of the size-0 key."""
-    total = 0
-    for key, c in x.items():
-        if key.size == 0:
-            total += c
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +172,6 @@ def monomial_to_phi(x: LinComb) -> LinComb:
 def complete_to_psi(pi: SetPartition) -> LinComb:
     """S_pi as a sum of Psi over all refinements of pi."""
     return LinComb._raw(PSI, {q: 1 for q in refinements(pi)})
-
-
-def duality_pairing(x: LinComb, y: LinComb) -> Fraction | int:
-    """Kronecker pairing of dual bases, extended bilinearly.
-
-    Defined for (Phi, Psi) and (S, M) in either order, including their
-    tensor squares (pair keys pair componentwise).
-    """
-    bx = x.basis.split("⊗")
-    by = y.basis.split("⊗")
-    if len(bx) != len(by) or any(_DUAL[a] != b for a, b in zip(bx, by)):
-        raise BasisError(f"bases {x.basis!r} and {y.basis!r} are not dual")
-    small, big = (x, y) if len(x) <= len(y) else (y, x)
-    total = 0
-    for key, c in small.items():
-        d = big.coeff(key)
-        if d:
-            total += c * d
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ def mb_partial(n: int, k: int) -> LinComb:
     return mb_tpoly(n)[k]
 
 
-def mb_at_one(n: int) -> LinComb:
-    return _lincomb_sum(NC, mb_tpoly(n))
-
-
 def xi(x: LinComb) -> LinComb:
     """The block-size morphism: a partition with blocks ordered by minima maps
     to the word of its block sizes."""

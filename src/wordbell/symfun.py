@@ -10,8 +10,9 @@ evaluation is exact.
 The appendix_suite function replays the classical partial-Bell identities
 through this calculus with random rational data; each item reports pass or
 fail with a counterexample.  Where a source formula failed cross-validation,
-the corrected reading is implemented and the report says which reading runs
-(see inverse_closed_form and the two-determinant item).
+the corrected reading is implemented.  Only the two-determinant item reports
+which reading runs; inverse_closed_form is in no report item, and the test
+``test_alphabet_compose_and_inverse`` pins its corrected reading.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ def h_k_part(n: int, k: int) -> SparsePoly:
         return SparsePoly.zero()
     powered = series.power([SparsePoly.zero()] + _generators(n), k, n, SparsePoly.const(1))
     return powered[n] / math.factorial(k)
-
-
-def scaled_h(n: int) -> list[SparsePoly]:
-    """h_n(alpha X) as a polynomial in the marker alpha: [h_n^(0), ..., h_n^(n)]."""
-    return [h_k_part(n, k) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +128,6 @@ def _e_values(x: VirtualAlphabet) -> tuple[Fraction, ...]:
     # lambda_t = 1 / sigma_{-t} = exp(sum_n (-1)^(n-1) c_n t^n)
     arg = [Fraction(0)] + [(-1) ** (n - 1) * c for n, c in enumerate(x.c_values, 1)]
     return tuple(series.exp(arg, x.degree))
-
-
-def eval_sym(p: SparsePoly, x: VirtualAlphabet) -> Fraction:
-    """Evaluate a polynomial in the c-generators at the alphabet."""
-    return Fraction(p.evaluate(x.c))
 
 
 # ---------------------------------------------------------------------------

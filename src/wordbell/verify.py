@@ -347,7 +347,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
                     failure = {"seq": seq.spec_string(), "n": n, "k": k}
     report.append(report_item("colored dual Bell polynomials enumerate colored partitions", f"n <= {top}", failure))
 
-    report.extend(bell.morphism_diagram_report(max_n=min(max_n, 6), pair_max=min(max_n, 5)))
+    report.extend(bell.morphism_diagram_report(max_n=min(max_n, 6), seed=seed, pair_max=min(max_n, 5)))
     return report
 
 

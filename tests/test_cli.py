@@ -603,6 +603,25 @@ def test_morphism_diagram_report_first_counterexamples(monkeypatch):
     }
 
 
+def test_bell_suite_draws_the_random_diagram_data_from_its_seed(monkeypatch):
+    from wordbell import bell, verify
+
+    real = bell._random_rational_sequence
+    drawn = []
+
+    def recorded(rng, length):
+        drawn.append(real(rng, length))
+        return drawn[-1]
+
+    monkeypatch.setattr(bell, "_random_rational_sequence", recorded)
+    verify.bell_suite(max_n=3, seed=0)
+    at_zero = drawn[:]
+    drawn.clear()
+    verify.bell_suite(max_n=3, seed=5)
+    assert len(at_zero) == len(drawn) == 2
+    assert drawn != at_zero
+
+
 # sha256 of stdout, recorded before the refactors that must leave output unchanged
 GOLDEN_STDOUT = {
     "verify all": "8ed0d3aa30e376f9771812fe5469e0aea54a236fb99a1619d44c9a5135beebab",

@@ -1,9 +1,22 @@
 """Tests for the package's top level."""
 
+import ast
 import sys
+from pathlib import Path
 
 import wordbell
 from wordbell import bell, cli, combinatorics, realization, symfun, verify
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_read(node) -> set:
+    """Every name ``node`` reads, as a Name or as an Attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
 
 
 def _package_caches() -> dict:
@@ -32,3 +45,30 @@ def test_clear_caches_empties_every_cache_in_the_package(capsys):
     wordbell.clear_caches()
     assert [name for name, c in caches.items() if c.cache_info().currsize] == []
     assert not realization._COMPLETE_SERIES
+
+
+def test_every_package_definition_is_reached_without_the_tests():
+    # the roots: wordbell.__all__, the benchmark's scripts, and the package's
+    # own statements outside definitions (the CLI's __main__ guard among them);
+    # a reached definition reaches every name in its body.  A name matches
+    # any definition of that name, so a name shared between modules errs on
+    # the side of "reached"; a definition that reads only itself is not reached
+    reached = set(wordbell.__all__)
+    unreached = {}
+    for path in sorted((ROOT / "src" / "wordbell").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                unreached[f"{path.stem}.{stmt.name}"] = stmt
+            else:
+                reached |= _names_read(stmt)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        reached |= _names_read(ast.parse(path.read_text()))
+    grew = True
+    while grew:
+        grew = False
+        for qualified, stmt in list(unreached.items()):
+            if stmt.name in reached:
+                reached |= _names_read(stmt)
+                del unreached[qualified]
+                grew = True
+    assert sorted(unreached) == []

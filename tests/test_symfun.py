@@ -18,13 +18,11 @@ from wordbell.symfun import (
     alphabet_sum,
     appendix_suite,
     c_from_h,
-    eval_sym,
     h_from_c,
     h_k_part,
     hat_alphabet,
     identity_alphabet,
     inverse_closed_form,
-    scaled_h,
     schur,
 )
 from wordbell.sympoly import SparsePoly
@@ -50,7 +48,7 @@ def test_complete_bell_formula_for_h():
     # n! h_n = A_n(1! c_1, 2! c_2, ...)
     for n in range(8):
         x = random_alphabet(max(n, 1))
-        lhs = math.factorial(n) * eval_sym(h_from_c(n), x)
+        lhs = math.factorial(n) * h_from_c(n).evaluate(x.c)
         rhs = eval_complete_bell(lambda m: math.factorial(m) * x.c(m), n)
         assert lhs == rhs
 
@@ -94,17 +92,9 @@ def test_h_k_parts():
         )
         assert h_k_part(n, 1) == SparsePoly.var(n)
         total = SparsePoly.zero()
-        for poly in scaled_h(n):
-            total = total + poly
+        for k in range(n + 1):
+            total = total + h_k_part(n, k)
         assert total == h_from_c(n)
-
-
-def test_scaled_h_lists_every_alpha_degree():
-    for n in range(6):
-        parts = scaled_h(n)
-        assert len(parts) == n + 1
-        for k, poly in enumerate(parts):
-            assert poly == h_k_part(n, k)
 
 
 def test_h_k_gives_partial_bell():
@@ -113,7 +103,7 @@ def test_h_k_gives_partial_bell():
         x = VirtualAlphabet.from_c([a[i] / math.factorial(i + 1) for i in range(7)])
         for n in range(8):
             for k in range(n + 1):
-                lhs = math.factorial(n) * eval_sym(h_k_part(n, k), x)
+                lhs = math.factorial(n) * h_k_part(n, k).evaluate(x.c)
                 assert lhs == eval_partial_bell(a, n, k)
 
 
