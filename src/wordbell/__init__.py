@@ -20,7 +20,7 @@ The package is organized bottom-up:
 All arithmetic is exact (integers and fractions); nothing here floats.
 """
 
-from .bell import complete_bell_poly, partial_bell_poly
+from .bell import complete_bell_poly, h_from_c, partial_bell_poly
 from .combinatorics import (
     BELL,
     FACTORIAL,
@@ -63,7 +63,6 @@ from .symfun import (
     alphabet_scale,
     alphabet_sum,
     c_from_h,
-    h_from_c,
     h_k_part,
     inverse_closed_form,
     schur,

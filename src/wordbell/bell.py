@@ -311,19 +311,10 @@ def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
 # the specialization morphisms
 
 
-def h_in_c(n: int) -> SparsePoly:
-    """The complete function h_n written in the generators c_1, c_2, ...
-
-    h_n = sum over partitions lambda of n of c_lambda, where c_lambda divides
-    the monomial by the multiplicities' factorials.
-    """
-    terms = []
-    for lam in int_partitions(n):
-        mono = [0] * n
-        for part in lam:
-            mono[part - 1] += 1
-        terms.append((mono, Fraction(1, math.prod(map(math.factorial, mono)))))
-    return SparsePoly(terms)
+def h_from_c(n: int) -> SparsePoly:
+    """h_n written in the generators c_1, ..., c_n: [t^n] exp(sum c_j t^j)."""
+    generators = [SparsePoly.zero()] + [SparsePoly.var(j) for j in range(1, n + 1)]
+    return series.exp(generators, n, SparsePoly.const(1))[n]
 
 
 def alpha(p: SparsePoly) -> LinComb:
@@ -367,13 +358,21 @@ def gamma_beta(x: LinComb, a) -> Fraction:
     return total
 
 
-def report_item(identity: str, range_desc: str, failure) -> dict:
+def report_item(identity: str, range_desc: str, failures) -> dict:
     """One verification report entry: what was checked, over which range, and
-    the first counterexample (None when the identity held)."""
+    the first counterexample (None when the identity held).
+
+    ``failures`` is the item's counterexample stream: an iterable that yields
+    one dict per failing case, in case order.  Only its first dict is read, so
+    a lazy stream runs no case after the first counterexample.  A random draw
+    that a later item's data depends on is made before the stream, never in
+    it, so a failing item cannot shift the data of the items after it.
+    """
+    failure = next(iter(failures), None)
     return {
         "identity": identity,
         "range": range_desc,
-        "status": "fail" if failure else "pass",
+        "status": "fail" if failure is not None else "pass",
         "counterexample": failure,
     }
 
@@ -396,50 +395,45 @@ def morphism_diagram_report(
     if sequences is None:
         sequences = (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT)
     report = []
-    images = [alpha(h_in_c(n)) for n in range(max_n + 1)]  # read by every route
+    images = [alpha(h_from_c(n)) for n in range(max_n + 1)]  # read by every route
     for seq in sequences:
-        failure = None
-        for n, image in enumerate(images):
-            got = gamma_beta(image, seq)
-            want = eval_complete_bell(seq, n) / math.factorial(n)
-            if failure is None and got != want:
-                failure = {"n": n, "got": str(got), "want": str(want)}
-            materialized = gamma(beta(image, seq))
-            if failure is None and materialized != want:
-                failure = {"n": n, "route": "materialized", "got": str(materialized)}
-        report.append(
-            report_item(f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]", f"n <= {max_n}", failure)
-        )
+
+        def failures():
+            for n, image in enumerate(images):
+                got = gamma_beta(image, seq)
+                want = eval_complete_bell(seq, n) / math.factorial(n)
+                if got != want:
+                    yield {"n": n, "got": str(got), "want": str(want)}
+                materialized = gamma(beta(image, seq))
+                if materialized != want:
+                    yield {"n": n, "route": "materialized", "got": str(materialized)}
+
+        report.append(report_item(f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]", f"n <= {max_n}", failures()))
     rng = random.Random(seed)
     for t in range(rational_trials):
         a = _random_rational_sequence(rng, max_n + 1)
-        failure = None
-        for n, image in enumerate(images):
-            got = gamma_beta(image, a)
-            if failure is None and got != eval_complete_bell(a, n) / math.factorial(n):
-                failure = {"n": n, "a": [str(v) for v in a], "got": str(got)}
-        report.append(
-            report_item(f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]", f"n <= {max_n}", failure)
-        )
+
+        def failures():
+            for n, image in enumerate(images):
+                got = gamma_beta(image, a)
+                if got != eval_complete_bell(a, n) / math.factorial(n):
+                    yield {"n": n, "a": [str(v) for v in a], "got": str(got)}
+
+        report.append(report_item(f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]", f"n <= {max_n}", failures()))
     for seq in sequences:
-        failure = None
-        keys_by_size = {
-            m: colored_partitions(seq, m) for m in range(1, pair_max)
-        }
-        pairs = (
-            (ki, kj)
-            for i in range(1, pair_max)
-            for j in range(1, pair_max - i + 1)
-            for ki in keys_by_size[i]
-            for kj in keys_by_size[j]
-        )
-        for ki, kj in pairs:
-            x, y = psi_elem(ki), psi_elem(kj)
-            if failure is None and gamma(psi_product(x, y)) != gamma(x) * gamma(y):
-                failure = {"left": str(ki.parts), "right": str(kj.parts)}
-        report.append(
-            report_item(f"gamma multiplicative [{seq.spec_string()}]", f"total size <= {pair_max}", failure)
-        )
+        keys_by_size = {m: colored_partitions(seq, m) for m in range(1, pair_max)}
+
+        def failures():
+            for i in range(1, pair_max):
+                for j in range(1, pair_max - i + 1):
+                    for ki in keys_by_size[i]:
+                        for kj in keys_by_size[j]:
+                            x, y = psi_elem(ki), psi_elem(kj)
+                            if gamma(psi_product(x, y)) != gamma(x) * gamma(y):
+                                yield {"left": str(ki.parts), "right": str(kj.parts)}
+
+        identity = f"gamma multiplicative [{seq.spec_string()}]"
+        report.append(report_item(identity, f"total size <= {pair_max}", failures()))
     return report
 
 
@@ -490,8 +484,8 @@ def prop_s_form_check(n: int, k: int) -> dict:
         expand_s_on(SetPartition.singletons(k), a_prime),
         complete_s(n - k, a_second, k),
     )
-    failure = None if lhs == rhs else {"n": n, "k": k}
-    return report_item("partial Bell as S-function product", f"n={n}, k={k}", failure)
+    failures = [{"n": n, "k": k}] if lhs != rhs else []
+    return report_item("partial Bell as S-function product", f"n={n}, k={k}", failures)
 
 
 def binomiality_check(n: int, k1: int, k2: int) -> dict:
@@ -504,8 +498,8 @@ def binomiality_check(n: int, k1: int, k2: int) -> dict:
     series_2 = mixed_bell_series(a_prime, a_second, k2, n)
     lhs = series_k[n] * math.comb(k, k1)
     rhs = shuffle_sum((series_1[i], series_2[n - i]) for i in range(n + 1))
-    failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
-    return report_item("binomiality of partial word Bell polynomials", f"n={n}, k1={k1}, k2={k2}", failure)
+    failures = [{"n": n, "k1": k1, "k2": k2}] if lhs != rhs else []
+    return report_item("binomiality of partial word Bell polynomials", f"n={n}, k1={k1}, k2={k2}", failures)
 
 
 def _convolution_batch(max_n: int, max_k: int) -> list[dict]:
@@ -530,10 +524,8 @@ def _convolution_batch(max_n: int, max_k: int) -> list[dict]:
             rhs = shuffle_sum(
                 (series_1[i], series_2[n + k - i]) for i in range(max(k, n + k - max_n), n + 1)
             )
-            failure = None if lhs == rhs else {"n": n, "k": k}
-            report.append(
-                report_item("convolution over an alphabet sum", f"n={n}, k={k}, L={truncation}", failure)
-            )
+            failures = [{"n": n, "k": k}] if lhs != rhs else []
+            report.append(report_item("convolution over an alphabet sum", f"n={n}, k={k}, L={truncation}", failures))
     return report
 
 
@@ -560,11 +552,11 @@ def _composition_batch(max_n: int, max_k: int) -> list[dict]:
             for n in range(k1, max_n + 1):
                 lhs = powered[n] * lhs_scale
                 rhs = rhs_series[n - k1 + k1 * k2] * rhs_scale
-                failure = None if lhs == rhs else {"n": n, "k1": k1, "k2": k2}
+                failures = [{"n": n, "k1": k1, "k2": k2}] if lhs != rhs else []
                 report.append(report_item(
                     "composition of partial word Bell polynomials",
                     f"n={n}, k1={k1}, k2={k2}, L={truncation}",
-                    failure,
+                    failures,
                 ))
     return report
 

@@ -6,6 +6,13 @@ the command line wraps these in JSON and turns failures into exit codes.
 Oracles used here (Stirling closed forms, brute-force enumerations) are
 deliberately independent of the code paths they validate.
 
+Every item is a counterexample stream: a generator, or a list for an item
+with one case, that yields one dict per failing case in case order.
+``bell.report_item`` reads only the first dict, so a failing item runs no
+case after its first counterexample.  Random data that a later item depends
+on is drawn before the stream, in a fixed order, so a failing item cannot
+shift the data of the items after it.
+
 Each value is built once and read by every item that needs it:
 
 * the Hopf suite builds, per color sequence, one table of basis elements
@@ -45,7 +52,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from . import bell, hopf, munthekaas, realization, series, symfun
 from .bell import report_item
@@ -146,11 +153,10 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                 dz = cop[tag][z] = _interned(coproduct(LinComb.term(tag, z)), canon)
             return dz
 
-        failure = None
-        for i in range(1, max_n + 1):
-            for j in range(1, max_n - i + 1):
-                for a in keys[i]:
-                    for b in keys[j]:
+        def failures():
+            for i in range(1, max_n + 1):
+                for j in range(1, max_n - i + 1):
+                    for a, b in product(keys[i], keys[j]):
                         for tag, _, coproduct in sides:
                             # Delta(ab) by linearity: the sum of (ab)_z Delta(z)
                             lhs = LinComb(tensor_tag(tag), (
@@ -159,99 +165,93 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                                 for pair, d in delta(tag, coproduct, z).items()
                             ))
                             rhs = hopf.tensor_multiply(cop[tag][a], cop[tag][b], times[tag])
-                            if failure is None and lhs != rhs:
-                                failure = {"left": str(a), "right": str(b), "side": tag}
-        report.append(report_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failure))
+                            if lhs != rhs:
+                                yield {"left": str(a), "right": str(b), "side": tag}
 
-        failure = None
-        sizes = [
-            (i, j, k)
+        report.append(report_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failures()))
+
+        times_psi, psi = times[hopf.PSI], elem[hopf.PSI]
+        failures = (
+            {"triple": (str(a), str(b), str(c))}
             for i in range(1, max_n + 1)
-            for j in range(1, max_n + 1)
-            for k in range(1, max_n + 1)
-            if i + j + k <= max_n
-        ]
-        times_psi = times[hopf.PSI]
-        for i, j, k in sizes:
-            for a in keys[i]:
-                for b in keys[j]:
-                    for c in keys[k]:
-                        pa, pb, pc = (elem[hopf.PSI][x] for x in (a, b, c))
-                        left = times_psi(times_psi(pa, pb), pc)
-                        right = times_psi(pa, times_psi(pb, pc))
-                        if failure is None and left != right:
-                            failure = {"triple": (str(a), str(b), str(c))}
-        report.append(report_item(f"product associativity [{label}]", f"total size <= {max_n}", failure))
+            for j in range(1, max_n - i)
+            for k in range(1, max_n - i - j + 1)
+            for a, b, c in product(keys[i], keys[j], keys[k])
+            if times_psi(times_psi(psi[a], psi[b]), psi[c]) != times_psi(psi[a], times_psi(psi[b], psi[c]))
+        )
+        report.append(report_item(f"product associativity [{label}]", f"total size <= {max_n}", failures))
 
-        failure = None
-        for n in range(max_n + 1):
-            for a in keys[n]:
-                if failure is None and hopf.tensor_swap(cop[hopf.PHI][a]) != cop[hopf.PHI][a]:
-                    failure = {"key": str(a), "side": "Phi cocommutativity"}
-                for tag, _, _ in sides:
-                    # counit: (eps x id) Delta = id on both sides
-                    left = LinComb(tag, ((r, c) for (l, r), c in cop[tag][a].items() if l.size == 0))
-                    if failure is None and left != elem[tag][a]:
-                        failure = {"key": str(a), "side": f"{tag} counit"}
-        report.append(report_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failure))
+        def failures():
+            for n in range(max_n + 1):
+                for a in keys[n]:
+                    if hopf.tensor_swap(cop[hopf.PHI][a]) != cop[hopf.PHI][a]:
+                        yield {"key": str(a), "side": "Phi cocommutativity"}
+                    for tag, _, _ in sides:
+                        # counit: (eps x id) Delta = id on both sides
+                        left = LinComb(tag, ((r, c) for (l, r), c in cop[tag][a].items() if l.size == 0))
+                        if left != elem[tag][a]:
+                            yield {"key": str(a), "side": f"{tag} counit"}
 
-        failure = None
+        report.append(report_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failures()))
+
         phi = elem[hopf.PHI]
         anti = {a: _interned(hopf.antipode(e), canon) for a, e in phi.items()}
-        for n in range(max_n + 1):
-            for a in keys[n]:
-                # the sum of x1 S(x2) over the Phi coproduct: the side that the
-                # antipode's recursion, which solves sum S(x1) x2 = eps, does not impose
-                total = LinComb(hopf.PHI, (
-                    (k, c * d)
-                    for (l, r), c in cop[hopf.PHI][a].items()
-                    for k, d in times[hopf.PHI](phi[l], anti[r]).items()
-                ))
-                expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
-                if failure is None and total != expect:
-                    failure = {"key": str(a)}
-        report.append(report_item(f"antipode axiom [{label}]", f"n <= {max_n}", failure))
+
+        def failures():
+            for n in range(max_n + 1):
+                for a in keys[n]:
+                    # the sum of x1 S(x2) over the Phi coproduct: the side that the
+                    # antipode's recursion, which solves sum S(x1) x2 = eps, does not impose
+                    total = LinComb(hopf.PHI, (
+                        (k, c * d)
+                        for (l, r), c in cop[hopf.PHI][a].items()
+                        for k, d in times[hopf.PHI](phi[l], anti[r]).items()
+                    ))
+                    expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
+                    if total != expect:
+                        yield {"key": str(a)}
+
+        report.append(report_item(f"antipode axiom [{label}]", f"n <= {max_n}", failures()))
 
         # the Phi coproduct table transposed: column (x, y) holds <x (x) y, Dz> for every z
         columns = {}
         for z in canon:
             for pair, c in cop[hopf.PHI][z].items():
                 columns.setdefault(pair, {})[z] = c
-        failure = None
-        for i in range(1, max_n):
-            for j in range(1, max_n - i + 1):
-                n = i + j
-                for a in keys[i]:
-                    for b in keys[j]:
-                        prod = times_psi(elem[hopf.PSI][a], elem[hopf.PSI][b])
+
+        def failures():
+            for i in range(1, max_n):
+                for j in range(1, max_n - i + 1):
+                    n = i + j
+                    for a, b in product(keys[i], keys[j]):
+                        prod = times_psi(psi[a], psi[b])
                         column = LinComb(hopf.PSI, columns.get((a, b), {}))
-                        if failure is None and prod != column:
+                        if prod != column:
                             # the first z of keys[n] that differs, else a key outside keys[n]
-                            z = next(
-                                z for z in chain(keys[n], prod.keys()) if prod.coeff(z) != column.coeff(z)
-                            )
-                            failure = {"x": str(a), "y": str(b), "z": str(z)}
+                            z = next(z for z in chain(keys[n], prod.keys()) if prod.coeff(z) != column.coeff(z))
+                            yield {"x": str(a), "y": str(b), "z": str(z)}
+
         report.append(
-            report_item(f"duality adjointness <xy,z> = <x(x)y, Dz> [{label}]", f"|x|+|y| <= {max_n}", failure)
+            report_item(f"duality adjointness <xy,z> = <x(x)y, Dz> [{label}]", f"|x|+|y| <= {max_n}", failures())
         )
 
-        failure = None
-        for n in range(max_n + 1):
-            if failure is None and len(keys[n]) != bell.eval_complete_bell(seq, n):
-                failure = {"n": n, "dim": len(keys[n])}
-        report.append(report_item(f"graded dimensions equal A_n(a) [{label}]", f"n <= {max_n}", failure))
+        failures = (
+            {"n": n, "dim": len(keys[n])} for n in range(max_n + 1) if len(keys[n]) != bell.eval_complete_bell(seq, n)
+        )
+        report.append(report_item(f"graded dimensions equal A_n(a) [{label}]", f"n <= {max_n}", failures))
 
-    failure = None
-    for n in range(min(max_n, 4) + 1):
-        for p in set_partitions(n):
-            expanded = hopf.phi_to_monomial(hopf.phi_elem(p))
-            if failure is None and expanded.coeff(p) != 1:
-                failure = {"pi": str(p), "reason": "diagonal not 1"}
-            if failure is None and any(not refines(p, q) for q in expanded.keys()):
-                failure = {"pi": str(p), "reason": "support not coarser"}
-            if failure is None and hopf.monomial_to_phi(expanded) != hopf.phi_elem(p):
-                failure = {"pi": str(p), "reason": "round trip"}
-    report.append(report_item("monomial change of basis is unitriangular", f"n <= {min(max_n, 4)}", failure))
+    def failures():
+        for n in range(min(max_n, 4) + 1):
+            for p in set_partitions(n):
+                expanded = hopf.phi_to_monomial(hopf.phi_elem(p))
+                if expanded.coeff(p) != 1:
+                    yield {"pi": str(p), "reason": "diagonal not 1"}
+                if any(not refines(p, q) for q in expanded.keys()):
+                    yield {"pi": str(p), "reason": "support not coarser"}
+                if hopf.monomial_to_phi(expanded) != hopf.phi_elem(p):
+                    yield {"pi": str(p), "reason": "round trip"}
+
+    report.append(report_item("monomial change of basis is unitriangular", f"n <= {min(max_n, 4)}", failures()))
     return report
 
 
@@ -278,74 +278,80 @@ def _colored_psi_bell_table(seq, top: int) -> list[list[LinComb]]:
 def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
     report = []
     rng = random.Random(seed)
+    classical_max = min(max_n + 2, 8)
 
-    failure = None
-    for n in range(min(max_n + 3, 9)):
-        for k in range(n + 1):
-            if failure is None and bell.eval_partial_bell(ONES, n, k) != _stirling2(n, k):
-                failure = {"kind": "stirling2", "n": n, "k": k}
-            if failure is None and bell.eval_partial_bell(SHIFTED_FACTORIAL, n, k) != _stirling1_unsigned(n, k):
-                failure = {"kind": "stirling1", "n": n, "k": k}
-            if k >= 1:
-                lah = math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
-                if failure is None and bell.eval_partial_bell(FACTORIAL, n, k) != lah:
-                    failure = {"kind": "lah", "n": n, "k": k}
-                idem = math.comb(n, k) * k ** (n - k)
-                if failure is None and bell.eval_partial_bell(IDEMPOTENT, n, k) != idem:
-                    failure = {"kind": "idempotent", "n": n, "k": k}
-    report.append(report_item("classical specializations of B_{n,k}", "n <= 8", failure))
+    def failures():
+        for n in range(classical_max + 1):
+            for k in range(n + 1):
+                if bell.eval_partial_bell(ONES, n, k) != _stirling2(n, k):
+                    yield {"kind": "stirling2", "n": n, "k": k}
+                if bell.eval_partial_bell(SHIFTED_FACTORIAL, n, k) != _stirling1_unsigned(n, k):
+                    yield {"kind": "stirling1", "n": n, "k": k}
+                if k >= 1:
+                    lah = math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
+                    if bell.eval_partial_bell(FACTORIAL, n, k) != lah:
+                        yield {"kind": "lah", "n": n, "k": k}
+                    idem = math.comb(n, k) * k ** (n - k)
+                    if bell.eval_partial_bell(IDEMPOTENT, n, k) != idem:
+                        yield {"kind": "idempotent", "n": n, "k": k}
+
+    report.append(report_item("classical specializations of B_{n,k}", f"n <= {classical_max}", failures()))
 
     # through the triangle: a1^k B_{n,k}(a/a1) = B_{n,k}(a), and for a1 = 0
     # the shift B_{n,k}(a) = n!/(n-k)! B_{n-k,k}(a_2/2, a_3/3, ...)
-    failure = None
-    for _ in range(4):
-        a = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(max_n + 2)]
-        for variant in (a, [Fraction(0)] + a[1:]):
-            a1 = variant[0]
-            shifted = [v / (m + 2) for m, v in enumerate(variant[1:])]
-            for n in range(max_n + 2):
-                for k in range(n + 1):
-                    if a1:
-                        routed = a1**k * bell.eval_partial_bell([v / a1 for v in variant], n, k)
-                    else:
-                        routed = math.perm(n, k) * bell.eval_partial_bell(shifted, n - k, k)
-                    want = bell.eval_partial_bell_direct(variant, n, k)
-                    if failure is None and not routed == want == bell.eval_partial_bell(variant, n, k):
-                        failure = {"n": n, "k": k, "a": [str(v) for v in variant]}
-        complete = bell.eval_complete_bell(a, max_n)
-        if failure is None and complete != bell.eval_complete_bell_via_gf(a, max_n):
-            failure = {"kind": "complete", "a": [str(v) for v in a]}
-    report.append(report_item("normalization fast paths agree with direct evaluation", "random rational", failure))
+    trials = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(max_n + 2)] for _ in range(4)]
+
+    def failures():
+        for a in trials:
+            for variant in (a, [Fraction(0)] + a[1:]):
+                a1 = variant[0]
+                shifted = [v / (m + 2) for m, v in enumerate(variant[1:])]
+                for n in range(max_n + 2):
+                    for k in range(n + 1):
+                        if a1:
+                            routed = a1**k * bell.eval_partial_bell([v / a1 for v in variant], n, k)
+                        else:
+                            routed = math.perm(n, k) * bell.eval_partial_bell(shifted, n - k, k)
+                        want = bell.eval_partial_bell_direct(variant, n, k)
+                        if not routed == want == bell.eval_partial_bell(variant, n, k):
+                            yield {"n": n, "k": k, "a": [str(v) for v in variant]}
+            if bell.eval_complete_bell(a, max_n) != bell.eval_complete_bell_via_gf(a, max_n):
+                yield {"kind": "complete", "a": [str(v) for v in a]}
+
+    report.append(report_item("normalization fast paths agree with direct evaluation", "random rational", failures()))
 
     # the served enumeration against the ladder recursion that defines it
-    failure = None
-    for n in range(max_n + 1):
-        poly = bell.word_bell_tpoly(n)
-        if failure is None and bell.word_complete_bell(n) != _lincomb_sum(hopf.PHI, poly):
-            failure = {"n": n}
-        for k in range(n + 1):
-            if failure is None and bell.word_partial_bell(n, k) != poly[k]:
-                failure = {"n": n, "k": k}
-    report.append(report_item("word Bell polynomials enumerate partitions by blocks", f"n <= {max_n}", failure))
+    def failures():
+        for n in range(max_n + 1):
+            poly = bell.word_bell_tpoly(n)
+            if bell.word_complete_bell(n) != _lincomb_sum(hopf.PHI, poly):
+                yield {"n": n}
+            for k in range(n + 1):
+                if bell.word_partial_bell(n, k) != poly[k]:
+                    yield {"n": n, "k": k}
 
-    failure = None
-    for n in range(min(max_n, 5) + 1):
-        for p in set_partitions(n):
-            e = hopf.phi_elem(p)
-            if failure is None and bell.deriv(e) != bell.deriv_via_monomial(e):
-                failure = {"pi": str(p)}
-    report.append(report_item("ladder operator factors through the monomial basis", f"n <= {min(max_n, 5)}", failure))
+    report.append(report_item("word Bell polynomials enumerate partitions by blocks", f"n <= {max_n}", failures()))
+
+    failures = (
+        {"pi": str(p)}
+        for n in range(min(max_n, 5) + 1)
+        for p in set_partitions(n)
+        if bell.deriv(hopf.phi_elem(p)) != bell.deriv_via_monomial(hopf.phi_elem(p))
+    )
+    report.append(report_item("ladder operator factors through the monomial basis", f"n <= {min(max_n, 5)}", failures))
 
     # the served enumeration against the series power that defines it
-    failure = None
     top = min(max_n, 5)
-    for seq in (FACTORIAL, IDEMPOTENT):
-        table = _colored_psi_bell_table(seq, top)
-        for n in range(top + 1):
-            for k in range(n + 1):
-                if failure is None and bell.colored_psi_bell(seq, n, k) != table[k][n]:
-                    failure = {"seq": seq.spec_string(), "n": n, "k": k}
-    report.append(report_item("colored dual Bell polynomials enumerate colored partitions", f"n <= {top}", failure))
+
+    def failures():
+        for seq in (FACTORIAL, IDEMPOTENT):
+            table = _colored_psi_bell_table(seq, top)
+            for n in range(top + 1):
+                for k in range(n + 1):
+                    if bell.colored_psi_bell(seq, n, k) != table[k][n]:
+                        yield {"seq": seq.spec_string(), "n": n, "k": k}
+
+    report.append(report_item("colored dual Bell polynomials enumerate colored partitions", f"n <= {top}", failures()))
 
     report.extend(bell.morphism_diagram_report(max_n=min(max_n, 6), seed=seed, pair_max=min(max_n, 5)))
     return report
@@ -368,68 +374,72 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
             poly = expansions[(expand, key, L)] = expand(key, L)
         return poly
 
-    failure = None
-    seen = {}
-    for n in range(min(max_n, 4) + 1):
-        for key in colored_partitions(IDEMPOTENT, n):
-            poly = expanded(expand_phi, key, 4)
-            frozen = tuple(sorted(poly.items()))
-            if failure is None and frozen in seen:
-                failure = {"first": str(seen[frozen]), "second": str(key)}
-            seen[frozen] = key
-    report.append(report_item("realization is injective on basis keys", "n <= 4, L = 4", failure))
+    def failures():
+        seen = {}
+        for n in range(min(max_n, 4) + 1):
+            for key in colored_partitions(IDEMPOTENT, n):
+                frozen = tuple(sorted(expanded(expand_phi, key, 4).items()))
+                if frozen in seen:
+                    yield {"first": str(seen[frozen]), "second": str(key)}
+                seen[frozen] = key
 
-    failure = None
-    for n1 in range(1, min(max_n, 4)):
-        for n2 in range(1, min(max_n, 4) - n1 + 1):
-            L = n1 + n2
-            for p1 in colored_partitions(IDEMPOTENT, n1):
-                for p2 in colored_partitions(IDEMPOTENT, n2):
+    report.append(report_item("realization is injective on basis keys", f"n <= {min(max_n, 4)}, L = 4", failures()))
+
+    def failures():
+        for n1 in range(1, min(max_n, 4)):
+            for n2 in range(1, min(max_n, 4) - n1 + 1):
+                L = n1 + n2
+                for p1, p2 in product(colored_partitions(IDEMPOTENT, n1), colored_partitions(IDEMPOTENT, n2)):
                     lhs = realization.shuffle_composite(
                         [tuple(range(1, n1 + 1)), tuple(range(n1 + 1, n1 + n2 + 1))],
                         [expanded(expand_phi, p1, L), expanded(expand_phi, p2, L)],
                     )
-                    rhs = expanded(expand_phi, p1.shifted_union(p2), L)
-                    if failure is None and lhs != rhs:
-                        failure = {"left": str(p1), "right": str(p2)}
-    report.append(report_item("expansion intertwines product and concatenation", f"sizes <= {min(max_n, 4)}", failure))
+                    if lhs != expanded(expand_phi, p1.shifted_union(p2), L):
+                        yield {"left": str(p1), "right": str(p2)}
+
+    identity = "expansion intertwines product and concatenation"
+    report.append(report_item(identity, f"sizes <= {min(max_n, 4)}", failures()))
 
     splittings = {}  # (x, y) -> {z: number of splittings of z into (x, y)}
     for z in chain.from_iterable(map(set_partitions, range(2, max_n + 1))):
         for pair in part_bipartitions(z):
             splittings.setdefault(pair, Counter())[z] += 1
-    failure = None
-    for n1 in range(1, max_n):
-        for n2 in range(1, max_n - n1 + 1):
-            L = n1 + n2
-            for p1 in set_partitions(n1):
-                for p2 in set_partitions(n2):
+
+    def failures():
+        for n1 in range(1, max_n):
+            for n2 in range(1, max_n - n1 + 1):
+                L = n1 + n2
+                for p1, p2 in product(set_partitions(n1), set_partitions(n2)):
                     lhs = realization.shuffle(expanded(expand_psi, p1, L), expanded(expand_psi, p2, L))
                     rhs = LinComb(realization.WORD, (
                         (w, c * d)
                         for key, c in splittings[p1, p2].items()
                         for w, d in expanded(expand_psi, key, L).items()
                     ))
-                    if failure is None and lhs != rhs:
-                        failure = {"left": str(p1), "right": str(p2)}
-    report.append(report_item("shuffle realization of the dual product", f"|x|+|y| <= {max_n}", failure))
+                    if lhs != rhs:
+                        yield {"left": str(p1), "right": str(p2)}
 
-    failure = None
+    report.append(report_item("shuffle realization of the dual product", f"|x|+|y| <= {max_n}", failures()))
+
     sides = ((hopf.PHI, expand_phi), (hopf.PSI, expand_psi))
-    for n in range(1, min(max_n, 4) + 1):
-        families = {
-            tag: {m: expanded(expand, SetPartition.single_block(m), n) for m in range(1, n + 1)}
-            for tag, expand in sides
-        }
-        for k in range(1, n + 1):
-            for tag, expand in sides:
-                got = bell.shuffle_partial_bell(families[tag], n, k)
-                want = LinComb(realization.WORD, (
-                    (w, c) for p in set_partitions(n) if p.part_count == k for w, c in expanded(expand, p, n).items()
-                ))
-                if failure is None and got != want:
-                    failure = {"n": n, "k": k, "family": tag}
-    report.append(report_item("shuffle Bell polynomials of the distinguished families", f"n <= {min(max_n, 4)}", failure))
+
+    def failures():
+        for n in range(1, min(max_n, 4) + 1):
+            families = {
+                tag: {m: expanded(expand, SetPartition.single_block(m), n) for m in range(1, n + 1)}
+                for tag, expand in sides
+            }
+            for k in range(1, n + 1):
+                for tag, expand in sides:
+                    got = bell.shuffle_partial_bell(families[tag], n, k)
+                    want = LinComb(realization.WORD, (
+                        (w, c) for p in set_partitions(n) if p.part_count == k for w, c in expanded(expand, p, n).items()
+                    ))
+                    if got != want:
+                        yield {"n": n, "k": k, "family": tag}
+
+    identity = "shuffle Bell polynomials of the distinguished families"
+    report.append(report_item(identity, f"n <= {min(max_n, 4)}", failures()))
 
     report.extend(bell.identity_suite("all", max_n=min(max_n, 4), max_k=min(max_k, 2)))
     return report
@@ -457,60 +467,61 @@ def mk_suite(max_n: int = 6) -> list[dict]:
             1: nw(4),
         },
     }
-    failure = None
-    for n, rows in expected.items():
-        for k, want in rows.items():
-            if failure is None and ncs[n][k] != want:
-                failure = {"n": n, "k": k}
-    report.append(report_item("low-degree noncommutative Bell polynomials", "n <= 4", failure))
+    failures = (
+        {"n": n, "k": k} for n, rows in expected.items() for k, want in rows.items() if ncs[n][k] != want
+    )
+    report.append(report_item("low-degree noncommutative Bell polynomials", "n <= 4", failures))
 
-    failure = None
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            if failure is None and munthekaas.xi(words[n][k]) != ncs[n][k]:
-                failure = {"n": n, "k": k}
-    report.append(report_item("block-size morphism maps word to noncommutative Bell", f"n <= {max_n}", failure))
+    failures = (
+        {"n": n, "k": k} for n in range(max_n + 1) for k in range(n + 1) if munthekaas.xi(words[n][k]) != ncs[n][k]
+    )
+    report.append(report_item("block-size morphism maps word to noncommutative Bell", f"n <= {max_n}", failures))
 
-    failure = None
-    for n in range(1, min(max_n, 5) + 1):
+    failures = (
+        {"n": n, "comp": comp}
+        for n in range(1, min(max_n, 5) + 1)
         # each composition once, in order of first occurrence
-        for comp, count in Counter(p.block_sizes() for p in set_partitions(n)).items():
-            if failure is None and munthekaas.ebrahimi_coefficient(n, len(comp), comp) != count:
-                failure = {"n": n, "comp": comp}
-    report.append(report_item("coefficients count partitions by block-size composition", f"n <= {min(max_n, 5)}", failure))
+        for comp, count in Counter(p.block_sizes() for p in set_partitions(n)).items()
+        if munthekaas.ebrahimi_coefficient(n, len(comp), comp) != count
+    )
+    identity = "coefficients count partitions by block-size composition"
+    report.append(report_item(identity, f"n <= {min(max_n, 5)}", failures))
 
-    failure = None
     elems = [hopf.phi_elem(p) for n in (1, 2) for p in set_partitions(n)]
-    for u in elems:
-        for v in elems:
-            if failure is None and munthekaas.zinbiel_left(u, v) != munthekaas.zinbiel_right(v, u):
-                failure = {"axiom": "u < v = v > u"}
+
+    def failures():
+        zl, zr = munthekaas.zinbiel_left, munthekaas.zinbiel_right
+        for u, v in product(elems, elems):
+            if zl(u, v) != zr(v, u):
+                yield {"axiom": "u < v = v > u"}
             for w in elems:
                 total = sum(k.size for e in (u, v, w) for k in e.keys())
                 if total > 4:
                     continue
-                zl, zr = munthekaas.zinbiel_left, munthekaas.zinbiel_right
-                if failure is None and zl(zl(u, v), w) != zl(u, zl(v, w)) + zl(u, zr(v, w)):
-                    failure = {"axiom": "left-left"}
-                if failure is None and zl(zr(u, v), w) != zr(u, zl(v, w)):
-                    failure = {"axiom": "mixed"}
-                if failure is None and zr(u, zr(v, w)) != zr(zl(u, v), w) + zr(zr(u, v), w):
-                    failure = {"axiom": "right-right"}
-    report.append(report_item("Zinbiel axioms on the dual realization", "total size <= 4", failure))
+                if zl(zl(u, v), w) != zl(u, zl(v, w)) + zl(u, zr(v, w)):
+                    yield {"axiom": "left-left"}
+                if zl(zr(u, v), w) != zr(u, zl(v, w)):
+                    yield {"axiom": "mixed"}
+                if zr(u, zr(v, w)) != zr(zl(u, v), w) + zr(zr(u, v), w):
+                    yield {"axiom": "right-right"}
 
-    failure = None
-    for n in range(1, max_n + 1):
-        poly = munthekaas.p_triangular(munthekaas.complete_phi_matrix(n), n)
-        for k in range(1, n + 1):
-            if failure is None and poly[k] != words[n][k]:
-                failure = {"n": n, "k": k}
-    report.append(report_item("triangular polynomial of the complete matrix", f"n <= {max_n}", failure))
+    report.append(report_item("Zinbiel axioms on the dual realization", "total size <= 4", failures()))
 
-    failure = None
-    for n in range(1, max_n + 1):
-        if failure is None and munthekaas.hessenberg_expansion(n) != _lincomb_sum(munthekaas.NC, ncs[n]):
-            failure = {"n": n}
-    report.append(report_item("Hessenberg path expansion at t = 1", f"n <= {max_n}", failure))
+    def failures():
+        for n in range(1, max_n + 1):
+            poly = munthekaas.p_triangular(munthekaas.complete_phi_matrix(n), n)
+            for k in range(1, n + 1):
+                if poly[k] != words[n][k]:
+                    yield {"n": n, "k": k}
+
+    report.append(report_item("triangular polynomial of the complete matrix", f"n <= {max_n}", failures()))
+
+    failures = (
+        {"n": n}
+        for n in range(1, max_n + 1)
+        if munthekaas.hessenberg_expansion(n) != _lincomb_sum(munthekaas.NC, ncs[n])
+    )
+    report.append(report_item("Hessenberg path expansion at t = 1", f"n <= {max_n}", failures))
     return report
 
 

@@ -21,7 +21,7 @@ from wordbell.bell import (
     eval_partial_bell_direct,
     gamma,
     gamma_beta,
-    h_in_c,
+    h_from_c,
     identity_suite,
     morphism_diagram_report,
     partial_bell_band,
@@ -433,7 +433,7 @@ def test_shuffle_bell_rejects_inhomogeneous():
 
 def test_alpha_expands_h_to_all_partitions():
     for n in range(6):
-        got = alpha(h_in_c(n))
+        got = alpha(h_from_c(n))
         assert got == LinComb("Psi", {p: 1 for p in set_partitions(n)})
 
 
@@ -450,11 +450,11 @@ def test_gamma_values_and_diagram():
     assert gamma(psi_elem(sp([(1, 2), (3,)]))) == Fraction(1, 6)
     for seq in (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT):
         for n in range(6):
-            got = gamma_beta(alpha(h_in_c(n)), seq)
+            got = gamma_beta(alpha(h_from_c(n)), seq)
             assert got == eval_complete_bell(seq, n) / math.factorial(n)
     # ones: the composite gives Bell numbers over n!
     for n in range(6):
-        got = gamma_beta(alpha(h_in_c(n)), ONES)
+        got = gamma_beta(alpha(h_from_c(n)), ONES)
         assert got * math.factorial(n) == eval_complete_bell(ONES, n)
 
 

@@ -622,6 +622,53 @@ def test_bell_suite_draws_the_random_diagram_data_from_its_seed(monkeypatch):
     assert drawn != at_zero
 
 
+def test_a_failing_item_runs_no_case_after_its_first_counterexample(monkeypatch):
+    from wordbell import munthekaas, verify
+
+    real = munthekaas.p_triangular
+    calls = []
+
+    def counted_and_doubled(entry, n):
+        calls.append(n)
+        return [c * 2 for c in real(entry, n)]
+
+    monkeypatch.setattr(munthekaas, "p_triangular", counted_and_doubled)
+    items = _items(verify.mk_suite(max_n=6))
+    assert items["triangular polynomial of the complete matrix"] == {"n": 1, "k": 1}
+    assert calls == [1]
+
+
+def test_small_max_n_ranges_state_the_bound_that_was_checked(monkeypatch):
+    from wordbell import bell, realization, verify
+    from wordbell.combinatorics import ONES
+
+    # the classical item checks n <= min(max_n + 2, 8): wrong at that n fails it, one past passes
+    real_bell = bell.eval_partial_bell
+    for wrong_n, status in ((4, "fail"), (5, "pass")):
+        monkeypatch.setattr(
+            bell, "eval_partial_bell", lambda a, n, k, w=wrong_n: real_bell(a, n, k) + (a is ONES and n == w)
+        )
+        item = verify.bell_suite(max_n=2)[0]
+        assert (item["identity"], item["range"], item["status"]) == (
+            "classical specializations of B_{n,k}", "n <= 4", status
+        )
+    monkeypatch.undo()
+
+    # the injectivity item is the one that expands at L = 4, here up to n = 3
+    real_expand = realization.expand_phi
+    sizes = []
+
+    def recorded(key, L):
+        if L == 4:
+            sizes.append(key.size)
+        return real_expand(key, L)
+
+    monkeypatch.setattr(realization, "expand_phi", recorded)
+    item = verify.word_suite(max_n=3)[0]
+    assert (item["identity"], item["range"]) == ("realization is injective on basis keys", "n <= 3, L = 4")
+    assert max(sizes) == 3
+
+
 # sha256 of stdout, recorded before the refactors that must leave output unchanged
 GOLDEN_STDOUT = {
     "verify all": "8ed0d3aa30e376f9771812fe5469e0aea54a236fb99a1619d44c9a5135beebab",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wordbell import series
-from wordbell.bell import eval_complete_bell, eval_partial_bell, h_in_c
+from wordbell.bell import eval_complete_bell, eval_partial_bell
 from wordbell.combinatorics import int_partitions
 from wordbell.symfun import (
     VirtualAlphabet,
@@ -40,8 +40,16 @@ def test_h_from_c_small():
     assert h_from_c(0) == 1
     assert h_from_c(1) == SparsePoly.var(1)
     assert h_from_c(2) == SparsePoly.var(2) + SparsePoly.var(1, 2) * Fraction(1, 2)
+    # the reference: the sum over partitions lambda of n of c_lambda, the
+    # monomial divided by the factorials of its multiplicities
     for n in range(8):
-        assert h_from_c(n) == h_in_c(n)
+        terms = []
+        for lam in int_partitions(n):
+            mono = [0] * n
+            for part in lam:
+                mono[part - 1] += 1
+            terms.append((mono, Fraction(1, math.prod(map(math.factorial, mono)))))
+        assert h_from_c(n) == SparsePoly(terms)
 
 
 def test_complete_bell_formula_for_h():
