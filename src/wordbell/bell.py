@@ -54,9 +54,9 @@ from .realization import (
     letters,
     series_shuffle_power,
     shuffle,
+    shuffle_bell_series,
     shuffle_sum,
     word_degree,
-    word_one,
     word_zero,
 )
 from .sympoly import SparsePoly
@@ -276,35 +276,14 @@ def colored_psi_complete(seq: ColorSequence, n: int) -> LinComb:
 # shuffle-power Bell polynomials for word polynomial arguments
 
 
-def _generator_series(generators, order: int) -> list[LinComb]:
-    """[0, F_1, ..., F_order]: ``generators`` maps degree i >= 1 to the word
-    polynomial F_i (list with index 0 unused, or mapping), missing ones 0."""
-    base = [word_zero()]
-    for i in range(1, order + 1):
-        try:
-            base.append(generators[i])
-        except (IndexError, KeyError):
-            base.append(word_zero())
-    return base
-
-
-def shuffle_bell_series(generators, k: int, order: int) -> list[LinComb]:
-    """Coefficients of (sum_i F_i t^i)^(shuffle k) / k! up to t^order."""
-    powered = series_shuffle_power(_generator_series(generators, order), k, order)
-    if k < 2:
-        return powered  # k! = 1: nothing to divide
-    return [p / math.factorial(k) for p in powered]
-
-
-def shuffle_partial_bell(generators, n: int, k: int) -> LinComb:
-    """[t^n] of the k-fold shuffle power over k!, for homogeneous generators."""
-    base = _generator_series(generators, n)
-    for i, f in enumerate(base):
+def shuffle_partial_bell(generators: list, n: int, k: int) -> LinComb:
+    """B_{n,k}(F) = [t^n] (sum_i F_i t^i)^(shuffle k) / k! for the list
+    [_, F_1, F_2, ...] of generators, each F_i homogeneous of degree i
+    (:func:`realization.shuffle_bell_series`)."""
+    for i, f in enumerate(generators[1 : n + 1], 1):
         if f and word_degree(f) != i:
             raise ValueError(f"generator {i} is not homogeneous of degree {i}")
-    if k <= 0:
-        return word_one() if n == k == 0 else word_zero()
-    return series_shuffle_power(base, k, n)[n] / math.factorial(k)
+    return shuffle_bell_series(generators, k, n)[n]
 
 
 # ---------------------------------------------------------------------------

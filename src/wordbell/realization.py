@@ -272,6 +272,21 @@ def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:
     return series.power(a, k, order, word_one(), shuffle_sum)
 
 
+def shuffle_bell_series(generators: list, k: int, order: int) -> list[LinComb]:
+    """Coefficients of (sum_i F_i t^i)^(shuffle k) / k! up to t^order, the
+    shuffle Bell polynomials B_{n,k}(F) for n <= order (zero for k < 0).
+
+    ``generators`` is the list [_, F_1, F_2, ...] of word polynomials; entry
+    0 is ignored and a shorter list is padded with zeros."""
+    if k < 0:
+        return [word_zero()] * (order + 1)
+    base = series.pad([word_zero(), *generators[1:]], order, word_zero())
+    powered = series_shuffle_power(base, k, order)
+    if k < 2:
+        return powered  # k! = 1: nothing to divide
+    return [p / math.factorial(k) for p in powered]
+
+
 # ---------------------------------------------------------------------------
 # the cycle-support specialization
 
@@ -296,13 +311,12 @@ def cycle_bell(n: int, k: int) -> LinComb:
     """Word Bell polynomial specialized to cycle words: the sum of w[sigma]
     over permutations of size n with exactly k cycles.
 
-    It is [t^n] of the k-th shuffle power of sum_m cycle_complete_family(m) t^m,
-    over k!: a permutation is a set of cycles, and the cycle word of each one
-    scatters into its support.  Only m <= n - k + 1 can reach degree n."""
-    if k <= 0:
-        return word_one() if n == k == 0 else word_zero()
-    family = [word_zero()] + [cycle_complete_family(m) for m in range(1, n - k + 2)]
-    return series_shuffle_power(family, k, n)[n] / math.factorial(k)
+    It is the shuffle Bell polynomial B_{n,k} of the cycle complete family
+    (:func:`shuffle_bell_series`): a permutation is a set of cycles, and the
+    cycle word of each one scatters into its support."""
+    top = n - k + 1 if k > 0 else 0  # only m <= n - k + 1 can reach degree n
+    family = [None] + [cycle_complete_family(m) for m in range(1, top + 1)]
+    return shuffle_bell_series(family, k, n)[n]
 
 
 def cycle_complete_family(m: int) -> LinComb:

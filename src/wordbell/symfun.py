@@ -220,18 +220,15 @@ def _det(mat) -> Fraction:
     return det
 
 
+def _jacobi_trudi(lam, entry) -> Fraction:
+    """det[entry(lam_i - i + j)], the Jacobi-Trudi determinant of ``entry``."""
+    size = len(lam)
+    return _det([[entry(lam[i] - i + j) for j in range(size)] for i in range(size)])
+
+
 def schur(lam, x: VirtualAlphabet) -> Fraction:
     """s_lambda(X) by the Jacobi-Trudi determinant of complete functions."""
-    lam = tuple(lam)
-    size = len(lam)
-    if size == 0:
-        return Fraction(1)
-
-    def h_at(m: int) -> Fraction:
-        return x.h(m) if m >= 0 else Fraction(0)
-
-    mat = [[h_at(lam[i] - (i + 1) + (j + 1)) for j in range(size)] for i in range(size)]
-    return _det(mat)
+    return _jacobi_trudi(tuple(lam), lambda m: x.h(m) if m >= 0 else Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -427,38 +424,25 @@ def _two_determinant_failures(a, b, reading: str):
     """The counterexample stream of the product-alphabet determinant identity
     in one of two readings."""
 
-    def hat_h(vals, m):
-        if m < 0:
-            return Fraction(0)
-        if reading == "corrected":
-            return vals[m] / math.factorial(m + 1) if m < len(vals) else Fraction(0)
-        # printed: entry a_{lam_i - i + j + 1} / (lam_i + j + 1)! is handled in cell()
-        return vals[m] if m < len(vals) else Fraction(0)
+    def hat_det(lam, vals) -> Fraction:
+        if reading == "corrected":  # entry a_{m+1} / (m + 1)! at m = lam_i - i + j
+            return _jacobi_trudi(lam, lambda m: vals[m] / math.factorial(m + 1) if 0 <= m < len(vals) else 0)
+        # printed: entry a_{lam_i - i + j + 1} / (lam_i + j + 1)! (i, j from 1),
+        # whose factorial is not a function of lam_i - i + j
+        size = len(lam)
+
+        def cell(i, j):
+            idx = lam[i] - i + j + 1
+            return vals[idx - 1] / math.factorial(lam[i] + j + 2) if 1 <= idx <= len(vals) else Fraction(0)
+
+        return _det([[cell(i, j) for j in range(size)] for i in range(size)])
 
     def d_value(n: int) -> Fraction:
-        tot = Fraction(0)
-        for lam in int_partitions(n - 1):
-            size = len(lam)
-            if reading == "corrected":
-                m1 = [
-                    [hat_h(a, lam[i] - (i + 1) + (j + 1)) for j in range(size)]
-                    for i in range(size)
-                ]
-                m2 = [
-                    [hat_h(b, lam[i] - (i + 1) + (j + 1)) for j in range(size)]
-                    for i in range(size)
-                ]
-            else:
-                def cell(vals, i, j):
-                    idx = lam[i] - (i + 1) + (j + 1) + 1
-                    if idx < 1 or idx > len(vals):
-                        return Fraction(0)
-                    return vals[idx - 1] / math.factorial(lam[i] + (j + 1) + 1)
+        products = (hat_det(lam, a) * hat_det(lam, b) for lam in int_partitions(n - 1))
+        return math.factorial(n) * sum(products, Fraction(0))
 
-                m1 = [[cell(a, i, j) for j in range(size)] for i in range(size)]
-                m2 = [[cell(b, i, j) for j in range(size)] for i in range(size)]
-            tot += _det(m1) * _det(m2)
-        return math.factorial(n) * tot
+    def bell_entry(vals, kk):  # B_{m+kk,kk}(a) / (m + kk)! at m = lam_i - i + j
+        return lambda m: eval_partial_bell(vals, m + kk, kk) / math.factorial(m + kk) if m >= 0 else 0
 
     d = [d_value(n) for n in range(1, 7)]
     for k1, k2 in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -467,20 +451,10 @@ def _two_determinant_failures(a, b, reading: str):
             lhs = eval_partial_bell(d, n, k)
             tot = Fraction(0)
             for lam in int_partitions(n - k):
-                size = len(lam)
-
-                def bell_cell(vals, kk, i, j):
-                    idx = lam[i] - (i + 1) + (j + 1) + kk
-                    if idx < kk:
-                        return Fraction(0)
-                    return eval_partial_bell(vals, idx, kk) / math.factorial(idx)
-
-                m1 = [[bell_cell(a, k1, i, j) for j in range(size)] for i in range(size)]
-                m2 = [[bell_cell(b, k2, i, j) for j in range(size)] for i in range(size)]
                 tot += (
-                    (math.factorial(k1) * math.factorial(k2)) ** size
-                    * _det(m1)
-                    * _det(m2)
+                    (math.factorial(k1) * math.factorial(k2)) ** len(lam)
+                    * _jacobi_trudi(lam, bell_entry(a, k1))
+                    * _jacobi_trudi(lam, bell_entry(b, k2))
                 )
             rhs = Fraction(math.factorial(n), math.factorial(k)) * tot
             if lhs != rhs:

@@ -37,7 +37,10 @@ definition it replaces:
 The word item "shuffle realization of the dual product" shuffles the word
 expansions of Psi_x and Psi_y, and expands Psi_x Psi_y read off the Phi
 coproduct by duality (Psi_z counts the splittings of z into (x, y)), since
-``hopf.psi_product`` shares the shuffle's interleaving kernel.
+``hopf.psi_product`` shares the shuffle's interleaving kernel.  It keeps
+L = k_x + k_y letters, the block counts of x and y: both sides are
+symmetric in the letters, and no word of either side uses more letters than
+x and y have blocks together, so the truncation is faithful.
 
 The products and coproducts are looked up on the ``hopf`` module per suite
 call, so a patched module is what gets checked.  An identity that holds on
@@ -361,7 +364,7 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
 # word (realization)
 
 
-def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
+def word_suite(max_n: int = 5) -> list[dict]:
     report = []
     # looked up per call, so a patched realization module is what gets checked
     expand_phi, expand_psi = realization.expand_phi, realization.expand_psi
@@ -408,8 +411,8 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
     def failures():
         for n1 in range(1, max_n):
             for n2 in range(1, max_n - n1 + 1):
-                L = n1 + n2
                 for p1, p2 in product(set_partitions(n1), set_partitions(n2)):
+                    L = p1.part_count + p2.part_count
                     lhs = realization.shuffle(expanded(expand_psi, p1, L), expanded(expand_psi, p2, L))
                     rhs = LinComb(realization.WORD, (
                         (w, c * d)
@@ -426,7 +429,7 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
     def failures():
         for n in range(1, min(max_n, 4) + 1):
             families = {
-                tag: {m: expanded(expand, SetPartition.single_block(m), n) for m in range(1, n + 1)}
+                tag: [None, *(expanded(expand, SetPartition.single_block(m), n) for m in range(1, n + 1))]
                 for tag, expand in sides
             }
             for k in range(1, n + 1):
@@ -441,7 +444,7 @@ def word_suite(max_n: int = 5, max_k: int = 3) -> list[dict]:
     identity = "shuffle Bell polynomials of the distinguished families"
     report.append(report_item(identity, f"n <= {min(max_n, 4)}", failures()))
 
-    report.extend(bell.identity_suite("all", max_n=min(max_n, 4), max_k=min(max_k, 2)))
+    report.extend(bell.identity_suite("all", max_n=min(max_n, 4), max_k=2))
     return report
 
 

@@ -27,7 +27,6 @@ from wordbell.bell import (
     partial_bell_band,
     partial_bell_poly,
     psi_atom,
-    shuffle_bell_series,
     shuffle_partial_bell,
     word_bell_tpoly,
     word_complete_bell,
@@ -46,7 +45,7 @@ from wordbell.combinatorics import (
 )
 from wordbell.hopf import phi_elem, psi_elem, psi_product
 from wordbell.lincomb import BasisError, LinComb
-from wordbell.realization import WORD, expand_phi, expand_psi, letters
+from wordbell.realization import WORD, expand_phi, expand_psi, letters, shuffle_bell_series
 from wordbell.sympoly import SparsePoly
 from wordbell.verify import _colored_psi_bell_table
 
@@ -381,7 +380,7 @@ def test_bell_key_builders_pass_the_right_size():
 
 
 def test_shuffle_bell_trivial_cases():
-    family = {m: expand_phi(SetPartition.single_block(m), 3) for m in range(1, 5)}
+    family = [None] + [expand_phi(SetPartition.single_block(m), 3) for m in range(1, 5)]
     assert shuffle_partial_bell(family, 0, 0) == LinComb.term("Word", ())
     assert not shuffle_partial_bell(family, 3, 0)
     for n in range(3):
@@ -392,8 +391,8 @@ def test_shuffle_bell_trivial_cases():
 
 def test_shuffle_bell_families():
     for n in range(1, 6):
-        phi_family = {m: expand_phi(SetPartition.single_block(m), n) for m in range(1, n + 1)}
-        psi_family = {m: expand_psi(SetPartition.single_block(m), n) for m in range(1, n + 1)}
+        phi_family = [None] + [expand_phi(SetPartition.single_block(m), n) for m in range(1, n + 1)]
+        psi_family = [None] + [expand_psi(SetPartition.single_block(m), n) for m in range(1, n + 1)]
         for k in range(1, n + 1):
             want_phi = LinComb.zero("Word")
             want_psi = LinComb.zero("Word")
@@ -422,7 +421,7 @@ def test_shuffle_bell_series_keeps_int_coefficients():
 
 
 def test_shuffle_bell_rejects_inhomogeneous():
-    bad = {1: expand_phi(SetPartition.single_block(2), 2)}
+    bad = [None, expand_phi(SetPartition.single_block(2), 2)]
     with pytest.raises(ValueError):
         shuffle_partial_bell(bad, 2, 1)
 

@@ -452,6 +452,39 @@ def test_word_suite_dual_product_is_not_the_interleaving_kernel(monkeypatch):
     }
 
 
+def test_word_suite_dual_product_keeps_one_letter_per_block(monkeypatch):
+    from itertools import product
+
+    from wordbell import realization, verify
+    from wordbell.combinatorics import set_partitions
+
+    # each expansion is tagged with its (key, L), so the operands of every
+    # shuffle the dual-product item makes name the letter count they were expanded at
+    real_expand, real_shuffle = realization.expand_psi, realization.shuffle
+    made, shuffled = {}, []
+
+    def tagged(key, L):
+        poly = real_expand(key, L)
+        made[id(poly)] = (poly, key, L)
+        return poly
+
+    def recorded(x, y):
+        shuffled.append((made[id(x)][1:], made[id(y)][1:]))
+        return real_shuffle(x, y)
+
+    monkeypatch.setattr(realization, "expand_psi", tagged)
+    monkeypatch.setattr(realization, "shuffle", recorded)
+    verify.word_suite(4)
+    pairs = [
+        (p1, p2)
+        for n1 in range(1, 4)
+        for n2 in range(1, 5 - n1)
+        for p1, p2 in product(set_partitions(n1), set_partitions(n2))
+    ]
+    L = {(p1, p2): p1.part_count + p2.part_count for p1, p2 in pairs}
+    assert shuffled == [((p1, L[p1, p2]), (p2, L[p1, p2])) for p1, p2 in pairs]
+
+
 def test_hopf_suite_computes_each_coproduct_and_key_product_once(monkeypatch):
     from collections import Counter
 
@@ -554,7 +587,7 @@ def test_word_suite_first_counterexample_on_the_psi_family(monkeypatch):
         return out
 
     monkeypatch.setattr(bell, "shuffle_partial_bell", second_call_at_3_2_doubled)
-    items = _items(verify.word_suite(max_n=3, max_k=1))
+    items = _items(verify.word_suite(max_n=3))
     assert items["shuffle Bell polynomials of the distinguished families"] == {"n": 3, "k": 2, "family": "Psi"}
 
 

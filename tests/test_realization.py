@@ -431,7 +431,7 @@ def test_cycle_bell_four_two():
 def test_cycle_bell_matches_shuffle_bell():
     from wordbell.bell import shuffle_partial_bell
 
-    family = {m: cycle_complete_family(m) for m in range(1, 6)}
+    family = [None] + [cycle_complete_family(m) for m in range(1, 6)]
     for n in range(1, 6):
         for k in range(1, n + 1):
             assert shuffle_partial_bell(family, n, k) == cycle_bell(n, k)
