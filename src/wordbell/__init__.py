@@ -13,9 +13,11 @@ The package is organized bottom-up:
   specialization morphisms tying them together;
 * ``munthekaas`` — noncommutative Bell polynomials, the block-size morphism,
   Zinbiel half-shuffles and the Hessenberg expansion;
-* ``symfun`` — symmetric functions in the c-basis, virtual alphabets and the
-  classical identity suite;
-* ``cli`` / ``verify`` — the batch front end and its verification suites.
+* ``symfun`` — symmetric functions in the c-basis, virtual alphabets and
+  Schur functions;
+* ``cli`` / ``verify`` — the batch front end and its verification suites,
+  the classical identity suite among them, named in ``SUITES`` so that the
+  front end offers them without loading ``verify``.
 
 All arithmetic is exact (integers and fractions); nothing here floats.
 """
@@ -68,6 +70,8 @@ from .symfun import (
     schur,
 )
 from .sympoly import SparsePoly
+
+SUITES = ("hopf", "bell", "word", "mk", "appendix", "all")
 
 
 def clear_caches() -> None:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (argparse's convention), an ``--out`` path that cannot be
-written among them.  All output is deterministic:
+written among them, and 141 (128 + SIGPIPE) when the reader of a stdout pipe
+closes it early, as ``head -c 10`` does: the rest of the reply is dropped and
+nothing goes to stderr.  All output is deterministic:
 terms are canonically sorted and JSON keys are sorted.  The environment
 variable WORDBELL_MAX_DEGREE caps every size argument (default 12); a value
 that is not an integer is a usage error.
@@ -19,7 +21,7 @@ import json
 import os
 import sys
 
-from . import bell, munthekaas, realization, verify
+from . import SUITES, bell, munthekaas, realization
 from .combinatorics import (
     BELL,
     FACTORIAL,
@@ -209,6 +211,7 @@ def _cmd_realize(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    from . import verify  # only this command loads the suites: a lean start-up for the others
     max_n = args.max_n
     if max_n is not None:
         max_n = _check_bound(parser, max_n, "max-n")
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mk.set_defaults(run=_cmd_expand, kind="mk")  # the same handler as `expand mk`
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=verify.SUITES)
+    p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--max-n", type=int, dest="max_n")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out")
@@ -282,7 +285,14 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     parser = _PARSER
     args = parser.parse_args(argv)
-    return args.run(parser, args)
+    try:
+        code = args.run(parser, args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:
+        # the flush at exit goes to devnull, as the Python docs' "Note on SIGPIPE" shows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,9 +14,9 @@ Canonical form conventions, used everywhere:
   hashable and usable as a basis key of a linear combination;
 * the basis keys (``SetPartition``, ``ColoredSetPartition``) and
   ``ColorSequence`` compute their hash once, at construction, and return it
-  on every dict lookup.  The stored value is the dataclass formula (the hash
-  of the tuple of fields: ``(blocks,)``, or ``(parts, seq)`` for a colored
-  key), so iteration orders and outputs are unchanged.
+  on every dict lookup.  The stored value is the ``_Record`` formula (the
+  hash of the tuple of fields: ``(blocks,)``, or ``(parts, seq)`` for a
+  colored key), so iteration orders and outputs are unchanged.
 
 The two kinds of key share one layout, in slots, and one implementation of
 every structural operation (shift, shifted union, standardized sub-partition,
@@ -35,7 +35,6 @@ impossible when a_m = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
@@ -47,6 +46,43 @@ class InvalidColorError(ValueError):
 
 class SequenceMismatchError(ValueError):
     """Colored objects over different color sequences were combined."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of an immutable value was assigned or deleted."""
+
+
+class _Record:
+    """An immutable value with the fields ``_FIELDS``, as a frozen dataclass:
+    equal to a value of its class with an equal field tuple, hashed as that
+    tuple, shown field by field, rebuilt by the constructor from the tuple.
+    A subclass fills its fields past ``__setattr__``, which refuses them."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._FIELDS])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return type(self), self._astuple()
 
 
 # ---------------------------------------------------------------------------
@@ -114,32 +150,29 @@ _NAMED_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class ColorSequence:
+class ColorSequence(_Record):
     """The sequence a = (a_m) of color counts, by named rule or explicit list.
 
     Explicit sequences carry a designated tail (a constant or a named rule) so
     that evaluation at any m >= 1 is total.
     """
 
-    name: str | None = None
-    values: tuple[int, ...] = ()
-    tail: int | str | None = None
+    _FIELDS = ("name", "values", "tail")
 
-    def __post_init__(self):
-        if self.name is not None:
-            if self.name not in _NAMED_RULES:
-                raise ValueError(f"unknown color sequence rule {self.name!r}")
-            if self.values or self.tail is not None:
+    def __init__(self, name: str | None = None, values: tuple[int, ...] = (), tail: int | str | None = None):
+        if name is not None:
+            if name not in _NAMED_RULES:
+                raise ValueError(f"unknown color sequence rule {name!r}")
+            if values or tail is not None:
                 raise ValueError("a named sequence takes no explicit values")
         else:
-            if any(v < 0 for v in self.values):
+            if any(v < 0 for v in values):
                 raise ValueError("color counts must be nonnegative")
-            if isinstance(self.tail, str) and self.tail not in _NAMED_RULES:
-                raise ValueError(f"unknown tail rule {self.tail!r}")
-            if isinstance(self.tail, int) and self.tail < 0:
+            if isinstance(tail, str) and tail not in _NAMED_RULES:
+                raise ValueError(f"unknown tail rule {tail!r}")
+            if isinstance(tail, int) and tail < 0:
                 raise ValueError("tail constant must be nonnegative")
-        object.__setattr__(self, "_hash", hash((self.name, self.values, self.tail)))
+        self.__dict__.update(name=name, values=values, tail=tail, _hash=hash((name, values, tail)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -232,7 +265,7 @@ _new = object.__new__
 _color = itemgetter(1)
 
 
-class _PartitionKey:
+class _PartitionKey(_Record):
     """What both kinds of key share (see the module docstring for the layout).
 
     The structural operations work on the blocks alone and build each result
@@ -252,12 +285,6 @@ class _PartitionKey:
         _set_hash(self, hash(fields))
         return self
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.parts, self.seq) == (other.parts, other.seq)
@@ -265,13 +292,6 @@ class _PartitionKey:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):  # pickle and copy rebuild through the constructor: the slots are frozen
-        return type(self), tuple(getattr(self, f) for f in self._FIELDS)
 
     @property
     def size(self) -> int:
@@ -655,11 +675,10 @@ def count_by_type(seq: ColorSequence, n: int) -> int:
 # set partitions into lists (factorial sequence)
 
 
-@dataclass(frozen=True, init=False)
-class ListPartition:
+class ListPartition(_Record):
     """A set partition of {1, ..., n} into ordered lists."""
 
-    lists: tuple[tuple[int, ...], ...]
+    _FIELDS = ("lists",)
 
     def __init__(self, lists):
         lists = [tuple(l) for l in lists]
@@ -705,11 +724,10 @@ def from_list_partition(lp: ListPartition) -> ColoredSetPartition:
 # cycle decompositions (shifted factorial sequence)
 
 
-@dataclass(frozen=True, init=False)
-class CyclePermutation:
+class CyclePermutation(_Record):
     """A permutation stored as disjoint cycles, each written minimum first."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    _FIELDS = ("cycles",)
 
     def __init__(self, cycles):
         canon = []
@@ -807,11 +825,10 @@ def from_cycle_permutation(sigma: CyclePermutation, rank=None) -> ColoredSetPart
 # level-2 partitions (Bell sequence)
 
 
-@dataclass(frozen=True, init=False)
-class Level2Partition:
+class Level2Partition(_Record):
     """A partition of a partition: groups of inner blocks of {1, ..., n}."""
 
-    groups: tuple[tuple[tuple[int, ...], ...], ...]
+    _FIELDS = ("groups",)
 
     def __init__(self, groups):
         canon_groups = []
@@ -860,11 +877,10 @@ def from_level2(l2: Level2Partition) -> ColoredSetPartition:
 # idempotent endofunctions (sequence a_m = m)
 
 
-@dataclass(frozen=True, init=False)
-class IdempotentEndofunction:
+class IdempotentEndofunction(_Record):
     """A function f: {1..n} -> {1..n} with f o f = f, stored by its images."""
 
-    images: tuple[int, ...]
+    _FIELDS = ("images",)
 
     def __init__(self, images):
         images = tuple(int(v) for v in images)

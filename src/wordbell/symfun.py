@@ -7,27 +7,22 @@ c_n up to a degree bound; every specialization morphism, alphabet operation
 (sum, scale, product, composition, compositional inverse) and Schur function
 evaluation is exact.
 
-The appendix_suite function replays the classical partial-Bell identities
-through this calculus with random rational data; each item reports pass or
-fail with a counterexample.  Where a source formula failed cross-validation,
-the corrected reading is implemented.  Only the two-determinant item reports
-which reading runs; inverse_closed_form is in no report item, and the test
-``test_alphabet_compose_and_inverse`` pins its corrected reading.
+``inverse_closed_form`` implements the corrected reading of its source
+formula, which failed cross-validation; ``test_alphabet_compose_and_inverse``
+pins it.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import series
 # h_from_c is defined in bell, which reads it and cannot import this module;
 # it is re-exported here with the rest of the h <-> c calculus
-from .bell import eval_partial_bell, h_from_c, report_item, seq_values
-from .combinatorics import int_partitions
+from .bell import eval_partial_bell, h_from_c, seq_values
+from .combinatorics import _Record
 from .sympoly import SparsePoly
 
 
@@ -58,11 +53,13 @@ def h_k_part(n: int, k: int) -> SparsePoly:
 # virtual alphabets
 
 
-@dataclass(frozen=True)
-class VirtualAlphabet:
+class VirtualAlphabet(_Record):
     """A specialization of Sym: the values c_1(X), ..., c_N(X)."""
 
-    c_values: tuple[Fraction, ...]
+    _FIELDS = ("c_values",)
+
+    def __init__(self, c_values: tuple[Fraction, ...]):
+        object.__setattr__(self, "c_values", c_values)
 
     @classmethod
     def from_c(cls, values) -> "VirtualAlphabet":
@@ -189,6 +186,15 @@ def inverse_closed_form(x: VirtualAlphabet, n: int) -> Fraction:
     return Fraction(math.factorial(n), math.factorial(2 * n + 1)) * value
 
 
+def hat_alphabet(a, degree: int) -> VirtualAlphabet:
+    """The alphabet with h_i = a_{i+1}/(i+1)!; requires a_1 = 1."""
+    value = seq_values(a)
+    if value(1) != 1:
+        raise ValueError("the hat alphabet needs a_1 = 1")
+    hs = [value(i + 1) / math.factorial(i + 1) for i in range(1, degree + 1)]
+    return VirtualAlphabet.from_h(hs)
+
+
 # ---------------------------------------------------------------------------
 # Schur functions
 
@@ -230,232 +236,3 @@ def schur(lam, x: VirtualAlphabet) -> Fraction:
     """s_lambda(X) by the Jacobi-Trudi determinant of complete functions."""
     return _jacobi_trudi(tuple(lam), lambda m: x.h(m) if m >= 0 else Fraction(0))
 
-
-# ---------------------------------------------------------------------------
-# the appendix identity suite
-
-
-def _rand_fraction(rng: random.Random, lo=-4, hi=4, den=3) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
-
-
-def _rand_sequence(rng: random.Random, length: int, unit_head: bool = True):
-    out = [Fraction(1) if unit_head else _rand_fraction(rng)]
-    out.extend(_rand_fraction(rng) for _ in range(length - 1))
-    return out
-
-
-def hat_alphabet(a, degree: int) -> VirtualAlphabet:
-    """The alphabet with h_i = a_{i+1}/(i+1)!; requires a_1 = 1."""
-    value = seq_values(a)
-    if value(1) != 1:
-        raise ValueError("the hat alphabet needs a_1 = 1")
-    hs = [value(i + 1) / math.factorial(i + 1) for i in range(1, degree + 1)]
-    return VirtualAlphabet.from_h(hs)
-
-
-def appendix_suite(seed: int = 0) -> list[dict]:
-    """Run the nine appendix identities at desk scale; see module docstring.
-
-    Each item draws its random data before its counterexample stream, in a
-    fixed order, so a failing item leaves the data of later items unchanged."""
-    rng = random.Random(seed)
-    report = []
-
-    # (i) B_{n,k}(a) = n!/k! h_{n-k}(k Xhat)
-    a = _rand_sequence(rng, 10)
-
-    def failures():
-        for n in range(9):
-            for k in range(n + 1):
-                lhs = eval_partial_bell(a, n, k)
-                if k == 0:
-                    rhs = Fraction(1) if n == 0 else Fraction(0)
-                else:
-                    hat = hat_alphabet(a, max(n - k, 1))
-                    rhs = Fraction(math.factorial(n), math.factorial(k)) * alphabet_scale(k, hat).h(n - k)
-                if lhs != rhs:
-                    yield {"n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs)}
-
-    report.append(report_item("partial Bell as scaled complete function", "n <= 8", failures()))
-
-    # (ii) binomial splitting of the block count
-    a = _rand_sequence(rng, 8, unit_head=False)
-
-    def failures():
-        for n in range(8):
-            for k1 in range(4):
-                for k2 in range(4):
-                    lhs = math.comb(k1 + k2, k1) * eval_partial_bell(a, n, k1 + k2)
-                    rhs = sum(
-                        (math.comb(n, i) * eval_partial_bell(a, i, k1) * eval_partial_bell(a, n - i, k2)
-                         for i in range(n + 1)),
-                        Fraction(0),
-                    )
-                    if lhs != rhs:
-                        yield {"n": n, "k1": k1, "k2": k2}
-
-    report.append(report_item("binomial splitting of partial Bell", "n <= 7, k_i <= 3", failures()))
-
-    # (iii) convolution over a product-type sequence
-    a = _rand_sequence(rng, 8)
-    b = _rand_sequence(rng, 8)
-    d = []
-    for p in range(1, 9):
-        tot = Fraction(0)
-        for r in range(1, p + 1):
-            tot += math.comb(p + 1, r) * a[r - 1] * b[p - r]
-        d.append(tot / (p + 1))
-
-    def failures():
-        for n in range(8):
-            for k in range(1, n + 1):
-                lhs = math.comb(n, k) * eval_partial_bell(d, n - k, k)
-                rhs = sum(
-                    (math.comb(n, i) * eval_partial_bell(a, i, k) * eval_partial_bell(b, n - i, k)
-                     for i in range(k, n - k + 1)),
-                    Fraction(0),
-                )
-                if lhs != rhs:
-                    yield {"n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs)}
-
-    report.append(report_item("convolution formula for partial Bell", "n <= 7", failures()))
-
-    # (iv) idempotent closed form
-    failures = (
-        {"n": n, "k": k}
-        for n in range(9)
-        for k in range(1, n + 1)
-        if eval_partial_bell(lambda m: m, n, k) != math.comb(n, k) * k ** (n - k)
-    )
-    report.append(report_item("idempotent-number evaluation", "n <= 8", failures))
-
-    # (v) binomial families: the power and Abel families, plus composition
-    families = (
-        (lambda m, t: t**m, "power"),
-        (lambda m, t: t * (t + m) ** (m - 1) if m else Fraction(1), "abel"),
-    )
-    t_values = [_rand_fraction(rng, 1, 4, 2) for _ in families]
-    a = _rand_sequence(rng, 12)
-
-    def failures():
-        for (family, name), t_val in zip(families, t_values):
-            for n in range(7):
-                for k in range(1, n + 1):
-                    args = [Fraction(1)] + [i * family(i - 1, t_val) for i in range(2, n + 1)]
-                    lhs = eval_partial_bell(args, n, k)
-                    rhs = math.comb(n, k) * family(n - k, k * t_val)
-                    if lhs != rhs:
-                        yield {"family": name, "n": n, "k": k}
-        for k1 in (1, 2):
-            for k2 in (1, 2):
-                for n in range(k1, 7):
-                    y = [
-                        math.factorial(m) * eval_partial_bell(a, k2 + m - 1, k2) / math.factorial(k2 + m - 1)
-                        for m in range(1, n + 1)
-                    ]
-                    lhs = eval_partial_bell(y, n, k1)
-                    n2 = n - k1 + k1 * k2
-                    pref = Fraction(math.factorial(k1 * k2), math.factorial(k1) * math.factorial(k2) ** k1)
-                    rhs = Fraction(math.factorial(n), math.factorial(n2)) * pref * eval_partial_bell(a, n2, k1 * k2)
-                    if lhs != rhs:
-                        yield {"part": "composition", "n": n, "k1": k1, "k2": k2}
-
-    report.append(report_item("binomial-family and composition identities", "n <= 6", failures()))
-
-    # (vi) the alternating recurrence in the block count
-    a = _rand_sequence(rng, 8)
-
-    def failures():
-        for n in range(2, 8):
-            for k in range(1, n):
-                rhs = Fraction(0)
-                for i in range(1, n - k + 1):
-                    weight = Fraction(k + 1) - Fraction(n + 1, i + 1)
-                    rhs += math.comb(n, i) * weight * a[i] * eval_partial_bell(a, n - i, k)
-                rhs /= n - k
-                if eval_partial_bell(a, n, k) != rhs:
-                    yield {"n": n, "k": k}
-
-    report.append(report_item("alternating recurrence (a_1 = 1)", "n <= 7", failures()))
-
-    # (vii) Lambert/tree evaluation
-    failures = (
-        {"n": n, "k": k}
-        for n in range(1, 9)
-        for k in range(1, n + 1)
-        if eval_partial_bell(lambda m: m ** (m - 1), n, k) != math.comb(n - 1, k - 1) * n ** (n - k)
-    )
-    report.append(report_item("tree-function evaluation", "n <= 8", failures))
-
-    # (viii) the two-determinant product-alphabet identity
-    a = _rand_sequence(rng, 12)
-    b = _rand_sequence(rng, 12)
-    printed_fails = any(_two_determinant_failures(a, b, "printed"))
-    failures = _two_determinant_failures(a, b, "corrected")
-    item = report_item("two-determinant product identity", "n <= 5, k in {1,2,4}", failures)
-    if printed_fails and item["status"] == "pass":
-        item["note"] = (
-            "printed factorial index fails at n = 2; corrected (lam_i - i + j + 1)! "
-            "and k2 in the second determinant pass"
-        )
-    report.append(item)
-
-    # (ix) the Lagrange-flavoured evaluation of scaled complete functions
-    x = VirtualAlphabet.from_c(_rand_sequence(rng, 8, unit_head=False))
-
-    def failures():
-        for n in range(1, 8):
-            for k in range(1, n + 1):
-                args = [Fraction(1)] + [
-                    math.factorial(m - 1) * alphabet_scale(m, x).h(m - 1) for m in range(2, n + 1)
-                ]
-                lhs = eval_partial_bell(args, n, k)
-                rhs = Fraction(math.factorial(n - 1), math.factorial(k - 1)) * alphabet_scale(n, x).h(n - k)
-                if lhs != rhs:
-                    yield {"n": n, "k": k}
-
-    report.append(report_item("scaled-complete evaluation of partial Bell", "n <= 7", failures()))
-
-    return report
-
-
-def _two_determinant_failures(a, b, reading: str):
-    """The counterexample stream of the product-alphabet determinant identity
-    in one of two readings."""
-
-    def hat_det(lam, vals) -> Fraction:
-        if reading == "corrected":  # entry a_{m+1} / (m + 1)! at m = lam_i - i + j
-            return _jacobi_trudi(lam, lambda m: vals[m] / math.factorial(m + 1) if 0 <= m < len(vals) else 0)
-        # printed: entry a_{lam_i - i + j + 1} / (lam_i + j + 1)! (i, j from 1),
-        # whose factorial is not a function of lam_i - i + j
-        size = len(lam)
-
-        def cell(i, j):
-            idx = lam[i] - i + j + 1
-            return vals[idx - 1] / math.factorial(lam[i] + j + 2) if 1 <= idx <= len(vals) else Fraction(0)
-
-        return _det([[cell(i, j) for j in range(size)] for i in range(size)])
-
-    def d_value(n: int) -> Fraction:
-        products = (hat_det(lam, a) * hat_det(lam, b) for lam in int_partitions(n - 1))
-        return math.factorial(n) * sum(products, Fraction(0))
-
-    def bell_entry(vals, kk):  # B_{m+kk,kk}(a) / (m + kk)! at m = lam_i - i + j
-        return lambda m: eval_partial_bell(vals, m + kk, kk) / math.factorial(m + kk) if m >= 0 else 0
-
-    d = [d_value(n) for n in range(1, 7)]
-    for k1, k2 in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        k = k1 * k2
-        for n in range(k, 6):
-            lhs = eval_partial_bell(d, n, k)
-            tot = Fraction(0)
-            for lam in int_partitions(n - k):
-                tot += (
-                    (math.factorial(k1) * math.factorial(k2)) ** len(lam)
-                    * _jacobi_trudi(lam, bell_entry(a, k1))
-                    * _jacobi_trudi(lam, bell_entry(b, k2))
-                )
-            rhs = Fraction(math.factorial(n), math.factorial(k)) * tot
-            if lhs != rhs:
-                yield {"k1": k1, "k2": k2, "n": n, "reading": reading}

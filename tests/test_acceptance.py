@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from wordbell import bell, hopf, munthekaas, realization, symfun
+from wordbell import bell, hopf, munthekaas, realization, verify
 from wordbell.combinatorics import (
     FACTORIAL,
     IDEMPOTENT,
@@ -396,7 +396,7 @@ def test_criterion_11_specialization_diagram():
 
 
 def test_criterion_12_appendix_suite():
-    rep = symfun.appendix_suite()
+    rep = verify.appendix_suite()
     ok = len(rep) == 9 and all(item["status"] == "pass" for item in rep)
     report(ok, "criterion 12: appendix identities (i)-(ix) at stated ranges")
 

@@ -100,6 +100,18 @@ def test_verify_exit_codes():
     assert degenerate.returncode == 0
 
 
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr():
+    # about 1.2 MB of JSON, far more than a pipe buffer holds, so the CLI is
+    # still writing when the reader closes the pipe
+    cmd = [sys.executable, "-m", "wordbell.cli", "expand", "wordBell", "--n", "9"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{"basis":"'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_usage_errors_exit_2():
     assert run_cli(["table", "custom", "4"]).returncode == 2  # missing --seq
     assert run_cli(["table", "custom", "4", "--seq", "oops!!"]).returncode == 2
@@ -592,23 +604,23 @@ def test_word_suite_first_counterexample_on_the_psi_family(monkeypatch):
 
 
 def test_appendix_suite_reports_the_first_counterexample(monkeypatch):
-    from wordbell import symfun
+    from wordbell import verify
 
-    real = symfun.eval_partial_bell
-    monkeypatch.setattr(symfun, "eval_partial_bell", lambda a, n, k: real(a, n, k) + 1)
-    items = {i["identity"]: i for i in symfun.appendix_suite()}
+    real = verify.eval_partial_bell
+    monkeypatch.setattr(verify, "eval_partial_bell", lambda a, n, k: real(a, n, k) + 1)
+    items = {i["identity"]: i for i in verify.appendix_suite()}
     assert items["idempotent-number evaluation"]["counterexample"] == {"n": 1, "k": 1}
     assert items["tree-function evaluation"]["counterexample"] == {"n": 1, "k": 1}
     assert items["binomial splitting of partial Bell"]["counterexample"] == {"n": 0, "k1": 0, "k2": 0}
 
 
 def test_appendix_suite_first_counterexample_of_the_scaled_complete_item(monkeypatch):
-    from wordbell import symfun
+    from wordbell import verify
 
-    real = symfun.eval_partial_bell
+    real = verify.eval_partial_bell
     wrong = ((5, 2), (6, 1), (7, 3))
-    monkeypatch.setattr(symfun, "eval_partial_bell", lambda a, n, k: real(a, n, k) + ((n, k) in wrong))
-    items = {i["identity"]: i["counterexample"] for i in symfun.appendix_suite()}
+    monkeypatch.setattr(verify, "eval_partial_bell", lambda a, n, k: real(a, n, k) + ((n, k) in wrong))
+    items = {i["identity"]: i["counterexample"] for i in verify.appendix_suite()}
     assert items["partial Bell as scaled complete function"] == {"n": 5, "k": 2, "lhs": "-9", "rhs": "-10"}
 
 

@@ -4,6 +4,7 @@ import copy
 import inspect
 import math
 import pickle
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -46,6 +47,7 @@ from wordbell.combinatorics import (
     to_level2,
     to_list_partition,
 )
+from wordbell.symfun import VirtualAlphabet
 from wordbell.verify import DEFAULT_SEQUENCES
 
 CONST9 = ColorSequence.constant(9)
@@ -450,6 +452,54 @@ def test_key_hashes_are_cached_with_the_dataclass_formula():
             del frozen.blocks
         _assert_same_key(copy.copy(frozen), frozen)
         _assert_same_key(pickle.loads(pickle.dumps(frozen)), frozen)
+
+
+# each record class: a value, its fields, and its repr as a frozen dataclass printed it
+RECORDS = (
+    (FACTORIAL, ("factorial", (), None), "ColorSequence(name='factorial', values=(), tail=None)"),
+    (
+        ColorSequence.parse("1,2,9 tail:tree"),
+        (None, (1, 2, 9), "tree"),
+        "ColorSequence(name=None, values=(1, 2, 9), tail='tree')",
+    ),
+    (ListPartition([(3, 1), (2,)]), (((3, 1), (2,)),), "ListPartition(lists=((3, 1), (2,)))"),
+    (ListPartition([(1, 3), (2,)]), (((1, 3), (2,)),), "ListPartition(lists=((1, 3), (2,)))"),
+    (
+        CyclePermutation.from_one_line((3, 1, 2, 5, 4)),
+        (((1, 3, 2), (4, 5)),),
+        "CyclePermutation(cycles=((1, 3, 2), (4, 5)))",
+    ),
+    (
+        Level2Partition([[(1,), (3,)], [(2, 4)]]),
+        ((((1,), (3,)), ((2, 4),)),),
+        "Level2Partition(groups=(((1,), (3,)), ((2, 4),)))",
+    ),
+    (IdempotentEndofunction((1, 1, 3)), ((1, 1, 3),), "IdempotentEndofunction(images=(1, 1, 3))"),
+    (
+        VirtualAlphabet.from_c([1, Fraction(-1, 2)]),
+        ((Fraction(1), Fraction(-1, 2)),),
+        "VirtualAlphabet(c_values=(Fraction(1, 1), Fraction(-1, 2)))",
+    ),
+)
+
+
+def test_record_classes_are_immutable_values():
+    for value, fields, text in RECORDS:
+        cls = type(value)
+        first = text[len(cls.__name__) + 1 : text.index("=")]
+        with pytest.raises(AttributeError):
+            setattr(value, first, None)
+        with pytest.raises(AttributeError):
+            delattr(value, first)
+        assert repr(value) == text
+        assert hash(value) == hash(fields)
+        # equal to a value of its own class with equal fields, and to nothing else
+        same = cls(*fields)
+        assert same is not value and same == value and hash(same) == hash(value)
+        assert value != type("Sub", (cls,), {})(*fields) and value != fields
+        for other, _, _ in RECORDS:
+            assert (value == other) is (value is other)
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
 
 
 def _two_sub_std_bipartitions(whole):

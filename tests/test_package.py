@@ -1,6 +1,7 @@
 """Tests for the package's top level."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +46,28 @@ def test_clear_caches_empties_every_cache_in_the_package(capsys):
     wordbell.clear_caches()
     assert [name for name, c in caches.items() if c.cache_info().currsize] == []
     assert not realization._COMPLETE_SERIES
+
+
+def test_the_cli_starts_without_the_verify_suites_or_dataclasses():
+    # a fresh interpreter, as a command-line user starts one; what it loaded
+    # before the import (site hooks, say) is not counted
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "from wordbell import cli; cli.build_parser()\n"
+        "lean = set(sys.modules) - before\n"
+        "from wordbell import verify\n"
+        "print(sorted(lean)); print(sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    lean, every = map(ast.literal_eval, out.splitlines())
+    assert "wordbell.cli" in lean
+    assert "wordbell.verify" not in lean and "dataclasses" not in lean
+    # with every module of the package loaded, still no dataclasses
+    assert "wordbell.verify" in every and "dataclasses" not in every
+    # one tuple of suite names, which the CLI offers without verify, names what run_suite runs
+    assert verify.SUITES is wordbell.SUITES
+    for name in wordbell.SUITES:
+        assert verify.run_suite(name, max_n=1)
 
 
 def test_every_package_definition_is_reached_without_the_tests():

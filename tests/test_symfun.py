@@ -16,7 +16,6 @@ from wordbell.symfun import (
     alphabet_product,
     alphabet_scale,
     alphabet_sum,
-    appendix_suite,
     c_from_h,
     h_from_c,
     h_k_part,
@@ -26,6 +25,7 @@ from wordbell.symfun import (
     schur,
 )
 from wordbell.sympoly import SparsePoly
+from wordbell.verify import appendix_suite
 
 rng = random.Random(99)
 
