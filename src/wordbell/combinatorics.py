@@ -140,6 +140,12 @@ def perm_lex_rank(perm: tuple[int, ...]) -> int:
 # color sequences
 
 
+def _int_literal(text: str) -> int | None:
+    """The value of ``text`` if it is an ASCII integer -?[0-9]+, else None."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 _NAMED_RULES = {
     "ones": lambda m: 1,
     "factorial": math.factorial,
@@ -191,19 +197,36 @@ class ColorSequence(_Record):
 
     @classmethod
     def parse(cls, text: str) -> "ColorSequence":
-        """Parse a sequence literal: a rule name or "1,2,9,64 tail:tree"."""
+        """Parse a sequence literal: a rule name or "1,2,9,64 tail:tree".
+
+        Each value, and a tail that is not a rule name, is an ASCII integer
+        -?[0-9]+.  One trailing comma is allowed; an empty value is not, nor
+        is a literal with no value, no tail and no rule.
+        """
         text = text.strip()
         if text.startswith("a="):
             text = text[2:].strip()
         if text in _NAMED_RULES:
             return cls.named(text)
         tail: int | str = 0
-        if "tail:" in text:
+        has_tail = "tail:" in text
+        if has_tail:
             text, _, tail_text = text.partition("tail:")
             tail_text = tail_text.strip()
-            tail = int(tail_text) if tail_text.lstrip("-").isdigit() else tail_text
-        text = text.strip().rstrip(",")
-        values = [int(v) for v in text.split(",") if v.strip()] if text else []
+            value = _int_literal(tail_text)
+            tail = tail_text if value is None else value
+        text = text.strip().removesuffix(",")
+        if not text:
+            if not has_tail:
+                raise ValueError("a sequence literal needs a value, a tail or a rule name")
+            return cls.explicit([], tail)
+        values = []
+        for entry in text.split(","):
+            entry = entry.strip()
+            value = _int_literal(entry)
+            if value is None:
+                raise ValueError(f"color count {entry!r} is not an integer")
+            values.append(value)
         return cls.explicit(values, tail)
 
     def spec_string(self) -> str:

@@ -102,26 +102,23 @@ def psi_coproduct(x: LinComb) -> LinComb:
 
 
 def tensor_multiply(s: LinComb, t: LinComb, product) -> LinComb:
-    """Componentwise product (a(x)b)(c(x)d) = ac (x) bd of two tensors."""
+    """Componentwise product (a(x)b)(c(x)d) = ac (x) bd of two tensors.
+
+    ``product(x, y)`` multiplies two basis keys, not two elements, and returns
+    their product as a LinComb of the tensors' base; it is called once for
+    each leg of each pair of terms of ``s`` and ``t``.
+    """
     if s.basis != t.basis:
         raise BasisError("tensor bases differ")
-    base = s.basis.split("⊗")[0]
-
-    # the legs of t become elements once, not once per term of s
-    t_legs = [(LinComb.term(base, c), LinComb.term(base, d), c2) for (c, d), c2 in t.items()]
-
-    def terms():
-        for (a, b), c1 in s.items():
-            ea, eb = LinComb.term(base, a), LinComb.term(base, b)
-            for ec, ed, c2 in t_legs:
-                left = product(ea, ec)
-                right = product(eb, ed)
-                coeff = c1 * c2
-                for kl, cl in left.items():
-                    for kr, cr in right.items():
-                        yield (kl, kr), coeff * cl * cr
-
-    return LinComb(s.basis, terms())
+    t_terms = t.items()
+    return LinComb(s.basis, (
+        ((kl, kr), coeff * cl * cr)
+        for (a, b), c1 in s.items()
+        for (c, d), c2 in t_terms
+        for left, right, coeff in ((product(a, c).items(), product(b, d).items(), c1 * c2),)
+        for kl, cl in left
+        for kr, cr in right
+    ))
 
 
 def tensor_swap(t: LinComb) -> LinComb:

@@ -18,9 +18,12 @@ Each value is built once and read by every item that needs it:
 * the Hopf suite builds, per color sequence, one table of basis elements
   with their Phi and Psi coproducts and Phi antipodes, and one memo per side
   of key products x·y, filled on first use.  Every item multiplies through
-  that memo, extended bilinearly, and reads Delta(xy) by linearity as the
-  sum of (xy)_z Delta(z) over the table.  Stored values keep their keys as
-  the enumerated key objects, so equal keys are one object;
+  that memo.  The bialgebra item hands it to ``hopf.tensor_multiply``, which
+  multiplies tensors on keys, and reads Delta(xy) by linearity as the sum of
+  (xy)_z Delta(z) over the table; duality reads it on key pairs too.  Its
+  bilinear extension serves the items that multiply elements with more than
+  one term, associativity and the antipode axiom.  Stored values keep their
+  keys as the enumerated key objects, so equal keys are one object;
 * the word suite expands each (key, L) once;
 * the Bell and MK suites build one ladder polynomial per degree.
 
@@ -111,29 +114,35 @@ def _interned(x: LinComb, canon: dict) -> LinComb:
     })
 
 
-def _key_products(product, canon: dict):
-    """``product`` extended bilinearly from its values on pairs of basis keys.
+def _key_products(tag: str, product, canon: dict):
+    """``product`` on pairs of basis keys of ``tag``.
 
     Each key product is computed once, on first use, by ``product`` on the
     two basis elements, and stored interned in ``canon``."""
     memo = {}
 
-    def key_product(tag, x, y):
+    def key_product(x, y):
         xy = memo.get((x, y))
         if xy is None:
             xy = memo[(x, y)] = _interned(product(LinComb.term(tag, x), LinComb.term(tag, y)), canon)
         return xy
 
+    return key_product
+
+
+def _bilinear(key_product):
+    """The product of elements that extends ``key_product`` bilinearly."""
+
     def times(u: LinComb, v: LinComb) -> LinComb:
         if len(u) == 1 and len(v) == 1:
             ((x, cu),), ((y, cv),) = u.items(), v.items()
-            xy = key_product(u.basis, x, y)
+            xy = key_product(x, y)
             return xy if cu * cv == 1 else xy * (cu * cv)
         return LinComb(u.basis, (
             (k, cu * cv * c)
             for x, cu in u.items()
             for y, cv in v.items()
-            for k, c in key_product(u.basis, x, y).items()
+            for k, c in key_product(x, y).items()
         ))
 
     return times
@@ -152,7 +161,8 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
         canon = {a: a for n in keys for a in keys[n]}
         elem = {tag: {a: LinComb.term(tag, a) for a in canon} for tag, _, _ in sides}
         cop = {tag: {a: _interned(coproduct(e), canon) for a, e in elem[tag].items()} for tag, _, coproduct in sides}
-        times = {tag: _key_products(product, canon) for tag, product, _ in sides}
+        key_products = {tag: _key_products(tag, product, canon) for tag, product, _ in sides}
+        times = {tag: _bilinear(key_product) for tag, key_product in key_products.items()}
 
         def delta(tag, coproduct, z):
             # Delta(z) from the table; a key outside it is computed once, on first use
@@ -169,10 +179,10 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                             # Delta(ab) by linearity: the sum of (ab)_z Delta(z)
                             lhs = LinComb(tensor_tag(tag), (
                                 (pair, c * d)
-                                for z, c in times[tag](elem[tag][a], elem[tag][b]).items()
+                                for z, c in key_products[tag](a, b).items()
                                 for pair, d in delta(tag, coproduct, z).items()
                             ))
-                            rhs = hopf.tensor_multiply(cop[tag][a], cop[tag][b], times[tag])
+                            rhs = hopf.tensor_multiply(cop[tag][a], cop[tag][b], key_products[tag])
                             if lhs != rhs:
                                 yield {"left": str(a), "right": str(b), "side": tag}
 
@@ -232,7 +242,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
                 for j in range(1, max_n - i + 1):
                     n = i + j
                     for a, b in product(keys[i], keys[j]):
-                        prod = times_psi(psi[a], psi[b])
+                        prod = key_products[hopf.PSI](a, b)
                         column = LinComb(hopf.PSI, columns.get((a, b), {}))
                         if prod != column:
                             # the first z of keys[n] that differs, else a key outside keys[n]

@@ -159,7 +159,7 @@ def test_criterion_04_hopf_axioms_exhaustive():
                         ) == hopf.tensor_multiply(
                             hopf.phi_coproduct(ea),
                             hopf.phi_coproduct(eb),
-                            hopf.phi_product,
+                            lambda x, y: hopf.phi_product(hopf.phi_elem(x), hopf.phi_elem(y)),
                         )
                         pa, pb = hopf.psi_elem(a), hopf.psi_elem(b)
                         ok = ok and hopf.psi_coproduct(
@@ -167,7 +167,7 @@ def test_criterion_04_hopf_axioms_exhaustive():
                         ) == hopf.tensor_multiply(
                             hopf.psi_coproduct(pa),
                             hopf.psi_coproduct(pb),
-                            hopf.psi_product,
+                            lambda x, y: hopf.psi_product(hopf.psi_elem(x), hopf.psi_elem(y)),
                         )
 
         # antipode axiom

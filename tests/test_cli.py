@@ -10,7 +10,7 @@ import pytest
 
 from wordbell.cli import main
 from wordbell.combinatorics import FACTORIAL, ColoredSetPartition, SetPartition
-from wordbell.lincomb import LinComb
+from wordbell.lincomb import LinComb, tensor_tag
 
 
 def run_cli(args, env=None):
@@ -115,6 +115,7 @@ def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr():
 def test_usage_errors_exit_2():
     assert run_cli(["table", "custom", "4"]).returncode == 2  # missing --seq
     assert run_cli(["table", "custom", "4", "--seq", "oops!!"]).returncode == 2
+    assert run_cli(["table", "custom", "4", "--seq", "1,,2"]).returncode == 2
     assert run_cli(["table", "nosuch", "4"]).returncode == 2
     assert run_cli(["expand", "wordBell", "--n", "3", "--k", "9"]).returncode == 2
     # --format is a table option only
@@ -329,6 +330,27 @@ def test_hopf_suite_first_counterexample_on_the_psi_side(monkeypatch):
     assert items["cocommutativity and counit"] == {"key": _cp(((1,), 1), ((2,), 1)), "side": "Phi counit"}
 
 
+def test_hopf_suite_bialgebra_item_multiplies_through_tensor_multiply(monkeypatch):
+    from wordbell import hopf, verify
+
+    real = hopf.tensor_multiply
+
+    def doubled_when_a_leg_of_s_has_size_two(basis):
+        def perturbed(s, t, product):
+            big = s.basis == basis and any(l.size >= 2 or r.size >= 2 for l, r in s.keys())
+            return real(s, t, product) * (2 if big else 1)
+
+        return perturbed
+
+    # the first pair whose left factor has a leg of size two, (2, 1) in sizes
+    first = {"left": _cp(((1,), 1), ((2,), 1)), "right": _cp(((1,), 1))}
+    for side in (hopf.PHI, hopf.PSI):
+        monkeypatch.setattr(hopf, "tensor_multiply", doubled_when_a_leg_of_s_has_size_two(tensor_tag(side)))
+        report = verify.hopf_suite(max_n=3, sequences=(FACTORIAL,))
+        assert _items(report)["bialgebra compatibility"] == {**first, "side": side}
+        assert [i["identity"] for i in report if i["status"] == "fail"] == ["bialgebra compatibility [factorial]"]
+
+
 def test_hopf_suite_first_counterexample_of_duality(monkeypatch):
     from wordbell import hopf, verify
 
@@ -514,7 +536,7 @@ def test_hopf_suite_computes_each_coproduct_and_key_product_once(monkeypatch):
 
         monkeypatch.setattr(hopf, name, wrapper)
 
-    for name in ("phi_coproduct", "psi_coproduct", "psi_product"):
+    for name in ("phi_coproduct", "psi_coproduct", "phi_product", "psi_product"):
         counted(name)
     report = verify.hopf_suite(max_n=3)
     assert all(item["status"] == "pass" for item in report)
@@ -522,7 +544,7 @@ def test_hopf_suite_computes_each_coproduct_and_key_product_once(monkeypatch):
     keys = sum(len(colored_partitions(seq, n)) for seq in verify.DEFAULT_SEQUENCES for n in range(4))
     per_name = Counter(name for name, _ in calls)
     assert per_name["phi_coproduct"] == per_name["psi_coproduct"] == keys
-    assert per_name["psi_product"] > 0
+    assert per_name["phi_product"] > 0 and per_name["psi_product"] > 0
 
 
 def _swap_t1_t2_at_n3(real):

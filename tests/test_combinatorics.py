@@ -147,6 +147,19 @@ def test_parse_round_trip():
         assert seq == again
 
 
+def test_parse_rejects_malformed_literals():
+    # every value and a numeric tail are ASCII -?[0-9]+; nothing is skipped or coerced
+    for text in ("1,,2", ",,", "", " ", ",", "a=", "1,2,,", "1_0", "\u0663", "+1", "1 2",
+                 "1 tail:1_0", "1 tail:\u0663", "1,x", "1,2 tail:nope"):
+        with pytest.raises(ValueError):
+            ColorSequence.parse(text)
+    with pytest.raises(ValueError, match="color counts must be nonnegative"):
+        ColorSequence.parse("1,-2")
+    # one trailing comma is accepted, and spaces around a value
+    assert ColorSequence.parse("1,2,") == ColorSequence.parse(" 1, 2 ") == ColorSequence.explicit([1, 2])
+    assert ColorSequence.parse("tail:3") == ColorSequence.constant(3)
+
+
 def test_zero_tail_makes_large_blocks_impossible():
     involutions = ColorSequence.explicit([1, 1], tail=0)
     counts = [len(colored_partitions(involutions, n)) for n in range(6)]
