@@ -17,12 +17,13 @@ The package is organized bottom-up:
   Schur functions;
 * ``cli`` / ``verify`` — the batch front end and its verification suites,
   the classical identity suite among them, named in ``SUITES`` so that the
-  front end offers them without loading ``verify``.
+  front end offers them without loading ``verify``; the items that check
+  ``bell``'s specialization morphisms are in ``verify.bell_suite``.
 
 All arithmetic is exact (integers and fractions); nothing here floats.
 """
 
-from .bell import complete_bell_poly, h_from_c, partial_bell_poly
+from .bell import complete_bell_poly, partial_bell_poly
 from .combinatorics import (
     BELL,
     FACTORIAL,
@@ -65,6 +66,7 @@ from .symfun import (
     alphabet_scale,
     alphabet_sum,
     c_from_h,
+    h_from_c,
     h_k_part,
     inverse_closed_form,
     schur,

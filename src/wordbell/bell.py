@@ -12,23 +12,22 @@ Four incarnations of the same combinatorics live here:
 * shuffle-power Bell polynomials for arbitrary word polynomial arguments.
 
 The module also hosts the specialization morphisms connecting symmetric
-functions to the colored dual algebra, plus report-style verifiers for the
-identities relating all of the above.
+functions to the colored dual algebra (``alpha``, ``beta``, ``gamma``,
+``gamma_beta``).  The items that check them live in ``verify.bell_suite``.
+The only report code left here is ``report_item`` and the word-identity
+``identity_suite`` it serves, because the benchmark (``perfbench/``) calls
+``bell.identity_suite`` and reads its series memo
+``_mixed_bell_series_cached`` by these names.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import lru_cache
 
 from . import series
 from .combinatorics import (
-    FACTORIAL,
-    IDEMPOTENT,
-    ONES,
-    SHIFTED_FACTORIAL,
     ColorSequence,
     SetPartition,
     _colorings,
@@ -290,12 +289,6 @@ def shuffle_partial_bell(generators: list, n: int, k: int) -> LinComb:
 # the specialization morphisms
 
 
-def h_from_c(n: int) -> SparsePoly:
-    """h_n written in the generators c_1, ..., c_n: [t^n] exp(sum c_j t^j)."""
-    generators = [SparsePoly.zero()] + [SparsePoly.var(j) for j in range(1, n + 1)]
-    return series.exp(generators, n, SparsePoly.const(1))[n]
-
-
 def alpha(p: SparsePoly) -> LinComb:
     """The embedding of Sym: substitute c_i -> Psi of the one-block partition
     of size i and evaluate in the (commutative) uncolored dual algebra."""
@@ -337,6 +330,10 @@ def gamma_beta(x: LinComb, a) -> Fraction:
     return total
 
 
+# ---------------------------------------------------------------------------
+# report items
+
+
 def report_item(identity: str, range_desc: str, failures) -> dict:
     """One verification report entry: what was checked, over which range, and
     the first counterexample (None when the identity held).
@@ -354,66 +351,6 @@ def report_item(identity: str, range_desc: str, failures) -> dict:
         "status": "fail" if failure is not None else "pass",
         "counterexample": failure,
     }
-
-
-def _random_rational_sequence(rng: random.Random, length: int) -> list[Fraction]:
-    return [
-        Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(length)
-    ]
-
-
-def morphism_diagram_report(
-    max_n: int = 6,
-    sequences: tuple[ColorSequence, ...] | None = None,
-    rational_trials: int = 2,
-    seed: int = 0,
-    pair_max: int = 5,
-) -> list[dict]:
-    """Verify that the specialization diagram commutes and that the character
-    is multiplicative; returns one report entry per check."""
-    if sequences is None:
-        sequences = (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT)
-    report = []
-    images = [alpha(h_from_c(n)) for n in range(max_n + 1)]  # read by every route
-    for seq in sequences:
-
-        def failures():
-            for n, image in enumerate(images):
-                got = gamma_beta(image, seq)
-                want = eval_complete_bell(seq, n) / math.factorial(n)
-                if got != want:
-                    yield {"n": n, "got": str(got), "want": str(want)}
-                materialized = gamma(beta(image, seq))
-                if materialized != want:
-                    yield {"n": n, "route": "materialized", "got": str(materialized)}
-
-        report.append(report_item(f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]", f"n <= {max_n}", failures()))
-    rng = random.Random(seed)
-    for t in range(rational_trials):
-        a = _random_rational_sequence(rng, max_n + 1)
-
-        def failures():
-            for n, image in enumerate(images):
-                got = gamma_beta(image, a)
-                if got != eval_complete_bell(a, n) / math.factorial(n):
-                    yield {"n": n, "a": [str(v) for v in a], "got": str(got)}
-
-        report.append(report_item(f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]", f"n <= {max_n}", failures()))
-    for seq in sequences:
-        keys_by_size = {m: colored_partitions(seq, m) for m in range(1, pair_max)}
-
-        def failures():
-            for i in range(1, pair_max):
-                for j in range(1, pair_max - i + 1):
-                    for ki in keys_by_size[i]:
-                        for kj in keys_by_size[j]:
-                            x, y = psi_elem(ki), psi_elem(kj)
-                            if gamma(psi_product(x, y)) != gamma(x) * gamma(y):
-                                yield {"left": str(ki.parts), "right": str(kj.parts)}
-
-        identity = f"gamma multiplicative [{seq.spec_string()}]"
-        report.append(report_item(identity, f"total size <= {pair_max}", failures()))
-    return report
 
 
 # ---------------------------------------------------------------------------

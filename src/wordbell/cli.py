@@ -6,8 +6,9 @@ written among them, and 141 (128 + SIGPIPE) when the reader of a stdout pipe
 closes it early, as ``head -c 10`` does: the rest of the reply is dropped and
 nothing goes to stderr.  All output is deterministic:
 terms are canonically sorted and JSON keys are sorted.  The environment
-variable WORDBELL_MAX_DEGREE caps every size argument (default 12); a value
-that is not an integer is a usage error.
+variable WORDBELL_MAX_DEGREE caps every size argument (default 12).  Every
+integer, in the arguments or that variable, is ASCII -?[0-9]+; any other
+value is a usage error.
 
 There is one parser per process: ``main(argv)`` builds it on its first call
 and reuses it for every later one, so one process can serve many requests.
@@ -32,6 +33,7 @@ from .combinatorics import (
     ColorSequence,
     CyclePermutation,
     SetPartition,
+    _int_literal,
 )
 from .serialize import lincomb_to_jsonable, tpoly_to_jsonable
 
@@ -45,12 +47,21 @@ TRIANGLE_SEQUENCES = {
 COLUMN_SEQUENCES = {"bell": ONES, "lists": FACTORIAL, "level2": BELL}
 
 
+def _integer(text: str) -> int:
+    """An argument read as ASCII -?[0-9]+ (``int`` also takes ``1_0`` and
+    non-ASCII digits), with argparse's ``type=int`` message on a bad one."""
+    value = _int_literal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _max_degree(parser) -> int:
     raw = os.environ.get("WORDBELL_MAX_DEGREE", "12")
-    try:
-        return int(raw)
-    except ValueError:
+    value = _int_literal(raw)
+    if value is None:
         parser.error(f"WORDBELL_MAX_DEGREE must be an integer, got {raw!r}")
+    return value
 
 
 def _emit(parser, args, text: str) -> None:
@@ -193,8 +204,10 @@ def _cmd_realize(parser, args) -> int:
     elif args.kind == "cycle":
         if not args.sigma:
             parser.error("realize cycle requires --sigma")
+        line = tuple(_int_literal(v.strip()) for v in args.sigma.split(","))
+        if None in line:
+            parser.error(f"bad permutation: {args.sigma!r} is not a list of integers")
         try:
-            line = tuple(int(v) for v in args.sigma.split(","))
             sigma = CyclePermutation.from_one_line(line)
         except ValueError as exc:
             parser.error(f"bad permutation: {exc}")
@@ -235,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="emit number tables")
     p_table.add_argument("kind", choices=TABLE_KINDS)
-    p_table.add_argument("nmax", type=int)
+    p_table.add_argument("nmax", type=_integer)
     p_table.add_argument("--seq", help='sequence literal, e.g. "1,2,9,64 tail:tree"')
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
     p_table.add_argument("--out")
@@ -243,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="emit a Bell polynomial expansion")
     p_expand.add_argument("kind", choices=("wordBell", "coloredPsi", "mk"))
-    p_expand.add_argument("--n", type=int, required=True)
-    p_expand.add_argument("--k", type=int)
+    p_expand.add_argument("--n", type=_integer, required=True)
+    p_expand.add_argument("--k", type=_integer)
     p_expand.add_argument("--seq")
     p_expand.add_argument("--out")
     p_expand.set_defaults(run=_cmd_expand)
@@ -253,23 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("kind", choices=("phi", "monomial", "cycle", "cycleBell"))
     p_realize.add_argument("--partition", help="JSON blocks, e.g. [[1,3],[2]]")
     p_realize.add_argument("--seq", help="color sequence for colored partitions")
-    p_realize.add_argument("--truncation", type=int)
+    p_realize.add_argument("--truncation", type=_integer)
     p_realize.add_argument("--sigma", help="one-line permutation, e.g. 3,1,2")
-    p_realize.add_argument("--n", type=int)
-    p_realize.add_argument("--k", type=int)
+    p_realize.add_argument("--n", type=_integer)
+    p_realize.add_argument("--k", type=_integer)
     p_realize.add_argument("--out")
     p_realize.set_defaults(run=_cmd_realize)
 
     p_mk = sub.add_parser("mk", help="emit noncommutative Bell polynomials")
-    p_mk.add_argument("--n", type=int, required=True)
-    p_mk.add_argument("--k", type=int)
+    p_mk.add_argument("--n", type=_integer, required=True)
+    p_mk.add_argument("--k", type=_integer)
     p_mk.add_argument("--out")
     p_mk.set_defaults(run=_cmd_expand, kind="mk")  # the same handler as `expand mk`
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--max-n", type=int, dest="max_n")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--max-n", type=_integer, dest="max_n")
+    p_verify.add_argument("--seed", type=_integer, default=0)
     p_verify.add_argument("--out")
     p_verify.set_defaults(run=_cmd_verify)
 

@@ -705,13 +705,8 @@ class ListPartition(_Record):
 
     def __init__(self, lists):
         lists = [tuple(l) for l in lists]
-        if any(not l for l in lists):
-            raise ValueError("lists must be nonempty")
-        canon = tuple(sorted(lists, key=min))
-        flat = [x for l in canon for x in l]
-        if sorted(flat) != list(range(1, len(flat) + 1)):
-            raise ValueError("lists must cover {1,...,n} without repetition")
-        object.__setattr__(self, "lists", canon)
+        _validate_cover(lists, sum(map(len, lists)), "list partition")
+        object.__setattr__(self, "lists", tuple(sorted(lists, key=min)))
 
     @property
     def size(self) -> int:
@@ -753,17 +748,13 @@ class CyclePermutation(_Record):
     _FIELDS = ("cycles",)
 
     def __init__(self, cycles):
+        cycles = [tuple(cyc) for cyc in cycles]
+        _validate_cover(cycles, sum(map(len, cycles)), "cycle decomposition")
         canon = []
         for cyc in cycles:
-            cyc = tuple(cyc)
-            if not cyc:
-                raise ValueError("cycles must be nonempty")
             pivot = cyc.index(min(cyc))
             canon.append(cyc[pivot:] + cyc[:pivot])
         canon.sort(key=lambda c: c[0])
-        flat = [x for c in canon for x in c]
-        if sorted(flat) != list(range(1, len(flat) + 1)):
-            raise ValueError("cycles must cover {1,...,n} without repetition")
         object.__setattr__(self, "cycles", tuple(canon))
 
     @classmethod
@@ -906,7 +897,9 @@ class IdempotentEndofunction(_Record):
     _FIELDS = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        images = tuple(images)
+        if not all(isinstance(v, int) for v in images):
+            raise ValueError("images must be integers")
         n = len(images)
         for i, v in enumerate(images, start=1):
             if not 1 <= v <= n:

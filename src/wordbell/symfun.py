@@ -19,9 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import series
-# h_from_c is defined in bell, which reads it and cannot import this module;
-# it is re-exported here with the rest of the h <-> c calculus
-from .bell import eval_partial_bell, h_from_c, seq_values
+from .bell import eval_partial_bell, seq_values
 from .combinatorics import _Record
 from .sympoly import SparsePoly
 
@@ -33,6 +31,12 @@ from .sympoly import SparsePoly
 def _generators(n: int) -> list[SparsePoly]:
     """The variables x_1, ..., x_n, the coefficients of sum_j x_j t^j."""
     return [SparsePoly.var(j) for j in range(1, n + 1)]
+
+
+def h_from_c(n: int) -> SparsePoly:
+    """h_n written in the generators c_1, ..., c_n: [t^n] exp(sum c_j t^j)."""
+    one = SparsePoly.const(1)
+    return series.exp([SparsePoly.zero()] + _generators(n), n, one)[n]
 
 
 def c_from_h(n: int) -> SparsePoly:

@@ -37,6 +37,14 @@ definition it replaces:
   enumerated ``bell.colored_psi_bell`` against [t^n] F^k / k!, computed by
   one series-power chain whose dot sums ``hopf.psi_product`` terms.
 
+The Bell suite also checks the specialization morphisms of ``bell``: that
+gamma beta_a alpha sends h_n to A_n(a)/n! for each default sequence, by the
+weights and through the colored keys, and for two random rational sequences
+drawn from their own ``random.Random(seed)``; and that gamma is
+multiplicative on pairs of colored keys.  These items read the morphisms on
+``bell`` and the product on ``hopf`` at call time, so a patched module is
+what they check.
+
 The word item "shuffle realization of the dual product" shuffles the word
 expansions of Psi_x and Psi_y, and expands Psi_x Psi_y read off the Phi
 coproduct by duality (Psi_z counts the splittings of z into (x, y)), since
@@ -80,7 +88,7 @@ from .combinatorics import (
     set_partitions,
 )
 from .lincomb import LinComb, _lincomb_sum, tensor_tag
-from .symfun import VirtualAlphabet, _det, _jacobi_trudi, alphabet_scale, hat_alphabet
+from .symfun import VirtualAlphabet, _det, _jacobi_trudi, alphabet_scale, h_from_c, hat_alphabet
 
 DEFAULT_SEQUENCES = (ONES, FACTORIAL, SHIFTED_FACTORIAL, IDEMPOTENT)
 
@@ -371,7 +379,51 @@ def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:
 
     report.append(report_item("colored dual Bell polynomials enumerate colored partitions", f"n <= {top}", failures()))
 
-    report.extend(bell.morphism_diagram_report(max_n=min(max_n, 6), seed=seed, pair_max=min(max_n, 5)))
+    # the specialization diagram Sym -> colored WSym* -> Q
+    diagram_max = min(max_n, 6)
+    images = [bell.alpha(h_from_c(n)) for n in range(diagram_max + 1)]  # read by every route
+    for seq in DEFAULT_SEQUENCES:
+
+        def failures():
+            for n, image in enumerate(images):
+                got = bell.gamma_beta(image, seq)
+                want = bell.eval_complete_bell(seq, n) / math.factorial(n)
+                if got != want:
+                    yield {"n": n, "got": str(got), "want": str(want)}
+                materialized = bell.gamma(bell.beta(image, seq))
+                if materialized != want:
+                    yield {"n": n, "route": "materialized", "got": str(materialized)}
+
+        identity = f"diagram h_n -> A_n(a)/n! [{seq.spec_string()}]"
+        report.append(report_item(identity, f"n <= {diagram_max}", failures()))
+
+    diagram_rng = random.Random(seed)
+    for t in range(2):
+        a = [_rand_fraction(diagram_rng, -6, 6, 4) for _ in range(diagram_max + 1)]
+
+        def failures():
+            for n, image in enumerate(images):
+                got = bell.gamma_beta(image, a)
+                if got != bell.eval_complete_bell(a, n) / math.factorial(n):
+                    yield {"n": n, "a": [str(v) for v in a], "got": str(got)}
+
+        identity = f"diagram h_n -> A_n(a)/n! [random rational #{t + 1}]"
+        report.append(report_item(identity, f"n <= {diagram_max}", failures()))
+
+    pair_max = min(max_n, 5)
+    for seq in DEFAULT_SEQUENCES:
+        keys_by_size = {m: colored_partitions(seq, m) for m in range(1, pair_max)}
+
+        def failures():
+            for i in range(1, pair_max):
+                for j in range(1, pair_max - i + 1):
+                    for ki, kj in product(keys_by_size[i], keys_by_size[j]):
+                        x, y = hopf.psi_elem(ki), hopf.psi_elem(kj)
+                        if bell.gamma(hopf.psi_product(x, y)) != bell.gamma(x) * bell.gamma(y):
+                            yield {"left": str(ki.parts), "right": str(kj.parts)}
+
+        identity = f"gamma multiplicative [{seq.spec_string()}]"
+        report.append(report_item(identity, f"total size <= {pair_max}", failures()))
     return report
 
 
@@ -769,22 +821,18 @@ def _two_determinant_failures(a, b, reading: str):
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list[dict]:
+    sized = {} if max_n is None else {"max_n": max_n}  # else each suite's own default
     if name == "hopf":
-        return hopf_suite(max_n if max_n is not None else 4)
+        return hopf_suite(**sized)
     if name == "bell":
-        return bell_suite(max_n if max_n is not None else 6, seed=seed)
+        return bell_suite(**sized, seed=seed)
     if name == "word":
-        return word_suite(max_n if max_n is not None else 5)
+        return word_suite(**sized)
     if name == "mk":
-        return mk_suite(max_n if max_n is not None else 6)
+        return mk_suite(**sized)
     if name == "appendix":
         return appendix_suite(seed=seed)
     if name == "all":
-        out = []
-        for sub in SUITES[:-1]:  # every suite but "all", which is last
-            for item in run_suite(sub, max_n=max_n, seed=seed):
-                item = dict(item)
-                item["suite"] = sub
-                out.append(item)
-        return out
+        # every suite but "all", which is last
+        return [dict(item, suite=sub) for sub in SUITES[:-1] for item in run_suite(sub, max_n=max_n, seed=seed)]
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from wordbell import bell, hopf, munthekaas, realization, verify
+from wordbell import bell, hopf, munthekaas, realization, symfun, verify
 from wordbell.combinatorics import (
     FACTORIAL,
     IDEMPOTENT,
@@ -371,15 +371,15 @@ def test_criterion_11_specialization_diagram():
     rng = random.Random(0)
     for seq in NAMED:
         for n in range(7):
-            got = bell.gamma_beta(bell.alpha(bell.h_from_c(n)), seq)
+            got = bell.gamma_beta(bell.alpha(symfun.h_from_c(n)), seq)
             want = bell.eval_complete_bell(seq, n) / math.factorial(n)
             ok = ok and got == want
-            materialized = bell.gamma(bell.beta(bell.alpha(bell.h_from_c(n)), seq))
+            materialized = bell.gamma(bell.beta(bell.alpha(symfun.h_from_c(n)), seq))
             ok = ok and materialized == want
     for _ in range(2):
         a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]
         for n in range(7):
-            got = bell.gamma_beta(bell.alpha(bell.h_from_c(n)), a)
+            got = bell.gamma_beta(bell.alpha(symfun.h_from_c(n)), a)
             want = bell.eval_complete_bell(a, n) / math.factorial(n)
             ok = ok and got == want
     for seq in NAMED:

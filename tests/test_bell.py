@@ -21,9 +21,7 @@ from wordbell.bell import (
     eval_partial_bell_direct,
     gamma,
     gamma_beta,
-    h_from_c,
     identity_suite,
-    morphism_diagram_report,
     partial_bell_band,
     partial_bell_poly,
     psi_atom,
@@ -46,8 +44,9 @@ from wordbell.combinatorics import (
 from wordbell.hopf import phi_elem, psi_elem, psi_product
 from wordbell.lincomb import BasisError, LinComb
 from wordbell.realization import WORD, expand_phi, expand_psi, letters, shuffle_bell_series
+from wordbell.symfun import h_from_c
 from wordbell.sympoly import SparsePoly
-from wordbell.verify import _colored_psi_bell_table
+from wordbell.verify import _colored_psi_bell_table, bell_suite
 
 
 def sp(blocks):
@@ -457,8 +456,9 @@ def test_gamma_values_and_diagram():
         assert got * math.factorial(n) == eval_complete_bell(ONES, n)
 
 
-def test_morphism_diagram_report_passes():
-    report = morphism_diagram_report(max_n=5, pair_max=4)
+def test_bell_suite_diagram_and_gamma_items_pass():
+    report = [i for i in bell_suite(max_n=5) if i["identity"].startswith(("diagram", "gamma multiplicative"))]
+    assert len(report) == 10
     assert all(item["status"] == "pass" for item in report)
 
 

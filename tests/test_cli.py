@@ -122,6 +122,30 @@ def test_usage_errors_exit_2():
     assert run_cli(["expand", "wordBell", "--n", "3", "--format", "json"]).returncode == 2
 
 
+@pytest.mark.parametrize("argv, env, bad", [
+    (["table", "stirling2", "1_0"], None, "1_0"),
+    (["table", "stirling2", "\uff13"], None, "\uff13"),
+    (["expand", "wordBell", "--n", "+3"], None, "+3"),
+    (["expand", "wordBell", "--n", "3", "--k", "\u0661"], None, "\u0661"),
+    (["mk", "--n", "3", "--k", "1_0"], None, "1_0"),
+    (["realize", "phi", "--partition", "[[1]]", "--truncation", "0_2"], None, "0_2"),
+    (["realize", "cycleBell", "--n", "3 ", "--k", "1"], None, "3 "),
+    (["realize", "cycle", "--sigma", "2,1,0_3"], None, "2,1,0_3"),
+    (["realize", "cycle", "--sigma", "\u0662,\u0661"], None, "\u0662,\u0661"),
+    (["verify", "mk", "--max-n", "0_3"], None, "0_3"),
+    (["verify", "mk", "--seed", "1_0"], None, "1_0"),
+    (["table", "bell", "3"], "1_2", "1_2"),
+])
+def test_integers_are_ascii_digits_only(argv, env, bad, monkeypatch, capsys):
+    # int() reads 1_0 as 10, +3 as 3 and non-ASCII digits as their values
+    if env is not None:
+        monkeypatch.setenv("WORDBELL_MAX_DEGREE", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert repr(bad) in capsys.readouterr().err
+
+
 def test_realize_truncation_zero_exit_2():
     result = run_cli(["realize", "phi", "--partition", "[[1,2]]", "--truncation", "0"])
     assert result.returncode == 2
@@ -646,9 +670,12 @@ def test_appendix_suite_first_counterexample_of_the_scaled_complete_item(monkeyp
     assert items["partial Bell as scaled complete function"] == {"n": 5, "k": 2, "lhs": "-9", "rhs": "-10"}
 
 
-def test_morphism_diagram_report_first_counterexamples(monkeypatch):
-    from wordbell import bell
-    from wordbell.combinatorics import ONES
+def _diagram_items(report):
+    return {i["identity"]: i["counterexample"] for i in report if i["identity"].startswith(("diagram", "gamma"))}
+
+
+def test_bell_suite_diagram_items_first_counterexamples(monkeypatch):
+    from wordbell import bell, verify
 
     real = bell.gamma
 
@@ -659,34 +686,44 @@ def test_morphism_diagram_report_first_counterexamples(monkeypatch):
         )
 
     monkeypatch.setattr(bell, "gamma", off_by_one_on_a_recolored_pair)
-    report = bell.morphism_diagram_report(max_n=4, sequences=(ONES, FACTORIAL), rational_trials=1, pair_max=4)
-    assert {i["identity"]: i["counterexample"] for i in report} == {
+    assert _diagram_items(verify.bell_suite(max_n=4)) == {
         "diagram h_n -> A_n(a)/n! [ones]": None,
         "diagram h_n -> A_n(a)/n! [factorial]": {"n": 3, "route": "materialized", "got": "19/6"},
+        "diagram h_n -> A_n(a)/n! [shifted-factorial]": None,
+        "diagram h_n -> A_n(a)/n! [idempotent]": {"n": 3, "route": "materialized", "got": "8/3"},
         "diagram h_n -> A_n(a)/n! [random rational #1]": None,
+        "diagram h_n -> A_n(a)/n! [random rational #2]": None,
         "gamma multiplicative [ones]": None,
         # the second key of size 2 over FACTORIAL, after the block {1,2} in color 1
         "gamma multiplicative [factorial]": {"left": "(((1,), 1),)", "right": "(((1, 2), 2),)"},
+        "gamma multiplicative [shifted-factorial]": None,
+        "gamma multiplicative [idempotent]": {"left": "(((1,), 1),)", "right": "(((1, 2), 2),)"},
     }
 
 
 def test_bell_suite_draws_the_random_diagram_data_from_its_seed(monkeypatch):
     from wordbell import bell, verify
+    from wordbell.combinatorics import ColorSequence
 
-    real = bell._random_rational_sequence
-    drawn = []
+    real = bell.gamma_beta
 
-    def recorded(rng, length):
-        drawn.append(real(rng, length))
-        return drawn[-1]
+    def off_by_one_on_random_data_from_size_3(x, a):
+        return real(x, a) + (not isinstance(a, ColorSequence) and any(k.size >= 3 for k in x.keys()))
 
-    monkeypatch.setattr(bell, "_random_rational_sequence", recorded)
-    verify.bell_suite(max_n=3, seed=0)
-    at_zero = drawn[:]
-    drawn.clear()
-    verify.bell_suite(max_n=3, seed=5)
-    assert len(at_zero) == len(drawn) == 2
-    assert drawn != at_zero
+    monkeypatch.setattr(bell, "gamma_beta", off_by_one_on_random_data_from_size_3)
+    at_zero = _diagram_items(verify.bell_suite(seed=0))["diagram h_n -> A_n(a)/n! [random rational #1]"]
+    at_five = _diagram_items(verify.bell_suite(seed=5))["diagram h_n -> A_n(a)/n! [random rational #1]"]
+    assert at_zero == {"n": 3, "a": ["0", "-2", "1/2", "0", "1/3", "3/2", "1"], "got": "13/12"}
+    assert at_five["a"] == ["1", "5/3", "6", "1/2", "4", "-4", "-1/4"]
+
+
+def test_bell_suite_gamma_item_multiplies_through_the_hopf_module(monkeypatch):
+    from wordbell import hopf, verify
+
+    real = hopf.psi_product
+    monkeypatch.setattr(hopf, "psi_product", lambda x, y: real(x, y) * 2)
+    items = _diagram_items(verify.bell_suite(max_n=3))
+    assert items["gamma multiplicative [ones]"] == {"left": "(((1,), 1),)", "right": "(((1,), 1),)"}
 
 
 def test_a_failing_item_runs_no_case_after_its_first_counterexample(monkeypatch):

@@ -784,6 +784,22 @@ def test_idempotent_bijection():
             assert f.image_count == p.part_count and f.size == p.size
 
 
+@pytest.mark.parametrize("build, data", [
+    (ListPartition, [[2.0, 1]]),
+    (ListPartition, [[1, 3]]),
+    (ListPartition, [[1], []]),
+    (CyclePermutation, [[1.0, 2]]),
+    (CyclePermutation, [[2, 1], [1]]),
+    (CyclePermutation, [["1"]]),
+    (IdempotentEndofunction, [1.9, "2"]),
+    (IdempotentEndofunction, [1.0]),
+])
+def test_bijection_records_reject_what_they_would_coerce(build, data):
+    # entries are ints covering {1,...,n} once, as for every other key record
+    with pytest.raises(ValueError):
+        build(data)
+
+
 # ---------------------------------------------------------------------------
 # type counting
 
