@@ -55,7 +55,7 @@ from .combinatorics import (
     to_level2,
     to_list_partition,
 )
-from .hopf import complete_to_psi
+from .hopf import antipode, complete_to_psi
 from .lincomb import BasisError, LinComb
 from .realization import specialize_complete
 from .symfun import (
@@ -77,17 +77,16 @@ SUITES = ("hopf", "bell", "word", "mk", "appendix", "all")
 
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps, as in a fresh process: the eight
+    """Empty every memo the package keeps, as in a fresh process: the seven
     ``lru_cache`` tables below and ``realization._COMPLETE_SERIES``.  Values
     with a closed form are computed, not memoized."""
-    from . import bell, combinatorics, hopf, realization, symfun
+    from . import bell, combinatorics, realization, symfun
 
     for cached in (
         combinatorics.bell_number,
         combinatorics.int_partitions,
         combinatorics._interleave_gather,
         combinatorics.set_partitions,
-        hopf._antipode_key,
         bell._mixed_bell_series_cached,
         symfun._h_values,
         symfun._e_values,
@@ -142,7 +141,8 @@ __all__ = [
     "h_k_part",
     "inverse_closed_form",
     "schur",
-    # complete functions in WSym: in the Psi basis and in words
+    # complete functions in WSym: in the Psi basis and in words; the Phi antipode
+    "antipode",
     "complete_to_psi",
     "specialize_complete",
     # containers and caches

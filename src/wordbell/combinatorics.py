@@ -189,7 +189,10 @@ class ColorSequence(_Record):
 
     @classmethod
     def explicit(cls, values, tail: int | str = 0) -> "ColorSequence":
-        return cls(values=tuple(int(v) for v in values), tail=tail)
+        values = tuple(values)
+        if not all(type(v) is int for v in values):
+            raise ValueError("color counts must be integers")
+        return cls(values=values, tail=tail)
 
     @classmethod
     def constant(cls, value: int) -> "ColorSequence":
@@ -271,7 +274,7 @@ def _validate_cover(blocks, size: int, what: str) -> None:
         if not b:
             raise ValueError(f"{what} must have nonempty blocks")
         for x in b:
-            if not isinstance(x, int) or x < 1:
+            if type(x) is not int or x < 1:  # a bool is an int but not an entry
                 raise ValueError(f"{what} entries must be positive integers")
             if x in seen:
                 raise ValueError(f"{what} blocks overlap at {x}")
@@ -422,7 +425,9 @@ class ColoredSetPartition(_PartitionKey):
     _FIELDS = ("parts", "seq")
 
     def __new__(cls, parts, seq: ColorSequence):
-        parts = [(tuple(sorted(b)), int(c)) for b, c in parts]
+        parts = [(tuple(sorted(b)), c) for b, c in parts]
+        if not all(type(c) is int for _, c in parts):
+            raise ValueError("colored set partition colors must be integers")
         canon = _canonical_blocks(b for b, _ in parts)
         size = sum(len(b) for b in canon)
         _validate_cover(canon, size, "colored set partition")
@@ -898,7 +903,7 @@ class IdempotentEndofunction(_Record):
 
     def __init__(self, images):
         images = tuple(images)
-        if not all(isinstance(v, int) for v in images):
+        if not all(type(v) is int for v in images):
             raise ValueError("images must be integers")
         n = len(images)
         for i, v in enumerate(images, start=1):

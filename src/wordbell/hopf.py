@@ -12,7 +12,9 @@ the Psi basis.
 The Phi antipode is an anti-morphism, S(xy) = S(y) S(x), and every key is
 the shifted union of its atoms, the keys that no split point divides; so a
 key that splits gets the product of its factors' antipodes in reverse order,
-and only an atom runs the graded recursion over its coproduct.
+and only an atom runs the graded recursion over its coproduct.  ``antipodes``
+reads those coproducts from a table the caller already built, ``antipode``
+computes the ones it needs; neither keeps anything between calls.
 
 All coefficients are exact rationals; there is no floating point anywhere.
 """
@@ -20,7 +22,6 @@ All coefficients are exact rationals; there is no floating point anywhere.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain
 
 from .combinatorics import (
@@ -188,34 +189,50 @@ def _first_split(key):
     return None
 
 
-@lru_cache(maxsize=None)
-def _antipode_key(key) -> LinComb:
-    """S(Phi_key), built from keys alone by shifted unions.
+def _antipode_of(key, coproduct_of, memo: dict) -> LinComb:
+    """S(Phi_key), built from keys alone by shifted unions and stored in ``memo``.
 
     A key that splits into left and right gets S(right) S(left), the
-    anti-morphism rule; an atom gets the graded recursion. The cached value
-    depends on the key alone, never on what the module's `phi_product` is
-    at the time.
+    anti-morphism rule; an atom gets the graded recursion over
+    ``coproduct_of(key)``, its Phi coproduct, so nothing is enumerated here.
     """
-    if key.size == 0:
-        return phi_elem(key)
+    s = memo.get(key)
+    if s is not None:
+        return s
     split = _first_split(key)
-    if split is not None:
+    if key.size == 0:
+        s = phi_elem(key)
+    elif split is not None:
         left, right = split
-        s_left = _antipode_key(left).items()
-        return LinComb(PHI, (
+        s_left = _antipode_of(left, coproduct_of, memo).items()
+        s = LinComb(PHI, (
             (kr.shifted_union(kl), cr * cl)
-            for kr, cr in _antipode_key(right).items()
+            for kr, cr in _antipode_of(right, coproduct_of, memo).items()
             for kl, cl in s_left
         ))
-    # an atom: S(x) = -x - sum S(x1) x2 over the splittings with both halves
-    # nonempty, each product with the key x2 a shifted union
-    return LinComb(PHI, chain([(key, -1)], (
-        (k.shifted_union(right), -c)
-        for left, right in part_bipartitions(key)
-        if left.size and right.size
-        for k, c in _antipode_key(left).items()
-    )))
+    else:
+        # an atom: S(x) = -x - sum m S(x1) x2 over the splittings (x1, x2) of
+        # multiplicity m with both halves nonempty, each product with the key
+        # x2 a shifted union
+        s = LinComb(PHI, chain([(key, -1)], (
+            (k.shifted_union(right), -c * m)
+            for (left, right), m in coproduct_of(key).items()
+            if left.size and right.size
+            for k, c in _antipode_of(left, coproduct_of, memo).items()
+        )))
+    memo[key] = s
+    return s
+
+
+def antipodes(coproducts: dict) -> dict:
+    """S(Phi_key) for every key of ``coproducts``, a {key: Phi coproduct}
+    table that also holds every key of smaller size over the same colors.
+
+    Each atom reads its coproduct from the table; the values live as long as
+    the returned dict.
+    """
+    memo = {}
+    return {key: _antipode_of(key, coproducts.__getitem__, memo) for key in coproducts}
 
 
 def antipode(x: LinComb) -> LinComb:
@@ -223,9 +240,12 @@ def antipode(x: LinComb) -> LinComb:
 
     S is an anti-morphism over the atoms: S(Phi_pi) is the product of the
     antipodes of pi's atoms in reverse order, and only an atom runs the
-    graded connected recursion S(x) = -sum S(x1) x2 over its Phi coproduct.
+    graded connected recursion S(x) = -sum S(x1) x2 over its Phi coproduct,
+    computed once per call.  Nothing is kept between calls.
     """
     _require(x, PHI)
+    memo = {}
+    coproduct_of = lambda key: phi_coproduct(phi_elem(key))
     return LinComb(PHI, (
-        (k, c * d) for key, c in x.items() for k, d in _antipode_key(key).items()
+        (k, c * d) for key, c in x.items() for k, d in _antipode_of(key, coproduct_of, memo).items()
     ))

@@ -16,14 +16,16 @@ shift the data of the items after it.
 Each value is built once and read by every item that needs it:
 
 * the Hopf suite builds, per color sequence, one table of basis elements
-  with their Phi and Psi coproducts and Phi antipodes, and one memo per side
-  of key products x·y, filled on first use.  Every item multiplies through
-  that memo.  The bialgebra item hands it to ``hopf.tensor_multiply``, which
-  multiplies tensors on keys, and reads Delta(xy) by linearity as the sum of
-  (xy)_z Delta(z) over the table; duality reads it on key pairs too.  Its
-  bilinear extension serves the items that multiply elements with more than
-  one term, associativity and the antipode axiom.  Stored values keep their
-  keys as the enumerated key objects, so equal keys are one object;
+  with their Phi and Psi coproducts, the Phi antipodes that
+  ``hopf.antipodes`` reads off that Phi coproduct table, and one memo per
+  side of key products x·y, filled on first use.  Every item multiplies
+  through that memo.  The bialgebra item hands it to
+  ``hopf.tensor_multiply``, which multiplies tensors on keys, and reads
+  Delta(xy) by linearity as the sum of (xy)_z Delta(z) over the table;
+  duality and the antipode axiom, which sums x1 S(x2) term by term, read it
+  on key pairs too.  Its bilinear extension serves associativity.  Stored
+  values keep their keys as the enumerated key objects, so equal keys are
+  one object.  The tables live for one suite call;
 * the word suite expands each (key, L) once;
 * the Bell and MK suites build one ladder polynomial per degree.
 
@@ -169,8 +171,9 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
         canon = {a: a for n in keys for a in keys[n]}
         elem = {tag: {a: LinComb.term(tag, a) for a in canon} for tag, _, _ in sides}
         cop = {tag: {a: _interned(coproduct(e), canon) for a, e in elem[tag].items()} for tag, _, coproduct in sides}
+        # S read off the Phi coproduct table, before any item can add a key to it
+        anti = {a: _interned(s, canon) for a, s in hopf.antipodes(cop[hopf.PHI]).items()}
         key_products = {tag: _key_products(tag, product, canon) for tag, product, _ in sides}
-        times = {tag: _bilinear(key_product) for tag, key_product in key_products.items()}
 
         def delta(tag, coproduct, z):
             # Delta(z) from the table; a key outside it is computed once, on first use
@@ -196,7 +199,7 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
 
         report.append(report_item(f"bialgebra compatibility [{label}]", f"|x|+|y| <= {max_n}", failures()))
 
-        times_psi, psi = times[hopf.PSI], elem[hopf.PSI]
+        times_psi, psi = _bilinear(key_products[hopf.PSI]), elem[hopf.PSI]
         failures = (
             {"triple": (str(a), str(b), str(c))}
             for i in range(1, max_n + 1)
@@ -220,18 +223,16 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
 
         report.append(report_item(f"cocommutativity and counit [{label}]", f"n <= {max_n}", failures()))
 
-        phi = elem[hopf.PHI]
-        anti = {a: _interned(hopf.antipode(e), canon) for a, e in phi.items()}
-
         def failures():
             for n in range(max_n + 1):
                 for a in keys[n]:
                     # the sum of x1 S(x2) over the Phi coproduct: the side that the
                     # antipode's recursion, which solves sum S(x1) x2 = eps, does not impose
                     total = LinComb(hopf.PHI, (
-                        (k, c * d)
+                        (k, c * d * e)
                         for (l, r), c in cop[hopf.PHI][a].items()
-                        for k, d in times[hopf.PHI](phi[l], anti[r]).items()
+                        for y, d in anti[r].items()
+                        for k, e in key_products[hopf.PHI](l, y).items()
                     ))
                     expect = hopf.one(seq=a.seq) if n == 0 else LinComb.zero(hopf.PHI)
                     if total != expect:

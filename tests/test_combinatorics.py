@@ -793,11 +793,31 @@ def test_idempotent_bijection():
     (CyclePermutation, [["1"]]),
     (IdempotentEndofunction, [1.9, "2"]),
     (IdempotentEndofunction, [1.0]),
+    (ListPartition, [[True]]),
+    (CyclePermutation, [[True]]),
+    (IdempotentEndofunction, [True]),
 ])
 def test_bijection_records_reject_what_they_would_coerce(build, data):
     # entries are ints covering {1,...,n} once, as for every other key record
     with pytest.raises(ValueError):
         build(data)
+
+
+@pytest.mark.parametrize("build, args", [
+    (SetPartition, ([[True]],)),
+    (SetPartition, ([[True, 2]],)),
+    (ColoredSetPartition, ([((True,), 1)], ONES)),
+    (ColoredSetPartition, ([((1,), 1.9)], FACTORIAL)),
+    (ColoredSetPartition, ([((1,), True)], ONES)),
+    (ColoredSetPartition, ([((1,), "1")], ONES)),
+    (ColorSequence.explicit, ([1.7],)),
+    (ColorSequence.explicit, ([1, True],)),
+    (ColorSequence.explicit, (["2"],)),
+], ids=lambda v: getattr(v, "__qualname__", None))
+def test_key_constructors_take_plain_ints_only(build, args):
+    # a bool, a float or a string equal to an int is rejected, not coerced
+    with pytest.raises(ValueError):
+        build(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the Hopf structure: products, coproducts, bases, duality."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import wordbell.hopf as hopf
 from wordbell.combinatorics import (
     FACTORIAL,
     IDEMPOTENT,
@@ -288,24 +290,54 @@ def test_antipode_is_an_involution_and_reverses_products():
                         assert antipode(phi_product(x, y)) == phi_product(antipode(y), sx)
 
 
-def test_antipode_matches_takeuchis_formula():
+def _takeuchi(key):
     # S(Phi_pi) = sum over the ordered set partitions (G1, ..., Gj) of pi's parts
     # of (-1)^j Phi_{std G1} ... Phi_{std Gj}: no recursion and no factorization
-    def takeuchi(key):
-        total = LinComb.zero("Phi")
-        for groups in set_partitions(key.part_count):
-            for order in permutations(groups.blocks):
-                term = one(seq=key.seq)
-                for group in order:
-                    term = phi_product(term, phi_elem(key.sub_std(i - 1 for i in group)))
-                total = total + term * (-1) ** len(order)
-        return total
+    total = LinComb.zero("Phi")
+    for groups in set_partitions(key.part_count):
+        for order in permutations(groups.blocks):
+            term = one(seq=key.seq)
+            for group in order:
+                term = phi_product(term, phi_elem(key.sub_std(i - 1 for i in group)))
+            total = total + term * (-1) ** len(order)
+    return total
 
+
+def test_antipode_matches_takeuchis_formula():
     ranges = [(seq, 4) for seq in DEFAULT_SEQUENCES] + [(ONES, 5)]
     for seq, max_n in ranges:
         for n in range(max_n + 1):
             for key in colored_partitions(seq, n):
-                assert antipode(phi_elem(key)) == takeuchi(key), key
+                assert antipode(phi_elem(key)) == _takeuchi(key), key
+
+
+def test_antipodes_of_a_coproduct_table_match_the_antipode():
+    # the table entry point reads each atom's coproduct off the table; the
+    # one-element entry point computes it, and Takeuchi's formula needs neither
+    for seq in DEFAULT_SEQUENCES:
+        keys = [key for n in range(6) for key in colored_partitions(seq, n)]
+        table = hopf.antipodes({key: phi_coproduct(phi_elem(key)) for key in keys})
+        assert list(table) == keys
+        for key in keys:
+            assert table[key] == antipode(phi_elem(key)) == _takeuchi(key), key
+
+
+def test_hopf_suite_enumerates_each_keys_splittings_once(monkeypatch):
+    # the suite's Phi coproduct table is the only reader of part_bipartitions:
+    # the antipodes are read off that table, so no atom enumerates again
+    import wordbell
+    from wordbell import verify
+
+    wordbell.clear_caches()  # cold, as in a fresh process: no memo may hide a second enumeration
+    real, seen = hopf.part_bipartitions, Counter()
+
+    def recorded(key):
+        seen[key] += 1  # keys over different sequences differ
+        return real(key)
+
+    monkeypatch.setattr(hopf, "part_bipartitions", recorded)
+    verify.hopf_suite(4)
+    assert seen == Counter(key for seq in DEFAULT_SEQUENCES for n in range(5) for key in colored_partitions(seq, n))
 
 
 def test_tensor_multiply_matches_a_double_loop():
@@ -339,12 +371,8 @@ def test_tensor_multiply_matches_a_double_loop():
 
 
 def test_antipode_does_not_keep_values_of_a_patched_phi_product(monkeypatch):
-    import wordbell.hopf as hopf
-
     x = phi_elem(csp((((1, 3), 1), ((2,), 1)), FACTORIAL))
-    hopf._antipode_key.cache_clear()
     fresh = antipode(x)
-    hopf._antipode_key.cache_clear()
     with monkeypatch.context() as patch:
         real = hopf.phi_product
         patch.setattr(hopf, "phi_product", lambda a, b: real(a, b) * 2)
