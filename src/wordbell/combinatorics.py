@@ -174,9 +174,12 @@ class ColorSequence(_Record):
         else:
             if any(v < 0 for v in values):
                 raise ValueError("color counts must be nonnegative")
-            if isinstance(tail, str) and tail not in _NAMED_RULES:
-                raise ValueError(f"unknown tail rule {tail!r}")
-            if isinstance(tail, int) and tail < 0:
+            if isinstance(tail, str):
+                if tail not in _NAMED_RULES:
+                    raise ValueError(f"unknown tail rule {tail!r}")
+            elif type(tail) is not int:  # a bool or a float is rejected, not coerced
+                raise ValueError(f"a tail is a rule name or an int, got {tail!r}")
+            elif tail < 0:
                 raise ValueError("tail constant must be nonnegative")
         self.__dict__.update(name=name, values=values, tail=tail, _hash=hash((name, values, tail)))
 
@@ -196,7 +199,7 @@ class ColorSequence(_Record):
 
     @classmethod
     def constant(cls, value: int) -> "ColorSequence":
-        return cls(values=(), tail=int(value))
+        return cls(values=(), tail=value)
 
     @classmethod
     def parse(cls, text: str) -> "ColorSequence":
@@ -248,7 +251,7 @@ class ColorSequence(_Record):
             return self.values[m - 1]
         if isinstance(self.tail, str):
             return _NAMED_RULES[self.tail](m)
-        return int(self.tail or 0)
+        return self.tail
 
 
 ONES = ColorSequence.named("ones")

@@ -17,9 +17,16 @@ t^k.  That includes the word and noncommutative Bell polynomials, which
 ``lincomb._ladder`` builds as the t-graded operator power (t x + d)^n
 applied to 1, and the triangular polynomials of ``munthekaas``.
 
+``power`` needs a commutative ring, such as the rationals, polynomials or
+word polynomials under the shuffle product (``mul`` does not).  It computes
+F^k by left-to-right binary powering: F^1 = 1 F, then for each bit of k
+after the leading one a square, and a product by F when the bit is set.
+Its square multiplies each unordered pair of coefficients F_i F_j once.
 Truncation rule of ``power``: for a base of valuation v (its lowest nonzero
-degree), a term of degree d in F^j reaches at least degree d + (k - j) v in
-F^k, so the j-th partial power is kept only up to degree order - (k - j) v.
+degree), a term of degree d in F^e reaches at least degree d + (k - e) v in
+F^k, so the partial power F^e, a square or a product by F, is kept only up
+to degree order - (k - e) v.  The square of F^e to that degree of F^(2e)
+reads F^e exactly up to its own kept degree, since F^e has valuation e v.
 
 Composition and reversion back the alphabet operations of the
 symmetric-function calculus and run over the rationals only.  An inverse
@@ -64,23 +71,47 @@ def mul(a: Sequence, b: Sequence, order: int, one=Fraction(1), dot: Callable = _
     return out
 
 
-def power(a: Sequence, k: int, order: int, one=Fraction(1), dot: Callable = _ring_dot) -> Series:
-    """a^k up to t^order by k products with the base (:func:`mul` over
-    ``dot``), each partial power truncated by the valuation rule of the
-    module docstring.
+def _square(a: Sequence, order: int, one, dot: Callable) -> Series:
+    """a^2 up to t^order in a commutative ring: coefficient d is ``dot`` of
+    the nonzero pairs (2 a_i, a_(d-i)) with i < d - i and, for even d, the
+    pair (a_(d/2), a_(d/2)), so each unordered pair of coefficients is
+    multiplied once."""
+    a = a[: order + 1]
+    doubled = [x * 2 for x in a[: (order + 1) // 2]]  # every i < d - i <= order
+    out = []
+    for d in range(order + 1):
+        lower = range(max(0, d - len(a) + 1), (d + 1) // 2)
+        pairs = [(doubled[i], a[d - i]) for i in lower if a[i] and a[d - i]]
+        if d % 2 == 0 and d // 2 < len(a) and a[d // 2]:
+            pairs.append((a[d // 2], a[d // 2]))
+        out.append(dot(pairs) if pairs else one * 0)
+    return out
 
-    The base usually has small supports, so k long-by-short products beat
-    repeated squaring of ever-larger series.  A negative k raises ValueError.
+
+def power(a: Sequence, k: int, order: int, one=Fraction(1), dot: Callable = _ring_dot) -> Series:
+    """a^k up to t^order in a commutative ring, by left-to-right binary
+    powering over ``dot``, each partial power truncated by the valuation
+    rule of the module docstring.
+
+    The first factor is a :func:`mul` of the unit by the base, so even a^1
+    comes out in the ring's normal form.  A negative k raises ValueError.
     """
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
     base = a[: order + 1]
     v = next((i for i, c in enumerate(base) if c), None)
-    if k and (v is None or k * v > order):
+    if not k:
+        return pad([one], order, one * 0)
+    if v is None or k * v > order:
         return [one * 0] * (order + 1)
-    result = pad([one], order, one * 0)
-    for j in range(1, k + 1):
-        result = mul(result, base, order - (k - j) * v, one, dot)
+    e = 1  # result holds F^e up to degree order - (k - e) v
+    result = mul([one], base, order - (k - e) * v, one, dot)
+    for bit in bin(k)[3:]:  # the bits of k after the leading one
+        e *= 2
+        result = _square(result, order - (k - e) * v, one, dot)
+        if bit == "1":
+            e += 1
+            result = mul(result, base, order - (k - e) * v, one, dot)
     return result
 
 

@@ -140,6 +140,13 @@ def test_explicit_sequence_and_tail():
         ColorSequence.named("nope")
 
 
+def test_int_tail_is_kept_as_given():
+    # the tail is stored and returned as the int it is, and its spec string re-parses
+    for seq in (ColorSequence.constant(3), ColorSequence.explicit([1], tail=0)):
+        assert type(seq(5)) is int and seq.tail == seq(5)
+        assert ColorSequence.parse(seq.spec_string()) == seq
+
+
 def test_parse_round_trip():
     for text in ("ones", "factorial", "1,2,9,64 tail:tree", "a=2,2 tail:0"):
         seq = ColorSequence.parse(text)
@@ -813,6 +820,11 @@ def test_bijection_records_reject_what_they_would_coerce(build, data):
     (ColorSequence.explicit, ([1.7],)),
     (ColorSequence.explicit, ([1, True],)),
     (ColorSequence.explicit, (["2"],)),
+    (ColorSequence.explicit, ([1], 1.5)),
+    (ColorSequence.explicit, ([1], True)),
+    (ColorSequence.explicit, ([1], None)),
+    (ColorSequence.constant, (1.9,)),
+    (ColorSequence.constant, (True,)),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_key_constructors_take_plain_ints_only(build, args):
     # a bool, a float or a string equal to an int is rejected, not coerced

@@ -1,11 +1,13 @@
 """Tests for the truncated series engine."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordbell import series
+from wordbell.sympoly import SparsePoly
 
 _coeffs = st.one_of(
     st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -25,12 +27,14 @@ def _full_mul(a, b):
 @given(
     st.integers(0, 3),
     st.lists(_coeffs, min_size=1, max_size=6),
-    st.integers(0, 5),
+    st.integers(0, 9),
     st.integers(0, 8),
 )
 def test_power_is_k_untruncated_products(v, tail, k, order):
     # a base of valuation v (or higher, when tail[0] is 0), k = 0 and
-    # k * v > order included
+    # k * v > order included; k <= 9 reaches every step of binary powering:
+    # squares alone (2, 4, 8), a square then a product by the base (3, 5, 7, 9)
+    # and both within one k (6 = 0b110)
     a = [0] * v + tail
     want = [Fraction(1)]
     for _ in range(k):
@@ -39,6 +43,33 @@ def test_power_is_k_untruncated_products(v, tail, k, order):
     got = series.power(a, k, order)
     assert got == want
     assert all(type(c) is Fraction for c in got)
+
+
+def test_power_squares_each_unordered_pair_once():
+    # F = x1 t + ... + x4 t^4 over polynomials: a coefficient of F^e is
+    # homogeneous of degree e in the x_i, so a counting dot can tell which
+    # partial powers each of its pairs multiplies
+    one, order = SparsePoly.const(1), 8
+    base = [SparsePoly.zero()] + [SparsePoly.var(i) for i in range(1, 5)]
+    degree = lambda x: sum(next(iter(x.keys())))
+    products, shapes = Counter(), set()
+
+    def counting_dot(pairs):
+        for x, y in pairs:
+            shapes.add(tuple(sorted((degree(x), degree(y)))))
+            if degree(x) == degree(y) == 1:
+                products[next(iter((x * y).keys()))] += 1
+        return series._ring_dot(pairs)
+
+    square = series.power(base, 2, order, one, counting_dot)
+    assert square == series.mul(base, base, order, one)
+    # x_i x_j is one pair (2 x_i, x_j) for i < j, and (x_i, x_i) for i = j
+    assert products == Counter(next(iter((base[i] * base[j]).keys())) for i in range(1, 5) for j in range(i, 5))
+    shapes.clear()
+    fourth = series.power(base, 4, order, one, counting_dot)
+    assert fourth == series.mul(series.mul(square, base, order, one), base, order, one)
+    # F^4 is the square of F^2: no product of F^3 by F, nor of F^2 by F
+    assert shapes == {(0, 1), (1, 1), (2, 2)}
 
 
 def test_power_of_zero_series():
