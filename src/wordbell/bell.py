@@ -72,12 +72,9 @@ def _exponential_a_series(n: int) -> list[SparsePoly]:
 
 
 def partial_bell_poly(n: int, k: int) -> SparsePoly:
-    """B_{n,k} = n!/k! [t^n] (sum_j a_j t^j / j!)^k, an exact polynomial in
-    the variables a1, a2, ..."""
-    if k < 0 or k > n:
-        return SparsePoly.zero()
-    powered = series.power(_exponential_a_series(n), k, n, SparsePoly.const(1))
-    return powered[n] * Fraction(math.factorial(n), math.factorial(k))
+    """B_{n,k} = n! [t^n] (sum_j a_j t^j / j!)^k / k!, an exact polynomial in
+    the variables a1, a2, ... for n >= 0 (zero for k < 0 and for k > n)."""
+    return series.divided_power(_exponential_a_series(n), k, n, SparsePoly.const(1))[n] * math.factorial(n)
 
 
 def complete_bell_poly(n: int) -> SparsePoly:

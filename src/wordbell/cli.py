@@ -227,6 +227,8 @@ def _cmd_verify(parser, args) -> int:
     from . import verify  # only this command loads the suites: a lean start-up for the others
     max_n = args.max_n
     if max_n is not None:
+        if args.suite == "appendix":
+            parser.error("verify appendix takes no --max-n: its ranges are fixed")
         max_n = _check_bound(parser, max_n, "max-n")
     report = verify.run_suite(args.suite, max_n=max_n, seed=args.seed)
     ok = all(item["status"] == "pass" for item in report)

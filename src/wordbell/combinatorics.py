@@ -172,6 +172,8 @@ class ColorSequence(_Record):
             if values or tail is not None:
                 raise ValueError("a named sequence takes no explicit values")
         else:
+            if not all(type(v) is int for v in values):  # a bool or a float is rejected, not coerced
+                raise ValueError("color counts must be integers")
             if any(v < 0 for v in values):
                 raise ValueError("color counts must be nonnegative")
             if isinstance(tail, str):
@@ -192,10 +194,7 @@ class ColorSequence(_Record):
 
     @classmethod
     def explicit(cls, values, tail: int | str = 0) -> "ColorSequence":
-        values = tuple(values)
-        if not all(type(v) is int for v in values):
-            raise ValueError("color counts must be integers")
-        return cls(values=values, tail=tail)
+        return cls(values=tuple(values), tail=tail)
 
     @classmethod
     def constant(cls, value: int) -> "ColorSequence":

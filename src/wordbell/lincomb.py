@@ -50,6 +50,11 @@ def _add_terms(data: dict, pairs: Iterable) -> dict:
     return data
 
 
+def _integral(c: Fraction) -> Scalar:
+    """``c`` as an int when it is integral, else ``c`` itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _lincomb_sum(basis: str, parts: Iterable["LinComb"]) -> "LinComb":
     """The sum of the elements ``parts`` of ``basis``, in one accumulation: a
     copy of the first one's terms, with the later ones added in.  It sums a
@@ -155,11 +160,13 @@ class LinComb:
             return NotImplemented
         if not scalar:
             return self._raw(self.basis, {})
+        # each product is stored as int when it is one
         if scalar.denominator == 1:  # an int, or an integral Fraction
             scalar = scalar.numerator
-            return self._raw(self.basis, {k: c * scalar for k, c in self._terms.items()})
-        # a proper fraction: store each product as int when it is one; an int
-        # coefficient is divided with divmod, which is much cheaper than Fraction
+            terms = {k: c * scalar if type(c) is int else _integral(c * scalar) for k, c in self._terms.items()}
+            return self._raw(self.basis, terms)
+        # a proper fraction: an int coefficient is divided with divmod, which
+        # is much cheaper than Fraction
         num, den = scalar.numerator, scalar.denominator
         out = {}
         for k, c in self._terms.items():
@@ -167,8 +174,7 @@ class LinComb:
                 q, r = divmod(c * num, den)
                 out[k] = Fraction(c * num, den) if r else q
             else:
-                v = c * scalar
-                out[k] = v.numerator if v.denominator == 1 else v
+                out[k] = _integral(c * scalar)
         return self._raw(self.basis, out)
 
     __rmul__ = __mul__

@@ -274,17 +274,13 @@ def series_shuffle_power(a: list[LinComb], k: int, order: int) -> list[LinComb]:
 
 def shuffle_bell_series(generators: list, k: int, order: int) -> list[LinComb]:
     """Coefficients of (sum_i F_i t^i)^(shuffle k) / k! up to t^order, the
-    shuffle Bell polynomials B_{n,k}(F) for n <= order (zero for k < 0).
+    shuffle Bell polynomials B_{n,k}(F) for n <= order (zero for k < 0), by
+    ``series.divided_power`` over the shuffle product.
 
     ``generators`` is the list [_, F_1, F_2, ...] of word polynomials; entry
     0 is ignored and a shorter list is padded with zeros."""
-    if k < 0:
-        return [word_zero()] * (order + 1)
     base = series.pad([word_zero(), *generators[1:]], order, word_zero())
-    powered = series_shuffle_power(base, k, order)
-    if k < 2:
-        return powered  # k! = 1: nothing to divide
-    return [p / math.factorial(k) for p in powered]
+    return series.divided_power(base, k, order, word_one(), shuffle_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ A series is a plain list ``[c0, c1, ..., cN]`` of coefficients from one ring:
 Fractions by default, or LinComb elements of one basis: polynomials (the
 SparsePoly subclass), the Psi basis or word polynomials.
 A caller names the ring by its unit ``one`` (its zero is ``one * 0``) and,
-for ``mul`` and ``power``, by its ``dot``: the sum of x y over a list of
+for the products and powers, by its ``dot``: the sum of x y over a list of
 nonzero coefficient pairs (x, y), by default with the ring's own ``*`` and
 ``+``.  The word ring's dot is ``realization.shuffle_sum``.  Every function
 takes the truncation order explicitly and returns a list of length order+1.
 The product, power, exponential and logarithm here are the only ones in
-the package: the Bell polynomials of every algebra are [t^n] F(t)^k / k!,
-and the complete ones [t^n] exp F(t).
+the package: the Bell polynomials of every algebra are [t^n] F(t)^k / k!
+(``divided_power``, the one such step), the complete ones [t^n] exp F(t).
 
 Every polynomial in a marker t is such a list, entry k the coefficient of
 t^k.  That includes the word and noncommutative Bell polynomials, which
@@ -38,6 +38,7 @@ Fraction coefficients would cost about ten times as much.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -113,6 +114,18 @@ def power(a: Sequence, k: int, order: int, one=Fraction(1), dot: Callable = _rin
             e += 1
             result = mul(result, base, order - (k - e) * v, one, dot)
     return result
+
+
+def divided_power(a: Sequence, k: int, order: int, one=Fraction(1), dot: Callable = _ring_dot) -> Series:
+    """a^k / k! up to t^order in a commutative ring, zero for k < 0: the
+    powers scaled by Fraction(1, k!), never divided, so ``one=1`` gets no floats."""
+    if k < 0:
+        return [one * 0] * (order + 1)
+    powered = power(a, k, order, one, dot)
+    if k < 2:
+        return powered  # k! = 1
+    scale = Fraction(1, math.factorial(k))
+    return [c * scale for c in powered]
 
 
 def exp(a: Sequence, order: int, one=Fraction(1)) -> Series:

@@ -46,11 +46,8 @@ def c_from_h(n: int) -> SparsePoly:
 
 
 def h_k_part(n: int, k: int) -> SparsePoly:
-    """The alpha^k component of h_n(alpha X): [t^n] (sum c_i t^i)^k / k!."""
-    if k < 0 or k > n:
-        return SparsePoly.zero()
-    powered = series.power([SparsePoly.zero()] + _generators(n), k, n, SparsePoly.const(1))
-    return powered[n] / math.factorial(k)
+    """The alpha^k component of h_n(alpha X), n >= 0: [t^n] (sum c_i t^i)^k / k!."""
+    return series.divided_power([SparsePoly.zero()] + _generators(n), k, n, SparsePoly.const(1))[n]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ definition it replaces:
   ``bell.word_bell_tpoly`` and its sum over t;
 * "colored dual Bell polynomials enumerate colored partitions": the
   enumerated ``bell.colored_psi_bell`` against [t^n] F^k / k!, computed by
-  one series-power chain whose dot sums ``hopf.psi_product`` terms.
+  ``series.divided_power`` with a dot that sums ``hopf.psi_product`` terms.
 
 The Bell suite also checks the specialization morphisms of ``bell``: that
 gamma beta_a alpha sends h_n to A_n(a)/n! for each default sequence, by the
@@ -289,17 +289,13 @@ def hopf_suite(max_n: int = 4, sequences=DEFAULT_SEQUENCES) -> list[dict]:
 def _colored_psi_bell_table(seq, top: int) -> list[list[LinComb]]:
     """The normalized colored Bell polynomials by their definition: entry
     [k][n] is [t^n] F^k / k! for F = sum_m psi_atom(seq, m) t^m and all
-    n, k <= top.  One power chain serves every k: F^k is F^(k-1) F, a
-    series product whose dot sums ``hopf.psi_product`` terms."""
+    n, k <= top, each row a ``series.divided_power`` whose dot sums
+    ``hopf.psi_product`` terms.  The Psi product is commutative, the dual
+    of the cocommutative Phi coproduct."""
     unit = hopf.one(hopf.PSI, seq)
     generators = [LinComb.zero(hopf.PSI)] + [bell.psi_atom(seq, m) for m in range(1, top + 1)]
     psi_dot = lambda pairs: _lincomb_sum(hopf.PSI, (hopf.psi_product(x, y) for x, y in pairs))
-    power = series.pad([unit], top, unit * 0)
-    table = [power]
-    for k in range(1, top + 1):
-        power = series.mul(power, generators, top, unit, psi_dot)
-        table.append([c / math.factorial(k) for c in power])
-    return table
+    return [series.divided_power(generators, k, top, unit, psi_dot) for k in range(top + 1)]
 
 
 def bell_suite(max_n: int = 6, seed: int = 0) -> list[dict]:

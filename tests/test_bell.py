@@ -319,7 +319,7 @@ def test_word_partial_bell_outside_the_ladder_is_zero():
 
 def test_colored_psi_bell_enumerates():
     # the served enumeration against colored_partitions and against [t^n] F^k / k!,
-    # computed by the verify oracle's power chain
+    # computed by the verify oracle's divided powers
     for spec in (
         "ones", "factorial", "shifted-factorial", "idempotent", "bell", "tree", "0,1,3 tail:1", "1,1 tail:0",
     ):

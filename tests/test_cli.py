@@ -122,6 +122,15 @@ def test_usage_errors_exit_2():
     assert run_cli(["expand", "wordBell", "--n", "3", "--format", "json"]).returncode == 2
 
 
+def test_verify_appendix_rejects_max_n(capsys):
+    # the appendix ranges are fixed: a --max-n there is refused, not dropped
+    # (verify all --max-n still scales the other suites, test_verify_exit_codes)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "appendix", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert "fixed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, env, bad", [
     (["table", "stirling2", "1_0"], None, "1_0"),
     (["table", "stirling2", "\uff13"], None, "\uff13"),

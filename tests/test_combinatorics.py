@@ -138,6 +138,10 @@ def test_explicit_sequence_and_tail():
         ColorSequence.explicit([-1])
     with pytest.raises(ValueError):
         ColorSequence.named("nope")
+    # the constructor itself rejects a value that is not an int: a float or a
+    # bool would build a sequence whose spec string does not re-parse
+    with pytest.raises(ValueError):
+        ColorSequence(values=(1.5, True), tail=0)
 
 
 def test_int_tail_is_kept_as_given():

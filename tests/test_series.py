@@ -1,5 +1,6 @@
 """Tests for the truncated series engine."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -82,3 +83,24 @@ def test_power_rejects_negative_exponent():
         series.power([1, 1], -1, 3)
     with pytest.raises(ValueError):
         series.power([0, 1], -2, 3)
+
+
+def test_divided_power_is_zero_below_k_0_and_the_power_at_k_0_and_1():
+    assert series.divided_power([0, 1], -1, 3) == [0, 0, 0, 0]
+    assert series.divided_power([2, 1], -3, 1, SparsePoly.const(1)) == [SparsePoly.zero()] * 2
+    assert series.divided_power([2, 1], 0, 3) == [1, 0, 0, 0]
+    assert series.divided_power([2, 1], 1, 3) == [2, 1, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_coeffs, min_size=1, max_size=6), st.integers(2, 7), st.integers(0, 8))
+def test_divided_power_is_the_power_over_k_factorial(a, k, order):
+    got = series.divided_power(a, k, order)
+    assert got == [Fraction(c, math.factorial(k)) for c in series.power(a, k, order)]
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), st.integers(-1, 6), st.integers(0, 6))
+def test_divided_power_over_the_integers_has_no_floats(a, k, order):
+    got = series.divided_power(a, k, order, one=1)
+    assert len(got) == order + 1
+    assert all(type(c) in (int, Fraction) for c in got)
