@@ -50,7 +50,6 @@ from .lincomb import BasisError, LinComb, _ladder
 from .realization import (
     complete_s,
     expand_s_on,
-    letters,
     series_shuffle_power,
     shuffle,
     shuffle_bell_series,
@@ -374,8 +373,21 @@ def mixed_bell_series(a_prime, a_second, k: int, order: int) -> list[LinComb]:
     return _mixed_bell_series_cached(tuple(a_prime), tuple(a_second), k, order)
 
 
+def _alphabet(index: int, count: int) -> list[int]:
+    """The first ``count`` letters of alphabet ``index`` as ints, letter i
+    numbered by the Cantor pairing (index + i)(index + i + 1) / 2 + i.
+
+    The pairing is injective, so distinct alphabets are disjoint and equal
+    ones are equal (as ``lru_cache`` keys too).  The identity suite's words
+    never leave it, and an int letter hashes without walking a letter tuple:
+    the word shuffle hashes every letter of every word it counts.
+    """
+    return [(index + i) * (index + i + 1) // 2 + i for i in range(1, count + 1)]
+
+
 def _faithful_alphabets(n: int, k: int) -> tuple[list, list]:
-    """A' and A'' at the faithful truncation for degree n with k positions in A'.
+    """A' and A'' (alphabets 1 and 2 of :func:`_alphabet`) at the faithful
+    truncation for degree n with k positions in A'.
 
     Every word of B^{A'}_{n,k}(A''), and of both sides of the S-function and
     binomiality identities (k = k1 + k2), has exactly k letters from A' and
@@ -385,7 +397,7 @@ def _faithful_alphabets(n: int, k: int) -> tuple[list, list]:
     identity: k letters of A' and n - k of A'' (one when n = k, so that the
     alphabet is never empty).
     """
-    return letters(1, max(k, 1)), letters(2, max(n - k, 1))
+    return _alphabet(1, max(k, 1)), _alphabet(2, max(n - k, 1))
 
 
 def prop_s_form_check(n: int, k: int) -> dict:
@@ -423,9 +435,9 @@ def _convolution_batch(max_n: int, max_k: int) -> list[dict]:
     # One series power per (alphabet, k); individual n slices are then cheap.
     report = []
     truncation = 2  # letters per alphabet
-    a_prime = letters(1, truncation)
-    a_one = letters(2, truncation)
-    a_two = letters(3, truncation)
+    a_prime = _alphabet(1, truncation)
+    a_one = _alphabet(2, truncation)
+    a_two = _alphabet(3, truncation)
     a_union = a_one + a_two
     for k in range(1, max_k + 1):
         series_u = mixed_bell_series(a_prime, a_union, k, max_n)
@@ -452,8 +464,8 @@ def _composition_batch(max_n: int, max_k: int) -> list[dict]:
     for k1 in range(1, max_k + 1):
         for k2 in range(1, max_k + 1):
             truncation = 2 if k1 * k2 <= 4 else 1
-            a_prime = letters(1, truncation)
-            a_second = letters(2, truncation)
+            a_prime = _alphabet(1, truncation)
+            a_second = _alphabet(2, truncation)
             base = mixed_bell_series(a_prime, a_second, k2, k2 + max_n - 1)
             args = [word_zero()] + [base[k2 + m - 1] for m in range(1, max_n + 1)]
             powered = series_shuffle_power(args, k1, max_n)
@@ -485,6 +497,9 @@ def identity_suite(which: str = "all", max_n: int = 5, max_k: int = 3) -> list[d
     (one-letter when k1*k2 > 4), below the degree of most of their cases:
     the arithmetic is exact, but a pass there is a necessary check of the
     identity, not a faithful one.  A failure is still a real counterexample.
+    Every alphabet is built by :func:`_alphabet`, so the words carry int
+    letters, not the ``(alphabet, index)`` pairs of ``realization.letters``;
+    a report names only n, k, k1, k2 and L, never a letter.
     """
     report = []
     if which in ("completeToS", "all"):

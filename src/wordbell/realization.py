@@ -1,9 +1,13 @@
 """Polynomial realization inside the free associative algebra.
 
-Letters are pairs (alphabet index, letter index): the ambient space is the
-free algebra on a disjoint family of truncated alphabets A_1, A_2, ...  A
-word polynomial is a LinComb over words (tuples of letters) with basis tag
-"Word".  The uncolored realization lives entirely in alphabet 1.
+The ambient space is the free algebra on a disjoint family of truncated
+alphabets A_1, A_2, ...  A word polynomial is a LinComb over words (tuples
+of letters) with basis tag "Word".  The shuffle kernel, ``complete_s``,
+``expand_s_on`` and ``series`` take any hashable letters.  The public
+expansions (``letters``, ``expand_phi`` and the rest, which ``realize``
+prints) name a letter by the pair (alphabet index, letter index), and the
+uncolored realization lives entirely in alphabet 1; the word-identity suite
+of ``bell``, whose words are never printed, names its letters by ints.
 
 Reading of the defining word sum for a colored key: positions in one block
 all carry a single letter from the alphabet named by the block's color, and
@@ -123,8 +127,9 @@ def expand_psi(pi: SetPartition, truncation: int) -> LinComb:
     return expand_phi(pi, truncation) * pi.part_factorial()
 
 
-def expand_s_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
-    """S_pi realization: the sum of q! Phi_q over the refinements q of pi."""
+def expand_s_on(pi: SetPartition, alphabet: list) -> LinComb:
+    """S_pi realization over the given letters: the sum of q! Phi_q over the
+    refinements q of pi."""
     return LinComb(WORD, (
         (w, c * q.part_factorial())
         for q in refinements(pi)
@@ -132,7 +137,7 @@ def expand_s_on(pi: SetPartition, alphabet: list[Letter]) -> LinComb:
     ))
 
 
-_COMPLETE_SERIES: dict[tuple[int, tuple[Letter, ...], int], LinComb] = {}
+_COMPLETE_SERIES: dict[tuple[int, tuple, int], LinComb] = {}
 
 
 def complete_s(n: int, alphabet, k: int = 1) -> LinComb:

@@ -506,9 +506,9 @@ def test_binomiality_truncation_is_a_restriction_of_the_wider_one():
         for k1 in range(1, n + 1):
             for k2 in range(k1, n - k1 + 1):
                 k = k1 + k2
-                a_prime = letters(1, k)
-                wide = letters(2, n - k1)
-                narrow = letters(2, max(n - k, 1))
+                a_prime = bell._alphabet(1, k)
+                wide = bell._alphabet(2, n - k1)
+                narrow = bell._alphabet(2, max(n - k, 1))
                 assert bell._faithful_alphabets(n, k) == (a_prime, narrow)
                 allowed = set(a_prime) | set(narrow)
                 for part_count in (k, k1, k2):
@@ -525,7 +525,8 @@ def test_binomiality_sees_a_word_on_every_letter_of_both_alphabets(monkeypatch):
     from wordbell import bell
 
     n, k1, k2 = 4, 1, 1
-    extra = ((1, 1), (2, 1), (1, 2), (2, 2))
+    a_prime, a_second = bell._alphabet(1, 2), bell._alphabet(2, 2)
+    extra = (a_prime[0], a_second[0], a_prime[1], a_second[1])
     real = bell.mixed_bell_series
 
     def with_extra_word(a_prime, a_second, k, order):
@@ -539,3 +540,27 @@ def test_binomiality_sees_a_word_on_every_letter_of_both_alphabets(monkeypatch):
     item = bell.binomiality_check(n, k1, k2)
     assert item["status"] == "fail"
     assert item["counterexample"] == {"n": 4, "k1": 1, "k2": 1}
+
+
+def test_mixed_bell_series_over_int_alphabets_is_the_pair_series_renamed():
+    # the identity suite's alphabets name letters by ints (_alphabet), the
+    # public expansions by (alphabet, index) pairs; renaming is faithful
+    from wordbell import bell
+
+    order = 5
+    for k in range(4):
+        cases = [
+            (bell._faithful_alphabets(order, k), (letters(1, max(k, 1)), letters(2, max(order - k, 1)))),
+            (
+                (bell._alphabet(1, 2), bell._alphabet(2, 2) + bell._alphabet(3, 2)),
+                (letters(1, 2), letters(2, 2) + letters(3, 2)),
+            ),
+        ]
+        for int_alphabets, pair_alphabets in cases:
+            rename = dict(zip(sum(pair_alphabets, []), sum(int_alphabets, [])))
+            assert len(set(rename.values())) == len(rename)
+            got = bell.mixed_bell_series(*int_alphabets, k, order)
+            want = bell.mixed_bell_series(*pair_alphabets, k, order)
+            assert len(got) == order + 1
+            renamed = [LinComb(WORD, ((tuple(map(rename.__getitem__, w)), c) for w, c in x.items())) for x in want]
+            assert got == renamed

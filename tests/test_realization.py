@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wordbell import series
+from wordbell.bell import _alphabet
 from wordbell.combinatorics import (
     IDEMPOTENT,
     ColoredSetPartition,
@@ -142,15 +143,18 @@ def _oracle_shuffle(x, y) -> LinComb:
 
 # Two letters from each of two alphabets, so that random terms collide and
 # cancel; Fraction coefficients include integral ones such as 4/2.
-_words = st.lists(
-    st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=3
-).map(tuple)
 _coeffs = st.one_of(
     st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 )
-_polys = st.lists(st.tuples(_words, _coeffs), max_size=4).map(
-    lambda terms: LinComb("Word", terms)
-)
+
+
+def _polys_of(max_len):
+    """Word polynomials of up to four terms, words of up to max_len letters."""
+    words = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=max_len).map(tuple)
+    return st.lists(st.tuples(words, _coeffs), max_size=4).map(lambda terms: LinComb("Word", terms))
+
+
+_polys = _polys_of(3)
 
 
 def _assert_normal_form(poly):
@@ -264,6 +268,22 @@ def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
     _assert_normal_form(got)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_polys, _polys), max_size=3))
+def test_renaming_pair_letters_to_int_letters_commutes_with_the_shuffle(pairs):
+    # the kernel takes any hashable letters: the identity suite's int letters
+    # (bell._alphabet) shuffle as the pair letters they rename
+    rename = dict(zip(letters(1, 2) + letters(2, 2), _alphabet(1, 2) + _alphabet(2, 2)))
+    assert len(set(rename.values())) == len(rename)
+
+    def renamed(x):
+        return LinComb("Word", ((tuple(map(rename.__getitem__, w)), c) for w, c in x.items()))
+
+    got = shuffle_sum((renamed(x), renamed(y)) for x, y in pairs)
+    assert got == renamed(shuffle_sum(pairs))
+    _assert_normal_form(got)
+
+
 def test_series_shuffle_mul_cancels_across_degree_pairs():
     # [t] (1 + a t)(1 - a t): the pair with coefficient -1 comes first and the
     # pair with coefficient 1 cancels it; [t^2] is a shuffle (-a) = -2 aa
@@ -273,11 +293,24 @@ def test_series_shuffle_mul_cancels_across_degree_pairs():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_polys, min_size=1, max_size=3), st.integers(0, 2), st.integers(0, 5), st.integers(0, 3))
-def test_series_shuffle_power_is_k_fold_mul(a, valuation, k, order):
+@given(
+    # words of at most 8 // k letters (and 3), so that no word of the power or
+    # of its k-fold oracle is longer than 8 letters: this bounds the test's cost
+    st.integers(0, 5).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(_polys_of(min(3, 8 // max(k, 1))), min_size=1, max_size=3))
+    ),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+# whatever the seed draws: the longest words at k = 4 and 5, on a base of
+# valuation 2 and 1
+@example((4, [LinComb("Word", {word(1, 2): 1, word(2): 2})]), 2, 1)
+@example((5, [LinComb("Word", {word(1): 1, word(2): Fraction(1, 2)}), LinComb.term("Word", word(1, alphabet=2), -1)]), 1, 3)
+def test_series_shuffle_power_is_k_fold_mul(k_and_base, valuation, order):
     # k <= 5 reaches a square alone (2), a square then a product by the base
     # (3, 5) and two squares (4); a base of valuation 1 or 2, with the order
     # raised by k times it, runs the truncated partial powers on all its terms
+    k, a = k_and_base
     a = [word_zero()] * valuation + a
     order += valuation * k
     got = series_shuffle_power(a, k, order)
