@@ -25,17 +25,31 @@ many letters as the positions it fills in a word.
 
 The shuffle kernel: ``_shuffle_acc`` takes the operands' own (word,
 coefficient) items and groups each operand's words by (length,
-coefficient).  For each pair of groups it runs one pass of C iterators over
-all the word pairs: u + v through ``combinatorics._interleave_gather(n,
-m)``, one cached itemgetter that returns all C(n+m, n) shuffles end to end,
-cut back into words and counted by ``Counter.update``.  It is the package's
-one interleaving kernel: ``combinatorics.interleave_keys`` shuffles the
+coefficient).  For each pair of groups its counting loop,
+``_count_shuffles``, runs one pass of C iterators over all the word pairs:
+u + v through ``combinatorics._interleave_gather(n, m)``, one cached
+itemgetter that returns all C(n+m, n) shuffles end to end, cut back into
+words and counted by ``Counter.update``.  It is the package's one
+interleaving kernel: ``combinatorics.interleave_keys`` shuffles the
 block-number words of keys through it, so the dual product of keys and its
 word realization read one table.  Words whose product coefficient is 1
-count straight into the sum; the others are added in once at the end, where
-a word whose sum reaches 0 is deleted and an integral sum is stored as int.
-Summed over a list of pairs, it is the word ring's dot for ``series``;
-``shuffle`` is its one-pair sum.
+count straight into the sum; the others are added in once at the end by
+``_merge_scaled``, where a word whose sum reaches 0 is deleted and an
+integral sum is stored as int.  Summed over a list of pairs, it is the word
+ring's dot for ``series``; ``shuffle`` is its one-pair sum.
+
+The shuffle algebra is graded by content, the multiset of a word's letters
+(Reutenauer, *Free Lie Algebras*, 1993): every word of u shuffle v has the
+letters of uv.  So a sum of shuffles splits into content components, the
+component of content C summing x_a shuffle y_b over the content parts x_a,
+y_b of the operands with a + b = C, and it is zero iff every component is.
+``shuffle_sums_agree`` tests lhs - rhs that way, exactly: it groups each
+operand by content and then by (length, coefficient), negating the rhs
+coefficients, buckets the group pairs by merged content, and runs the
+counting loop and the merge on one bucket at a time, stopping at the first
+bucket that does not cancel.  Beyond the operands it holds their groupings
+(lists of the operands' own words) and one component's counts, never
+either sum whole.
 """
 
 from __future__ import annotations
@@ -180,21 +194,33 @@ def _by_length_and_coeff(x: LinComb) -> dict:
     return groups
 
 
-def _shuffle_acc(pairs) -> Counter:
-    """The shuffle kernel of the module docstring: the sum of x shuffle y
-    over the (x, y) pairs of word polynomials, zero-free."""
-    acc = Counter()
-    scaled: dict = {}
-    for x, y in pairs:
-        y_groups = _by_length_and_coeff(y).items()
-        for (n, cu), us in _by_length_and_coeff(x).items():
-            for (m, cv), vs in y_groups:
-                c = cu * cv
-                words = starmap(add, product(us, vs))
-                if n and m:
-                    flat = chain.from_iterable(map(_interleave_gather(n, m), words))
-                    words = zip(*[flat] * (n + m))
-                (acc if c == 1 else scaled.setdefault(c, Counter())).update(words)
+def _by_content(x: LinComb, sign: int) -> dict:
+    """The words of x grouped by content (the sorted tuple of their letters),
+    then by (length, sign * coefficient)."""
+    contents: dict = {}
+    for w, c in x.items():
+        contents.setdefault(tuple(sorted(w)), {}).setdefault((len(w), sign * c), []).append(w)
+    return contents
+
+
+def _count_shuffles(acc: Counter, scaled: dict, x_groups: dict, y_groups: dict) -> None:
+    """The kernel's counting loop over every pair of (length, coefficient)
+    groups: shuffles with product coefficient 1 count into ``acc``, the
+    others into ``scaled[c]``."""
+    y_groups = y_groups.items()
+    for (n, cu), us in x_groups.items():
+        for (m, cv), vs in y_groups:
+            c = cu * cv
+            words = starmap(add, product(us, vs))
+            if n and m:
+                flat = chain.from_iterable(map(_interleave_gather(n, m), words))
+                words = zip(*[flat] * (n + m))
+            (acc if c == 1 else scaled.setdefault(c, Counter())).update(words)
+
+
+def _merge_scaled(acc: Counter, scaled: dict) -> Counter:
+    """The kernel's final merge: ``acc`` plus c times ``scaled[c]`` for every
+    c, zero-free, with integral sums stored as int."""
     get = acc.get  # not acc[w]: a missing key would call Counter.__missing__
     for c, counts in scaled.items():
         for w, count in counts.items():
@@ -204,6 +230,35 @@ def _shuffle_acc(pairs) -> Counter:
             else:
                 del acc[w]
     return acc
+
+
+def _shuffle_acc(pairs) -> Counter:
+    """The shuffle kernel of the module docstring: the sum of x shuffle y
+    over the (x, y) pairs of word polynomials, zero-free."""
+    acc, scaled = Counter(), {}
+    for x, y in pairs:
+        _count_shuffles(acc, scaled, _by_length_and_coeff(x), _by_length_and_coeff(y))
+    return _merge_scaled(acc, scaled)
+
+
+def shuffle_sums_agree(lhs_pairs, rhs_pairs) -> bool:
+    """Whether the sum of x shuffle y over ``lhs_pairs`` equals that over
+    ``rhs_pairs``, tested one letter-content component of lhs - rhs at a time
+    (module docstring), so that neither sum is ever built whole."""
+    buckets: dict = {}
+    for sign, pairs in ((1, lhs_pairs), (-1, rhs_pairs)):
+        for x, y in pairs:
+            y_parts = _by_content(y, 1).items()
+            for cu, x_groups in _by_content(x, sign).items():
+                for cv, y_groups in y_parts:
+                    buckets.setdefault(tuple(sorted(cu + cv)), []).append((x_groups, y_groups))
+    for group_pairs in buckets.values():
+        acc, scaled = Counter(), {}
+        for x_groups, y_groups in group_pairs:
+            _count_shuffles(acc, scaled, x_groups, y_groups)
+        if _merge_scaled(acc, scaled):
+            return False
+    return True
 
 
 def shuffle_sum(pairs) -> LinComb:

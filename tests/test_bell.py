@@ -542,6 +542,46 @@ def test_binomiality_sees_a_word_on_every_letter_of_both_alphabets(monkeypatch):
     assert item["counterexample"] == {"n": 4, "k1": 1, "k2": 1}
 
 
+def test_identity_suite_rejects_an_unknown_family():
+    from wordbell.bell import identity_suite
+
+    with pytest.raises(ValueError, match="completeToS, binomiality, convolution, composition, all"):
+        identity_suite("convolutoin", 3, 1)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_convolution_sees_a_word_added_to_the_union_series(monkeypatch, shared):
+    # One word added to the A''_1 + A''_2 series at one (n, k).  With all n
+    # letters from A''_2, its shuffles with S_(k singletons)(A') have k letters
+    # of A' and every other word on either side 2k, so their component holds
+    # only the lhs; with a shared content they meet the other terms there.
+    from wordbell import bell
+
+    max_n, max_k, n, k = 4, 2, 3, 2
+    a_union = bell._alphabet(2, 2) + bell._alphabet(3, 2)
+    real = bell.mixed_bell_series
+    words = list(real(bell._alphabet(1, 2), a_union, k, max_n)[n].keys())
+    contents = {tuple(sorted(w)) for w in words}
+    if shared:
+        extra = min(words)[::-1]
+        assert tuple(sorted(extra)) in contents
+    else:
+        extra = tuple(bell._alphabet(3, 2)[i % 2] for i in range(n))
+        assert tuple(sorted(extra)) not in contents
+
+    def with_extra_word(a_prime, a_second, part_count, order):
+        series = list(real(a_prime, a_second, part_count, order))
+        if list(a_second) == a_union and part_count == k:
+            series[n] = series[n] + LinComb.term(WORD, extra)
+        return series
+
+    assert {i["status"] for i in bell.identity_suite("convolution", max_n, max_k)} == {"pass"}
+    monkeypatch.setattr(bell, "mixed_bell_series", with_extra_word)
+    report = bell.identity_suite("convolution", max_n, max_k)
+    failed = [(i["range"], i["counterexample"]) for i in report if i["status"] == "fail"]
+    assert failed == [(f"n={n}, k={k}, L=2", {"n": n, "k": k})]
+
+
 def test_mixed_bell_series_over_int_alphabets_is_the_pair_series_renamed():
     # the identity suite's alphabets name letters by ints (_alphabet), the
     # public expansions by (alphabet, index) pairs; renaming is faithful

@@ -36,6 +36,7 @@ from wordbell.realization import (
     shuffle_composite,
     shuffle_scatter,
     shuffle_sum,
+    shuffle_sums_agree,
     specialize_complete,
     word_one,
     word_zero,
@@ -268,20 +269,69 @@ def test_series_shuffle_mul_is_termwise_shuffle(a, b, order):
     _assert_normal_form(got)
 
 
+# the pair letters of _polys renamed to the identity suite's int letters
+_INT_LETTER = dict(zip(letters(1, 2) + letters(2, 2), _alphabet(1, 2) + _alphabet(2, 2)))
+
+
+def _int_lettered(x):
+    return LinComb("Word", ((tuple(map(_INT_LETTER.__getitem__, w)), c) for w, c in x.items()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_polys, _polys), max_size=3))
 def test_renaming_pair_letters_to_int_letters_commutes_with_the_shuffle(pairs):
     # the kernel takes any hashable letters: the identity suite's int letters
     # (bell._alphabet) shuffle as the pair letters they rename
-    rename = dict(zip(letters(1, 2) + letters(2, 2), _alphabet(1, 2) + _alphabet(2, 2)))
-    assert len(set(rename.values())) == len(rename)
-
-    def renamed(x):
-        return LinComb("Word", ((tuple(map(rename.__getitem__, w)), c) for w, c in x.items()))
-
-    got = shuffle_sum((renamed(x), renamed(y)) for x, y in pairs)
-    assert got == renamed(shuffle_sum(pairs))
+    assert len(set(_INT_LETTER.values())) == len(_INT_LETTER)
+    got = shuffle_sum((_int_lettered(x), _int_lettered(y)) for x, y in pairs)
+    assert got == _int_lettered(shuffle_sum(pairs))
     _assert_normal_form(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_polys, _polys), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(0, 2),
+    st.booleans(),
+    st.lists(st.sampled_from(sorted(_INT_LETTER)), max_size=3).map(tuple),
+)
+def test_shuffle_sums_agree_is_equality_of_the_sums(pairs, int_letters, at, on_left, extra):
+    # the content-graded test against building both sums whole: R is L with
+    # each pair's operands swapped and the pairs reversed (the same sum), or
+    # L with one word added to one operand (a different sum unless it cancels)
+    if int_letters:
+        pairs = [(_int_lettered(x), _int_lettered(y)) for x, y in pairs]
+        extra = tuple(map(_INT_LETTER.__getitem__, extra))
+    swapped = [(y, x) for x, y in reversed(pairs)]
+    at %= len(pairs)
+    x, y = pairs[at]
+    term = LinComb.term("Word", extra)
+    grown = pairs[:at] + [(x + term, y) if on_left else (x, y + term)] + pairs[at + 1:]
+    assert shuffle_sums_agree(pairs, swapped)
+    for lhs, rhs in ((pairs, grown), (grown, pairs), (swapped, grown)):
+        assert shuffle_sums_agree(lhs, rhs) == (shuffle_sum(lhs) == shuffle_sum(rhs))
+
+
+def test_shuffle_sums_agree_edge_cases():
+    a, b = LinComb.term("Word", word(1)), LinComb.term("Word", word(1, alphabet=2))
+    one = word_one()
+    assert shuffle_sums_agree([], [])
+    assert shuffle_sums_agree([(a, word_zero())], [])
+    assert not shuffle_sums_agree([(a, b)], [])
+    assert not shuffle_sums_agree([], [(one, one)])
+    assert shuffle_sums_agree([(a, b)], iter([(b, a)]))
+    # a shuffle b = ab + ba, split across two rhs pairs of another content
+    ab = LinComb.term("Word", word(1) + word(1, alphabet=2))
+    ba = LinComb.term("Word", word(1, alphabet=2) + word(1))
+    assert shuffle_sums_agree([(a, b)], [(ab, one), (one, ba)])
+    assert not shuffle_sums_agree([(a, b)], [(ab, one)])
+    # 5/2 (ab + ba) from the product coefficients 2 and 1/2 on each side
+    half = one * Fraction(1, 2)
+    assert shuffle_sums_agree([(a * 3, b * Fraction(2, 3)), (half, ab), (ba, half)], [(a * 2, b), (a, b * Fraction(1, 2))])
+    assert not shuffle_sums_agree([(a * 3, b * Fraction(2, 3)), (half, ab)], [(a * 2, b), (a, b * Fraction(1, 2))])
+    # the ab and ba counts of the lhs cancel inside their component
+    assert shuffle_sums_agree([(a - b, a + b)], [(a, a), (b * -1, b)])
 
 
 def test_series_shuffle_mul_cancels_across_degree_pairs():
