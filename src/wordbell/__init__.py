@@ -77,7 +77,7 @@ SUITES = ("hopf", "bell", "word", "mk", "appendix", "all")
 
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps, as in a fresh process: the seven
+    """Empty every memo the package keeps, as in a fresh process: the six
     ``lru_cache`` tables below and ``realization._COMPLETE_SERIES``.  Values
     with a closed form are computed, not memoized."""
     from . import bell, combinatorics, realization, symfun
@@ -88,8 +88,7 @@ def clear_caches() -> None:
         combinatorics._interleave_gather,
         combinatorics.set_partitions,
         bell._mixed_bell_series_cached,
-        symfun._h_values,
-        symfun._e_values,
+        symfun._exp_values,
     ):
         cached.cache_clear()
     realization._COMPLETE_SERIES.clear()

@@ -102,8 +102,6 @@ def eval_partial_bell_direct(a, n: int, k: int) -> Fraction:
     """B_{n,k}(a) summed over integer partitions: the independent oracle."""
     if k < 0 or k > n:
         return Fraction(0)
-    if n == 0:
-        return Fraction(1) if k == 0 else Fraction(0)
     value = seq_values(a)
     total = Fraction(0)
     for lam in int_partitions(n):

@@ -197,6 +197,8 @@ def _ladder(one: LinComb, append: Callable, lower: Callable, n: int) -> list:
     The recursion behind both the word Bell and the noncommutative Bell
     polynomials.  It stays private: the benchmark's tracer wraps public
     functions only, so its time is charged to those two callers."""
+    if n < 0:
+        raise ValueError("the ladder needs n >= 0")
     coeffs = [one]
     for _ in range(n):
         nxt = [lower(coeffs[0])]

@@ -133,12 +133,16 @@ def p_triangular(entry, n: int) -> list[LinComb]:
     recursion P(A_m; t) = t * sum_k P(A_{k-1}) half-shuffled with a_{k,m}
     starts from the scalar P(A_0) = 1, which acts by plain scaling (so the
     k = 1 term contributes t * a_{1,m}); folds nest on the left, literally.
+    At n = 0 that 1 is returned as Phi of the empty partition, the unit of
+    the Phi basis and ``bell.word_bell_tpoly(0)``.
 
     The half-shuffle used by the fold routes the minimum label into the
     newly appended entry: this is the orientation under which the t-grading
     of the complete-function matrix reproduces the partial Bell polynomials
     with all coefficients 1 (the other orientation overcounts the top term).
     """
+    if n < 0:
+        raise ValueError("the triangular polynomial needs n >= 0")
     zero = LinComb.zero(PHI)
     polys: list[list | None] = [None]  # index m -> P(A_m; t); None is the scalar 1
     for m in range(1, n + 1):
@@ -153,7 +157,7 @@ def p_triangular(entry, n: int) -> list[LinComb]:
                     total[i] = total[i] + zinbiel_right(c, a_km)
         polys.append([zero] + total)
     result = polys[n]
-    return [zero] if result is None else result
+    return [LinComb.term(PHI, SetPartition())] if result is None else result
 
 
 def complete_phi_matrix(n: int):

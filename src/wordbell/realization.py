@@ -318,8 +318,6 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
         if word_degree(p) not in (len(b), None) or (word_degree(p) is None and p):
             raise ValueError(f"family entry for degree {len(b)} is not homogeneous")
         polys.append(p)
-    if not pi.blocks:
-        return word_one()
     return shuffle_composite(pi.blocks, polys)
 
 

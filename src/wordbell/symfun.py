@@ -92,14 +92,11 @@ class VirtualAlphabet(_Record):
         return self.c_values[n - 1]
 
     def h(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(1)
-        return _h_values(self)[n]
+        return _exp_values(self.c_values)[n]
 
     def e(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(1)
-        return _e_values(self)[n]
+        # lambda_t = 1 / sigma_{-t} = exp(sum_n (-1)^(n-1) c_n t^n)
+        return _exp_values(tuple((-1) ** (i - 1) * c for i, c in enumerate(self.c_values, 1)))[n]
 
     def truncate(self, degree: int) -> "VirtualAlphabet":
         if degree > self.degree:
@@ -112,17 +109,9 @@ identity_alphabet = VirtualAlphabet.zero
 
 
 @lru_cache(maxsize=None)
-def _h_values(x: VirtualAlphabet) -> tuple[Fraction, ...]:
-    order = x.degree
-    arg = [Fraction(0)] + list(x.c_values)
-    return tuple(series.exp(arg, order))
-
-
-@lru_cache(maxsize=None)
-def _e_values(x: VirtualAlphabet) -> tuple[Fraction, ...]:
-    # lambda_t = 1 / sigma_{-t} = exp(sum_n (-1)^(n-1) c_n t^n)
-    arg = [Fraction(0)] + [(-1) ** (n - 1) * c for n, c in enumerate(x.c_values, 1)]
-    return tuple(series.exp(arg, x.degree))
+def _exp_values(c_values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """The coefficients of exp(sum_n c_n t^n) up to t^len(c_values)."""
+    return tuple(series.exp([Fraction(0), *c_values], len(c_values)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +142,8 @@ def alphabet_compose(x: VirtualAlphabet, y: VirtualAlphabet) -> VirtualAlphabet:
     """Composition through the Cauchy series: sigma(X o Y) = f(g(t))/t for
     f = t sigma_t(X), g = t sigma_t(Y)."""
     n = _common_degree(x, y)
-    f = [Fraction(0)] + list(_h_values(x.truncate(n)))
-    g = [Fraction(0)] + list(_h_values(y.truncate(n)))
+    f = [Fraction(0)] + list(_exp_values(x.c_values[:n]))
+    g = [Fraction(0)] + list(_exp_values(y.c_values[:n]))
     comp = series.compose(f, g[: n + 1], n + 1)
     h_new = comp[1:]
     return VirtualAlphabet.from_h(h_new[1:])
@@ -164,7 +153,7 @@ def alphabet_inverse(x: VirtualAlphabet) -> VirtualAlphabet:
     """The compositional inverse: sigma_t(X o X^<-1>) = 1, solved by series
     reversion of t sigma_t(X)."""
     n = x.degree
-    f = [Fraction(0)] + list(_h_values(x))
+    f = [Fraction(0)] + list(_exp_values(x.c_values))
     g = series.reversion(f, n + 1)
     return VirtualAlphabet.from_h(g[2:])
 
@@ -203,8 +192,6 @@ def hat_alphabet(a, degree: int) -> VirtualAlphabet:
 def _det(mat) -> Fraction:
     """Exact determinant by fraction Gaussian elimination."""
     size = len(mat)
-    if size == 0:
-        return Fraction(1)
     rows = [[Fraction(v) for v in row] for row in mat]
     sign = 1
     for col in range(size):

@@ -174,6 +174,7 @@ def test_fast_paths_agree_with_direct():
         a = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
         zero_head = [Fraction(0)] + a[1:]
         for seq in (a, zero_head):
+            assert eval_partial_bell_direct(seq, 0, 0) == 1 and eval_partial_bell_direct(seq, 0, 1) == 0
             for n in range(8):
                 for k in range(n + 1):
                     assert eval_partial_bell(seq, n, k) == eval_partial_bell_direct(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from wordbell.bell import word_partial_bell
+from wordbell.bell import word_bell_tpoly, word_partial_bell
 from wordbell.combinatorics import SetPartition, bell_number, set_partitions
 from wordbell.hopf import PHI, PSI, phi_elem, psi_product
 from wordbell.lincomb import BasisError, LinComb
@@ -126,12 +126,29 @@ def test_p_triangular():
     p1 = p_triangular(entry, 1)
     assert p1[1] == phi_elem(SetPartition.single_block(1))
     assert len(p1) == 2
+    # P(A_0) = 1 is Phi of the empty partition, as the ladder's degree-0 polynomial
+    assert p_triangular(entry, 0) == [phi_elem(SetPartition())] == word_bell_tpoly(0)
     # the complete-function matrix grades by block count
     for n in range(1, 7):
         poly = p_triangular(complete_phi_matrix(n), n)
         for k in range(1, n + 1):
             assert poly[k] == word_partial_bell(n, k)
         assert not poly[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: word_bell_tpoly(-1),
+        lambda: mb_tpoly(-2),
+        lambda: p_triangular(complete_phi_matrix(1), -1),
+        lambda: p_triangular(complete_phi_matrix(1), -2),
+    ],
+    ids=["word_bell_tpoly(-1)", "mb_tpoly(-2)", "p_triangular(-1)", "p_triangular(-2)"],
+)
+def test_t_graded_builders_reject_a_negative_degree(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_p_triangular_structure_matches_expansion():

@@ -441,12 +441,13 @@ def test_shuffle_scatter():
 def test_specialize_complete_rules():
     A = letters(1, 3)
     family = {m: complete_s(m, A) for m in range(1, 7)}
-    # single block gives the family member itself
+    # single block gives the family member itself, the empty key the empty word
     for n in range(1, 4):
         assert specialize_complete(SetPartition.single_block(n), family) == family[n]
-    # concatenation rule
-    for n1 in range(1, 3):
-        for n2 in range(1, 3):
+    assert specialize_complete(SetPartition(), family) == word_one()
+    # concatenation rule, the empty key included
+    for n1 in range(3):
+        for n2 in range(3):
             for p1 in set_partitions(n1):
                 for p2 in set_partitions(n2):
                     lhs = shuffle_composite(
@@ -461,9 +462,9 @@ def test_specialize_complete_rules():
                     )
                     rhs = specialize_complete(p1.shifted_union(p2), family)
                     assert lhs == rhs
-    # shuffle rule
-    for n1 in range(1, 3):
-        for n2 in range(1, 3):
+    # shuffle rule, the empty key included
+    for n1 in range(3):
+        for n2 in range(3):
             for p1 in set_partitions(n1):
                 for p2 in set_partitions(n2):
                     lhs = shuffle(

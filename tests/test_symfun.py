@@ -11,6 +11,7 @@ from wordbell.bell import eval_complete_bell, eval_partial_bell
 from wordbell.combinatorics import int_partitions
 from wordbell.symfun import (
     VirtualAlphabet,
+    _det,
     alphabet_compose,
     alphabet_inverse,
     alphabet_product,
@@ -78,9 +79,12 @@ def test_eval_known_alphabets():
     with pytest.raises(ValueError):
         zero.c(7)
     assert [ones.e(n) for n in range(9)] == [1, 1] + [0] * 7
+    empty = VirtualAlphabet.zero(0)
+    assert empty.h(0) == empty.e(0) == 1
     # lambda_{-t} sigma_t = 1: sum_i (-1)^i e_i h_{n-i} = [n = 0]
-    for degree in (1, 4, 8):
+    for degree in (0, 1, 4, 8):
         x = random_alphabet(degree)
+        assert x.h(0) == x.e(0) == 1
         for n in range(degree + 1):
             assert sum((-1) ** i * x.e(i) * x.h(n - i) for i in range(n + 1)) == (n == 0)
 
@@ -144,6 +148,8 @@ def test_schur_basics_and_cauchy():
     y = random_alphabet(6)
     assert schur((3,), x) == x.h(3)
     assert schur((1, 1), x) == x.h(1) ** 2 - x.h(2)
+    # the empty determinant is the empty product
+    assert _det([]) == 1 and schur((), x) == 1
     product = alphabet_product(x, y)
     for n in range(6):
         rhs = sum(
