@@ -34,9 +34,9 @@ interleaving kernel: ``combinatorics.interleave_keys`` shuffles the
 block-number words of keys through it, so the dual product of keys and its
 word realization read one table.  Words whose product coefficient is 1
 count straight into the sum; the others are added in once at the end by
-``_merge_scaled``, where a word whose sum reaches 0 is deleted and an
-integral sum is stored as int.  Summed over a list of pairs, it is the word
-ring's dot for ``series``; ``shuffle`` is its one-pair sum.
+``_merge_scaled``, one ``dict.update`` per coefficient, which filters out
+the zero sums and stores integral ones as int.  Summed over a list of pairs,
+it is the word ring's dot for ``series``; ``shuffle`` is its one-pair sum.
 
 The shuffle algebra is graded by content, the multiset of a word's letters
 (Reutenauer, *Free Lie Algebras*, 1993): every word of u shuffle v has the
@@ -46,18 +46,19 @@ y_b of the operands with a + b = C, and it is zero iff every component is.
 ``shuffle_sums_agree`` tests lhs - rhs that way, exactly: it groups each
 operand by content and then by (length, coefficient), negating the rhs
 coefficients, buckets the group pairs by merged content, and runs the
-counting loop and the merge on one bucket at a time, stopping at the first
-bucket that does not cancel.  Beyond the operands it holds their groupings
-(lists of the operands' own words) and one component's counts, never
-either sum whole.
+counting loop on one bucket at a time.  A component is zero as it stands
+when the counts of every coefficient c (c = 1 too) equal those of -c as
+dicts; else it is merged, and the first non-zero merge stops the test.
+Beyond the operands it holds their groupings (lists of the operands' own
+words) and one component's counts, never either sum whole.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, permutations, product, starmap
-from operator import add
+from itertools import chain, permutations, product, repeat, starmap
+from operator import add, itemgetter, mul, neg
 
 from . import series
 from .combinatorics import (
@@ -68,7 +69,7 @@ from .combinatorics import (
     refinements,
     standardize_word,
 )
-from .lincomb import BasisError, LinComb
+from .lincomb import BasisError, LinComb, _integral
 
 WORD = "Word"
 
@@ -218,21 +219,18 @@ def _count_shuffles(acc: Counter, scaled: dict, x_groups: dict, y_groups: dict) 
             (acc if c == 1 else scaled.setdefault(c, Counter())).update(words)
 
 
-def _merge_scaled(acc: Counter, scaled: dict) -> Counter:
+def _merge_scaled(acc: Counter, scaled: dict) -> dict:
     """The kernel's final merge: ``acc`` plus c times ``scaled[c]`` for every
-    c, zero-free, with integral sums stored as int."""
-    get = acc.get  # not acc[w]: a missing key would call Counter.__missing__
+    c as a new dict, zero-free, with integral sums stored as int."""
     for c, counts in scaled.items():
-        for w, count in counts.items():
-            total = get(w, 0) + c * count
-            if total:
-                acc[w] = total if total.denominator > 1 else total.numerator
-            else:
-                del acc[w]
-    return acc
+        dict.update(acc, zip(counts, map(add, map(acc.get, counts, repeat(0)), map(mul, counts.values(), repeat(c)))))
+    out = dict(filter(itemgetter(1), acc.items()))
+    if any(type(c) is not int for c in scaled):
+        out = {w: _integral(total) for w, total in out.items()}
+    return out
 
 
-def _shuffle_acc(pairs) -> Counter:
+def _shuffle_acc(pairs) -> dict:
     """The shuffle kernel of the module docstring: the sum of x shuffle y
     over the (x, y) pairs of word polynomials, zero-free."""
     acc, scaled = Counter(), {}
@@ -256,6 +254,9 @@ def shuffle_sums_agree(lhs_pairs, rhs_pairs) -> bool:
         acc, scaled = Counter(), {}
         for x_groups, y_groups in group_pairs:
             _count_shuffles(acc, scaled, x_groups, y_groups)
+        classes = {**scaled, 1: acc}
+        if all(map(dict.__eq__, classes.values(), map(classes.get, map(neg, classes), repeat({})))):
+            continue  # c and -c have equal counts for every c: zero as it stands
         if _merge_scaled(acc, scaled):
             return False
     return True
@@ -263,8 +264,9 @@ def shuffle_sums_agree(lhs_pairs, rhs_pairs) -> bool:
 
 def shuffle_sum(pairs) -> LinComb:
     """The sum of x shuffle y over the (x, y) pairs, the word ring's dot for
-    ``series``: a plain dict, since ``Counter.__eq__`` loops in Python."""
-    return LinComb._raw(WORD, dict(_shuffle_acc(pairs)))
+    ``series``: the kernel's own plain dict, not a Counter, whose ``__eq__``
+    loops in Python."""
+    return LinComb._raw(WORD, _shuffle_acc(pairs))
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:

@@ -91,12 +91,17 @@ class VirtualAlphabet(_Record):
             raise ValueError(f"c_{n} exceeds the degree bound {self.degree}")
         return self.c_values[n - 1]
 
+    def _exp_index(self, name: str, n: int) -> int:
+        if not 0 <= n <= self.degree:
+            raise ValueError(f"{name}_{n} needs 0 <= n <= the degree bound {self.degree}")
+        return n
+
     def h(self, n: int) -> Fraction:
-        return _exp_values(self.c_values)[n]
+        return _exp_values(self.c_values)[self._exp_index("h", n)]
 
     def e(self, n: int) -> Fraction:
         # lambda_t = 1 / sigma_{-t} = exp(sum_n (-1)^(n-1) c_n t^n)
-        return _exp_values(tuple((-1) ** (i - 1) * c for i, c in enumerate(self.c_values, 1)))[n]
+        return _exp_values(tuple((-1) ** (i - 1) * c for i, c in enumerate(self.c_values, 1)))[self._exp_index("e", n)]
 
     def truncate(self, degree: int) -> "VirtualAlphabet":
         if degree > self.degree:

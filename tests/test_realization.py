@@ -332,6 +332,11 @@ def test_shuffle_sums_agree_edge_cases():
     assert not shuffle_sums_agree([(a * 3, b * Fraction(2, 3)), (half, ab)], [(a * 2, b), (a, b * Fraction(1, 2))])
     # the ab and ba counts of the lhs cancel inside their component
     assert shuffle_sums_agree([(a - b, a + b)], [(a, a), (b * -1, b)])
+    # the classes 1 and -1 hold the same words with other counts (ab + ba
+    # against 2 ab + ba), so they differ as dicts and the merge leaves -ab
+    assert not shuffle_sums_agree([(a, b)], [(ab + ba, one), (ab, one)])
+    # the classes 2 and -1 do not pair as c and -c, and the merge cancels them
+    assert shuffle_sums_agree([(a * 2, b)], [(a, b), (b, a)])
 
 
 def test_series_shuffle_mul_cancels_across_degree_pairs():

@@ -81,6 +81,14 @@ def test_eval_known_alphabets():
     assert [ones.e(n) for n in range(9)] == [1, 1] + [0] * 7
     empty = VirtualAlphabet.zero(0)
     assert empty.h(0) == empty.e(0) == 1
+    # h_n and e_n are served for 0 <= n <= degree only: a negative n does not
+    # read from the end of the coefficient tuple
+    x = VirtualAlphabet.from_c([1, 2, 3])
+    assert (x.h(3), x.e(3)) == (Fraction(31, 6), Fraction(7, 6))
+    for n in (-1, -4, 4):
+        for coefficient in (x.h, x.e, empty.h, empty.e):
+            with pytest.raises(ValueError, match="degree bound"):
+                coefficient(n)
     # lambda_{-t} sigma_t = 1: sum_i (-1)^i e_i h_{n-i} = [n = 0]
     for degree in (0, 1, 4, 8):
         x = random_alphabet(degree)
