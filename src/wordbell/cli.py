@@ -181,7 +181,7 @@ def _parse_partition(parser, text: str, seq: ColorSequence | None):
         if any(type(x) is not int for x in entries):
             raise TypeError("block entries and colors must be integers")
         return SetPartition(blocks) if seq is None else ColoredSetPartition(blocks, seq)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # json.loads recurses per nesting level
         parser.error(f"bad partition literal: {exc}")
 
 

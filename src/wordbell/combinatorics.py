@@ -19,12 +19,16 @@ Canonical form conventions, used everywhere:
   colored key), so iteration orders and outputs are unchanged.
 
 The two kinds of key share one layout, in slots, and one implementation of
-every structural operation (shift, shifted union, standardized sub-partition,
+every structural operation (shifted union, standardized sub-partition,
 deconcatenation, interleaving).  Every key stores its ``blocks``; a colored
 key also stores ``parts``, its (block, color) pairs built on the same block
 tuples, and ``seq``.  For an uncolored key ``parts`` is ``blocks`` and ``seq``
 is None.  A colored key is not a ``SetPartition``; ``underlying`` forgets its
 colors.
+
+A key is read position by position through its restricted growth string
+(Knuth, TAOCP 4A, 7.2.1.5), ``growth_string``; ``_by_first_occurrence`` is
+its inverse, grouping the positions of any word by entry into canonical blocks.
 
 A colored set partition of size n is a set of pairs (block, color) whose
 blocks partition {1, ..., n} and whose color on a block of size m lies in
@@ -329,8 +333,14 @@ class _PartitionKey(_Record):
     def part_count(self) -> int:
         return len(self.blocks)
 
-    def shift(self, n: int):
-        return self._keyed(_shifted(self.blocks, n), self._size, self.parts)
+    def growth_string(self) -> tuple[int, ...]:
+        """The restricted growth string: entry x - 1 is the number of the
+        block holding x, blocks numbered from 0 in order of their minima."""
+        word = [0] * self._size
+        for label, block in enumerate(self.blocks):
+            for x in block:
+                word[x - 1] = label
+        return tuple(word)
 
     def shifted_union(self, other):
         if other.__class__ is not self.__class__:
@@ -475,6 +485,17 @@ _set_parts = ColoredSetPartition.parts.__set__
 _set_seq = ColoredSetPartition.seq.__set__
 
 
+def _by_first_occurrence(word) -> dict:
+    """The inverse of ``growth_string`` for any word: its positions 1, 2, ...
+    grouped by entry, as {entry: positions}.  The entries come in order of
+    first occurrence, which is the order of block minima, so the values are
+    canonical blocks."""
+    blocks: dict = {}
+    for pos, entry in enumerate(word, 1):
+        blocks.setdefault(entry, []).append(pos)
+    return blocks
+
+
 def _relabel(blocks) -> list[tuple[int, ...]]:
     """Rename the i-th smallest integer across pairwise disjoint blocks to i."""
     blocks = [tuple(sorted(b)) for b in blocks]
@@ -536,13 +557,13 @@ def _interleave_gather(n: int, m: int) -> itemgetter:
 def interleave_keys(x, y):
     """All x-hat U y-hat over support splittings (with repetitions).
 
-    The union x U shifted y is read as the word of its block numbers, x's
-    blocks first.  Each shuffle of x's part of that word with y's, from
-    :func:`_interleave_gather`, is packed back into blocks ordered by their
-    minimum, each taking the color of the union block its label numbers; so
-    the keys standardize back to x and y and come in the kernel's order,
-    those that give label 1 to x first.  With an empty side
-    the one key is the union.  Consumers wanting multiplicities count
+    The union x U shifted y is read as its growth string, x's blocks
+    numbered first.  Each shuffle of x's part of that word with y's, from
+    :func:`_interleave_gather`, is packed back into blocks by
+    :func:`_by_first_occurrence`, each taking the color of the union block
+    its label numbers; so the keys standardize back to x and y and come in
+    the kernel's order, those that give label 1 to x first.  With an empty
+    side the one key is the union.  Consumers wanting multiplicities count
     repetitions; see :func:`matching_unions` for the deduplicated set.
     """
     union = x.shifted_union(y)  # also rejects mismatched sequences
@@ -550,16 +571,10 @@ def interleave_keys(x, y):
     if not (n and m):
         yield union
         return
-    word = [0] * (n + m)
-    for label, block in enumerate(union.blocks):
-        for pos in block:
-            word[pos - 1] = label
     source, keyed = union.parts.__getitem__, union._keyed
-    flat = iter(_interleave_gather(n, m)(word))
+    flat = iter(_interleave_gather(n, m)(union.growth_string()))
     for shuffled in zip(*[flat] * (n + m)):
-        packed: dict[int, list[int]] = {}  # first occurrence is the block minimum
-        for pos, label in enumerate(shuffled, 1):
-            packed.setdefault(label, []).append(pos)
+        packed = _by_first_occurrence(shuffled)
         yield keyed(tuple(map(tuple, packed.values())), n + m, map(source, packed))
 
 
@@ -589,26 +604,18 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
     """True when p <= q in refinement order (each q-block is a union of p-blocks)."""
     if p.size != q.size:
         return False
-    owner = {}
-    for bi, b in enumerate(q.blocks):
-        for x in b:
-            owner[x] = bi
-    for b in p.blocks:
-        bi = owner[b[0]]
-        if any(owner[x] != bi for x in b[1:]):
-            return False
-    return True
+    # each p-block lies in one q-block iff the positions carry one (p, q) label pair per p-block
+    return len(set(zip(p.growth_string(), q.growth_string()))) == p.part_count
 
 
 def coarsenings(p: SetPartition) -> list[SetPartition]:
-    """All q with p <= q, built by merging blocks of p."""
+    """All q with p <= q, built by merging blocks of p: a grouping of p's
+    block numbers relabels p's growth string into q's."""
+    code = p.growth_string()
     out = []
     for grouping in set_partitions(p.part_count):
-        merged = tuple(
-            tuple(sorted(x for i in g for x in p.blocks[i - 1]))
-            for g in grouping.blocks
-        )
-        out.append(SetPartition(merged))
+        merged = _by_first_occurrence(map(grouping.growth_string().__getitem__, code))
+        out.append(SetPartition._trusted(tuple(map(tuple, merged.values())), p.size))
     return out
 
 
@@ -930,22 +937,11 @@ def to_idempotent(p: ColoredSetPartition) -> IdempotentEndofunction:
     smallest element of B."""
     if p.seq != IDEMPOTENT:
         raise SequenceMismatchError("idempotent endofunctions require the sequence a_m = m")
-    images = [0] * p.size
-    for block, color in p.parts:
-        target = block[color - 1]
-        for x in block:
-            images[x - 1] = target
-    return IdempotentEndofunction(images)
+    targets = [block[color - 1] for block, color in p.parts]
+    return IdempotentEndofunction(map(targets.__getitem__, p.growth_string()))
 
 
 def from_idempotent(f: IdempotentEndofunction) -> ColoredSetPartition:
     """The fiber map: f becomes {[f^{-1}(i), #{j in f^{-1}(i) : j <= i}]}."""
-    fibers: dict[int, list[int]] = {}
-    for j, v in enumerate(f.images, start=1):
-        fibers.setdefault(v, []).append(j)
-    parts = []
-    for i, fiber in fibers.items():
-        fiber.sort()
-        color = sum(1 for j in fiber if j <= i)
-        parts.append((tuple(fiber), color))
-    return ColoredSetPartition(tuple(parts), IDEMPOTENT)
+    fibers = _by_first_occurrence(f.images).items()
+    return ColoredSetPartition([(fiber, sum(1 for j in fiber if j <= i)) for i, fiber in fibers], IDEMPOTENT)

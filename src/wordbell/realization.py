@@ -31,7 +31,7 @@ u + v through ``combinatorics._interleave_gather(n, m)``, one cached
 itemgetter that returns all C(n+m, n) shuffles end to end, cut back into
 words and counted by ``Counter.update``.  It is the package's one
 interleaving kernel: ``combinatorics.interleave_keys`` shuffles the
-block-number words of keys through it, so the dual product of keys and its
+growth strings of keys through it, so the dual product of keys and its
 word realization read one table.  Words whose product coefficient is 1
 count straight into the sum; the others are added in once at the end by
 ``_merge_scaled``, one ``dict.update`` per coefficient, which filters out
@@ -102,17 +102,13 @@ def word_degree(x: LinComb) -> int | None:
 # expansions of the distinguished bases
 
 
-def _blockwise_expand(parts, assignments) -> LinComb:
-    # parts: sequence of blocks; assignments: letter tuples, one letter per part.
-    n = sum(len(b) for b in parts)
+def _blockwise_expand(key, assignments) -> LinComb:
+    # assignments: letter tuples, one letter per block, gathered through the growth string
+    code = key.growth_string()
     out: dict = {}
     for assignment in assignments:
-        w = [None] * n
-        for block, letter in zip(parts, assignment):
-            for pos in block:
-                w[pos - 1] = letter
-        key = tuple(w)
-        out[key] = out.get(key, 0) + 1
+        w = tuple(map(assignment.__getitem__, code))
+        out[w] = out.get(w, 0) + 1
     return LinComb._raw(WORD, out)
 
 
@@ -128,13 +124,13 @@ def expand_phi(part, truncation: int) -> LinComb:
         choices = [letters(1, truncation) for _ in part.blocks]
     else:
         raise TypeError(f"cannot expand {type(part).__name__}")
-    return _blockwise_expand(part.blocks, product(*choices))
+    return _blockwise_expand(part, product(*choices))
 
 
 def expand_monomial(pi: SetPartition, truncation: int) -> LinComb:
     """Word expansion of a monomial key at the given truncation: distinct
     blocks take distinct letters of alphabet 1."""
-    return _blockwise_expand(pi.blocks, permutations(letters(1, truncation), pi.part_count))
+    return _blockwise_expand(pi, permutations(letters(1, truncation), pi.part_count))
 
 
 def expand_psi(pi: SetPartition, truncation: int) -> LinComb:
@@ -148,7 +144,7 @@ def expand_s_on(pi: SetPartition, alphabet: list) -> LinComb:
     return LinComb(WORD, (
         (w, c * q.part_factorial())
         for q in refinements(pi)
-        for w, c in _blockwise_expand(q.blocks, product(alphabet, repeat=q.part_count)).items()
+        for w, c in _blockwise_expand(q, product(alphabet, repeat=q.part_count)).items()
     ))
 
 
@@ -317,7 +313,7 @@ def specialize_complete(pi: SetPartition, family) -> LinComb:
     polys = []
     for b in pi.blocks:
         p = family[len(b)]
-        if word_degree(p) not in (len(b), None) or (word_degree(p) is None and p):
+        if p and word_degree(p) != len(b):
             raise ValueError(f"family entry for degree {len(b)} is not homogeneous")
         polys.append(p)
     return shuffle_composite(pi.blocks, polys)

@@ -170,6 +170,15 @@ def test_partition_rejects_booleans():
     assert run_cli(["realize", "phi", *colored]).returncode == 0
 
 
+def test_deeply_nested_partition_exit_2(capsys):
+    # json.loads recurses once per nesting level, so this literal raises RecursionError
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "phi", "--partition", "[" * 50_000, "--truncation", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("wordbell: error:") == 1 and "bad partition literal" in err
+
+
 def test_mk_checks_k_like_expand_mk():
     for k in ("7", "-1"):
         result = run_cli(["mk", "--n", "3", "--k", k])

@@ -26,6 +26,8 @@ from wordbell.combinatorics import (
     ListPartition,
     SequenceMismatchError,
     SetPartition,
+    _by_first_occurrence,
+    _shifted,
     colored_partitions,
     colored_partitions_k,
     count_by_type,
@@ -382,6 +384,24 @@ def test_split_at_outside_the_key_raises():
                         x.split_at(j)
 
 
+def test_growth_string_is_restricted_and_inverted_by_first_occurrence():
+    plain = [p for n in range(7) for p in set_partitions(n)]
+    colored = [key for seq in DEFAULT_SEQUENCES for n in range(7) for key in colored_partitions(seq, n)]
+    for key in plain + colored:
+        code = key.growth_string()
+        assert type(code) is tuple and len(code) == key.size
+        # entry x - 1 numbers the block holding x
+        assert list(code) == [i for x in range(1, key.size + 1) for i, b in enumerate(key.blocks) if x in b]
+        # restricted: it starts at 0 and each entry is at most 1 + the maximum before it
+        top = -1
+        for entry in code:
+            assert 0 <= entry <= top + 1
+            top = max(top, entry)
+        packed = _by_first_occurrence(code)
+        assert list(packed) == list(range(key.part_count))
+        assert tuple(map(tuple, packed.values())) == key.blocks
+
+
 def _assert_same_key(got, want):
     assert got == want and hash(got) == hash(want)
     # the cached hash is the dataclass formula, so set and dict orders are unchanged
@@ -427,11 +447,6 @@ def test_key_hashes_are_cached_with_the_dataclass_formula():
                 _assert_same_key(got, plain)
             # each operation on a colored key acts on its blocks as on the uncolored key's,
             # and each result block keeps the color of the block it came from
-            shifted = key.shift(2)
-            _assert_same_key(shifted, ColoredSetPartition._trusted(
-                tuple(tuple(x + 2 for x in b) for b in key.blocks), _colors(key), FACTORIAL, n
-            ))
-            _assert_same_key(plain.shift(2), shifted.underlying())
             for r in range(key.part_count + 1):
                 for sel in combinations(range(key.part_count), r):
                     want = standardize([key.parts[i] for i in sel], FACTORIAL)
@@ -559,14 +574,14 @@ def test_shifted_union_equals_the_union_with_the_shifted_key():
                 for y in colored_partitions(named, m):
                     # equal sequences held in distinct objects still combine
                     _assert_same_key(x.shifted_union(y), ColoredSetPartition._trusted(
-                        x.blocks + y.shift(n).blocks, _colors(x) + _colors(y), FACTORIAL, n + m
+                        x.blocks + _shifted(y.blocks, n), _colors(x) + _colors(y), FACTORIAL, n + m
                     ))
                     _assert_same_key(y.shifted_union(x), ColoredSetPartition._trusted(
-                        y.blocks + x.shift(m).blocks, _colors(y) + _colors(x), named, n + m
+                        y.blocks + _shifted(x.blocks, m), _colors(y) + _colors(x), named, n + m
                     ))
                     px, py = x.underlying(), y.underlying()
                     _assert_same_key(px.shifted_union(py), SetPartition._trusted(
-                        px.blocks + py.shift(n).blocks, n + m
+                        px.blocks + _shifted(py.blocks, n), n + m
                     ))
 
 
