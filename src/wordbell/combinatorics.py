@@ -30,6 +30,12 @@ A key is read position by position through its restricted growth string
 (Knuth, TAOCP 4A, 7.2.1.5), ``growth_string``; ``_by_first_occurrence`` is
 its inverse, grouping the positions of any word by entry into canonical blocks.
 
+The four bijections from colored set partitions share one transport, a
+composition of species (Bergeron, Labelle and Leroux, 1998): the part (B, c)
+becomes the rank-(c - 1) structure on |B| points, carried onto B by
+``_onto``; each inverse standardizes the structure by ``standardize_word``
+and ranks it.
+
 A colored set partition of size n is a set of pairs (block, color) whose
 blocks partition {1, ..., n} and whose color on a block of size m lies in
 {1, ..., a_m} for the ambient color sequence a.  Blocks of size m are simply
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from operator import itemgetter
 
 
@@ -274,7 +280,7 @@ def _canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
     return canon
 
 
-def _validate_cover(blocks, size: int, what: str) -> None:
+def _validate_cover(blocks, what: str) -> None:
     seen: set[int] = set()
     for b in blocks:
         if not b:
@@ -285,8 +291,8 @@ def _validate_cover(blocks, size: int, what: str) -> None:
             if x in seen:
                 raise ValueError(f"{what} blocks overlap at {x}")
             seen.add(x)
-    if seen and (max(seen) != size or len(seen) != size):
-        raise ValueError(f"{what} must cover {{1,...,{size}}} exactly")
+    if seen and max(seen) != len(seen):  # distinct positive entries cover 1..n iff n is their maximum
+        raise ValueError(f"{what} must cover {{1,...,{len(seen)}}} exactly")
 
 
 def _shifted(blocks, n: int) -> tuple[tuple[int, ...], ...]:
@@ -400,7 +406,7 @@ class SetPartition(_PartitionKey):
     def __new__(cls, blocks=()):
         canon = _canonical_blocks(blocks)
         size = sum(len(b) for b in canon)
-        _validate_cover(canon, size, "set partition")
+        _validate_cover(canon, "set partition")
         return cls._trusted(canon, size)
 
     @classmethod
@@ -442,7 +448,7 @@ class ColoredSetPartition(_PartitionKey):
             raise ValueError("colored set partition colors must be integers")
         canon = _canonical_blocks(b for b, _ in parts)
         size = sum(len(b) for b in canon)
-        _validate_cover(canon, size, "colored set partition")
+        _validate_cover(canon, "colored set partition")
         color = dict(parts)  # the blocks are distinct, having passed the cover check
         for b in canon:
             bound = seq(len(b))
@@ -496,28 +502,22 @@ def _by_first_occurrence(word) -> dict:
     return blocks
 
 
-def _relabel(blocks) -> list[tuple[int, ...]]:
-    """Rename the i-th smallest integer across pairwise disjoint blocks to i."""
-    blocks = [tuple(sorted(b)) for b in blocks]
-    support: set[int] = set()
-    for b in blocks:
-        for x in b:
-            if x in support:
-                raise ValueError(f"blocks overlap at {x}")
-            support.add(x)
-    rank = {x: i + 1 for i, x in enumerate(sorted(support))}
-    return [tuple(rank[x] for x in b) for b in blocks]
-
-
 def standardize_word(word) -> tuple[int, ...]:
     """std for a word of distinct integers: rename its i-th smallest letter to i."""
     rank = {x: i for i, x in enumerate(sorted(word), 1)}
     return tuple([rank[x] for x in word])
 
 
+def _onto(block, word) -> tuple[int, ...]:
+    """Carry a word over 1..|block| onto the block: v becomes ``block[v - 1]``,
+    the v-th smallest element of a canonical block.  ``standardize_word``
+    undoes it."""
+    return tuple([block[v - 1] for v in word])
+
+
 def standardize_blocks(blocks) -> SetPartition:
     """std for plain blocks: rename the i-th smallest integer to i."""
-    return SetPartition(_relabel(blocks))
+    return standardize(((b, 1) for b in blocks), ONES).underlying()
 
 
 def standardize(raw_parts, seq: ColorSequence) -> ColoredSetPartition:
@@ -525,9 +525,11 @@ def standardize(raw_parts, seq: ColorSequence) -> ColoredSetPartition:
 
     ``raw_parts`` is any iterable of (finite integer set, color) pairs with
     pairwise disjoint blocks; colors are kept and must respect the sequence.
+    Overlapping blocks share a renamed entry, which the key refuses.
     """
-    raw_parts = list(raw_parts)
-    return ColoredSetPartition(zip(_relabel(b for b, _ in raw_parts), map(_color, raw_parts)), seq)
+    raw_parts = [(tuple(b), c) for b, c in raw_parts]
+    renamed = iter(standardize_word([x for b, _ in raw_parts for x in b]))
+    return ColoredSetPartition([(tuple(islice(renamed, len(b))), c) for b, c in raw_parts], seq)
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +622,10 @@ def coarsenings(p: SetPartition) -> list[SetPartition]:
 
 
 def refinements(p: SetPartition) -> list[SetPartition]:
-    """All q with q <= p, built by partitioning each block of p."""
-    choices = []
-    for b in p.blocks:
-        local = []
-        for sub in set_partitions(len(b)):
-            local.append(tuple(tuple(b[x - 1] for x in blk) for blk in sub.blocks))
-        choices.append(local)
-    out = []
-    for combo in product(*choices):
-        blocks = tuple(blk for local in combo for blk in local)
-        out.append(SetPartition(blocks))
-    return out
+    """All q with q <= p, built by partitioning each block of p: each set
+    partition of 1..|b| is carried onto the block b."""
+    choices = [[[_onto(b, sub) for sub in inner.blocks] for inner in set_partitions(len(b))] for b in p.blocks]
+    return [SetPartition(chain.from_iterable(combo)) for combo in product(*choices)]
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +703,26 @@ def count_by_type(seq: ColorSequence, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the bijections: each part carried onto its block (see the module docstring)
+
+
+def _transport(p: ColoredSetPartition, seq: ColorSequence, what: str, carry) -> list:
+    """``carry(block, color)`` for each part of ``p`` in order of block minima,
+    once ``p`` is checked to be a key over ``seq``."""
+    if p.seq != seq:
+        raise SequenceMismatchError(f"{what} require the {seq.spec_string()} sequence")
+    return [carry(block, color) for block, color in p.parts]
+
+
+def _by_minimum(words, what: str) -> tuple[tuple[int, ...], ...]:
+    """The words as tuples in order of their minima, once checked to cover
+    {1, ..., n} exactly once between them."""
+    words = [tuple(w) for w in words]
+    _validate_cover(words, what)
+    return tuple(sorted(words, key=min))
+
+
+# ---------------------------------------------------------------------------
 # set partitions into lists (factorial sequence)
 
 
@@ -718,9 +732,7 @@ class ListPartition(_Record):
     _FIELDS = ("lists",)
 
     def __init__(self, lists):
-        lists = [tuple(l) for l in lists]
-        _validate_cover(lists, sum(map(len, lists)), "list partition")
-        object.__setattr__(self, "lists", tuple(sorted(lists, key=min)))
+        object.__setattr__(self, "lists", _by_minimum(lists, "list partition"))
 
     @property
     def size(self) -> int:
@@ -738,18 +750,13 @@ def to_list_partition(p: ColoredSetPartition) -> ListPartition:
     permuting (i_1, ..., i_m) by the rank-(c-1) permutation of S_m in
     lexicographic order.
     """
-    if p.seq != FACTORIAL:
-        raise SequenceMismatchError("list partitions require the factorial sequence")
-    lists = []
-    for block, color in p.parts:
-        perm = perm_lex_unrank(len(block), color - 1)
-        lists.append(tuple(block[v - 1] for v in perm))
-    return ListPartition(lists)
+    return ListPartition(_transport(
+        p, FACTORIAL, "list partitions", lambda b, c: _onto(b, perm_lex_unrank(len(b), c - 1))
+    ))
 
 
 def from_list_partition(lp: ListPartition) -> ColoredSetPartition:
-    parts = [(lst, perm_lex_rank(standardize_word(lst)) + 1) for lst in lp.lists]
-    return ColoredSetPartition(parts, FACTORIAL)
+    return ColoredSetPartition([(lst, perm_lex_rank(standardize_word(lst)) + 1) for lst in lp.lists], FACTORIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +769,8 @@ class CyclePermutation(_Record):
     _FIELDS = ("cycles",)
 
     def __init__(self, cycles):
-        cycles = [tuple(cyc) for cyc in cycles]
-        _validate_cover(cycles, sum(map(len, cycles)), "cycle decomposition")
-        canon = []
-        for cyc in cycles:
-            pivot = cyc.index(min(cyc))
-            canon.append(cyc[pivot:] + cyc[:pivot])
-        canon.sort(key=lambda c: c[0])
-        object.__setattr__(self, "cycles", tuple(canon))
+        pivots = [(cyc, cyc.index(min(cyc))) for cyc in _by_minimum(cycles, "cycle decomposition")]
+        object.__setattr__(self, "cycles", tuple([cyc[i:] + cyc[:i] for cyc, i in pivots]))
 
     @classmethod
     def from_one_line(cls, values) -> "CyclePermutation":
@@ -824,29 +825,20 @@ def cycle_rank(cycle: tuple[int, ...]) -> int:
     return perm_lex_rank(tuple(v - 1 for v in cycle[1:]))
 
 
-def to_cycle_permutation(p: ColoredSetPartition, unrank=None) -> CyclePermutation:
+def to_cycle_permutation(p: ColoredSetPartition, unrank=cycle_unrank) -> CyclePermutation:
     """Bijection onto permutations via cycle supports.
 
     A block of size m with color c becomes the cycle on that support whose
     standardized form is ``unrank(m, c-1)`` (default: the canonical ranking of
     cycles written minimum-first, ordered lexicographically).
     """
-    if p.seq != SHIFTED_FACTORIAL:
-        raise SequenceMismatchError("cycle permutations require the shifted-factorial sequence")
-    if unrank is None:
-        unrank = cycle_unrank
-    cycles = []
-    for block, color in p.parts:
-        std_cycle = unrank(len(block), color - 1)
-        cycles.append(tuple(block[v - 1] for v in std_cycle))
-    return CyclePermutation(cycles)
+    return CyclePermutation(_transport(
+        p, SHIFTED_FACTORIAL, "cycle permutations", lambda b, c: _onto(b, unrank(len(b), c - 1))
+    ))
 
 
-def from_cycle_permutation(sigma: CyclePermutation, rank=None) -> ColoredSetPartition:
-    if rank is None:
-        rank = cycle_rank
-    parts = [(cyc, rank(standardize_word(cyc)) + 1) for cyc in sigma.cycles]
-    return ColoredSetPartition(parts, SHIFTED_FACTORIAL)
+def from_cycle_permutation(sigma: CyclePermutation, rank=cycle_rank) -> ColoredSetPartition:
+    return ColoredSetPartition([(cyc, rank(standardize_word(cyc)) + 1) for cyc in sigma.cycles], SHIFTED_FACTORIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -859,17 +851,13 @@ class Level2Partition(_Record):
     _FIELDS = ("groups",)
 
     def __init__(self, groups):
-        canon_groups = []
-        for g in groups:
-            blocks = tuple(sorted((tuple(sorted(b)) for b in g), key=lambda b: b[0]))
-            if not blocks:
-                raise ValueError("groups must be nonempty")
-            canon_groups.append(blocks)
-        canon_groups.sort(key=lambda g: g[0][0])
-        flat_blocks = [b for g in canon_groups for b in g]
-        size = sum(len(b) for b in flat_blocks)
-        _validate_cover(flat_blocks, size, "level-2 partition")
-        object.__setattr__(self, "groups", tuple(canon_groups))
+        groups = [[tuple(b) for b in g] for g in groups]
+        if not all(groups):
+            raise ValueError("groups must be nonempty")
+        _validate_cover([b for g in groups for b in g], "level-2 partition")
+        # disjoint sorted blocks, and groups of them, compare by their minima
+        canon = sorted(tuple(sorted(map(tuple, map(sorted, g)))) for g in groups)
+        object.__setattr__(self, "groups", tuple(canon))
 
     @property
     def size(self) -> int:
@@ -883,21 +871,14 @@ class Level2Partition(_Record):
 def to_level2(p: ColoredSetPartition) -> Level2Partition:
     """A block of size m with color c becomes the rank-(c-1) set partition of
     that block (in enumeration order); the outer grouping follows the parts."""
-    if p.seq != BELL:
-        raise SequenceMismatchError("level-2 partitions require the Bell sequence")
-    groups = []
-    for block, color in p.parts:
-        inner = set_partitions(len(block))[color - 1]
-        groups.append(tuple(tuple(block[x - 1] for x in b) for b in inner.blocks))
-    return Level2Partition(groups)
+    return Level2Partition(_transport(
+        p, BELL, "level-2 partitions", lambda b, c: [_onto(b, inner) for inner in set_partitions(len(b))[c - 1].blocks]
+    ))
 
 
 def from_level2(l2: Level2Partition) -> ColoredSetPartition:
-    parts = []
-    for g in l2.groups:
-        support = [x for b in g for x in b]
-        color = set_partitions(len(support)).index(standardize_blocks(g)) + 1
-        parts.append((support, color))
+    stds = map(standardize_blocks, l2.groups)
+    parts = [(chain(*g), set_partitions(std.size).index(std) + 1) for g, std in zip(l2.groups, stds)]
     return ColoredSetPartition(parts, BELL)
 
 
@@ -935,9 +916,7 @@ class IdempotentEndofunction(_Record):
 def to_idempotent(p: ColoredSetPartition) -> IdempotentEndofunction:
     """Inverse of the fiber map: the part (B, c) sends all of B to the c-th
     smallest element of B."""
-    if p.seq != IDEMPOTENT:
-        raise SequenceMismatchError("idempotent endofunctions require the sequence a_m = m")
-    targets = [block[color - 1] for block, color in p.parts]
+    targets = _transport(p, IDEMPOTENT, "idempotent endofunctions", lambda b, c: b[c - 1])
     return IdempotentEndofunction(map(targets.__getitem__, p.growth_string()))
 
 

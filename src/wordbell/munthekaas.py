@@ -131,10 +131,10 @@ def p_triangular(entry, n: int) -> list[LinComb]:
 
     ``entry(i, j)`` returns the (i, j) entry for 1 <= i <= j <= n.  The
     recursion P(A_m; t) = t * sum_k P(A_{k-1}) half-shuffled with a_{k,m}
-    starts from the scalar P(A_0) = 1, which acts by plain scaling (so the
-    k = 1 term contributes t * a_{1,m}); folds nest on the left, literally.
-    At n = 0 that 1 is returned as Phi of the empty partition, the unit of
-    the Phi basis and ``bell.word_bell_tpoly(0)``.
+    starts from P(A_0) = Phi of the empty partition, the unit of the Phi
+    basis and ``bell.word_bell_tpoly(0)``; its half-shuffle with a_{k,m} is
+    a_{k,m} itself (so the k = 1 term contributes t * a_{1,m}); folds nest on
+    the left, literally.
 
     The half-shuffle used by the fold routes the minimum label into the
     newly appended entry: this is the orientation under which the t-grading
@@ -144,20 +144,15 @@ def p_triangular(entry, n: int) -> list[LinComb]:
     if n < 0:
         raise ValueError("the triangular polynomial needs n >= 0")
     zero = LinComb.zero(PHI)
-    polys: list[list | None] = [None]  # index m -> P(A_m; t); None is the scalar 1
+    polys = [[LinComb.term(PHI, SetPartition())]]  # index m -> P(A_m; t)
     for m in range(1, n + 1):
         total = [zero] * m  # the sum over k, degrees 0..m-1; P(A_{k-1}) has k coefficients
         for k in range(1, m + 1):
             a_km = entry(k, m)
-            prev = polys[k - 1]
-            if prev is None:
-                total[0] = total[0] + a_km
-            else:
-                for i, c in enumerate(prev):
-                    total[i] = total[i] + zinbiel_right(c, a_km)
+            for i, c in enumerate(polys[k - 1]):
+                total[i] = total[i] + zinbiel_right(c, a_km)
         polys.append([zero] + total)
-    result = polys[n]
-    return [LinComb.term(PHI, SetPartition())] if result is None else result
+    return polys[n]
 
 
 def complete_phi_matrix(n: int):

@@ -277,12 +277,16 @@ def shuffle_scatter(composition, words) -> Word | None:
 
     Returns None (the zero of the operator) when some word length does not
     match its block size.  The j-th letter of word p lands at the j-th
-    smallest position of block p.
+    smallest position of block p.  Raises ValueError unless the blocks are
+    disjoint and cover {1, ..., n}; an entry outside 1..n is refused before
+    any letter is placed.
     """
     blocks = [tuple(sorted(b)) for b in composition]
     if len(blocks) != len(words):
         raise ValueError("need exactly one word per block")
     n = sum(len(b) for b in blocks)
+    if not all(1 <= pos <= n for b in blocks for pos in b):
+        raise ValueError(f"composition entries must lie in 1..{n}")
     w = [None] * n
     for block, word in zip(blocks, words):
         if len(block) != len(word):

@@ -822,11 +822,22 @@ def test_idempotent_bijection():
     (ListPartition, [[True]]),
     (CyclePermutation, [[True]]),
     (IdempotentEndofunction, [True]),
+    (Level2Partition, [[(1,), ()]]),
+    (Level2Partition, [[("a",), (1,)]]),
 ])
 def test_bijection_records_reject_what_they_would_coerce(build, data):
     # entries are ints covering {1,...,n} once, as for every other key record
     with pytest.raises(ValueError):
         build(data)
+
+
+@pytest.mark.parametrize("to", [to_list_partition, to_cycle_permutation, to_level2, to_idempotent])
+def test_bijections_refuse_a_key_over_another_sequence(to):
+    # each bijection is defined at one color sequence; a key over any other,
+    # or an uncolored key, is refused before it is carried
+    for key in (ColoredSetPartition([((1,), 1)], ONES), ColoredSetPartition([((1, 2), 1)], TREE), SetPartition([(1,)])):
+        with pytest.raises(SequenceMismatchError):
+            to(key)
 
 
 @pytest.mark.parametrize("build, args", [

@@ -128,6 +128,12 @@ def test_p_triangular():
     assert len(p1) == 2
     # P(A_0) = 1 is Phi of the empty partition, as the ladder's degree-0 polynomial
     assert p_triangular(entry, 0) == [phi_elem(SetPartition())] == word_bell_tpoly(0)
+    # and the fold starts from it: its right half-shuffle with an entry is the entry
+    for j in range(1, 5):
+        a = phi_elem(SetPartition.single_block(j))
+        assert zinbiel_right(phi_elem(SetPartition()), a) == a
+    a = phi_elem(SetPartition([(1, 3), (2,)])) * 2 + phi_elem(SetPartition.single_block(2))
+    assert zinbiel_right(phi_elem(SetPartition()), a) == a
     # the complete-function matrix grades by block count
     for n in range(1, 7):
         poly = p_triangular(complete_phi_matrix(n), n)

@@ -431,6 +431,11 @@ def test_shuffle_scatter():
     assert shuffle_scatter([(1, 2)], [(x, y)]) == (x, y)
     assert shuffle_scatter([(1, 3), (2,)], [(x, y), (z,)]) == (x, z, y)
     assert shuffle_scatter([(1, 3), (2,)], [(x,), (z,)]) is None
+    # an entry outside 1..n is refused before any letter is placed: 0 would
+    # wrap to the last slot, and 5 would index past the word
+    for bad in ([(0, 1)], [(1, 5)]):
+        with pytest.raises(ValueError):
+            shuffle_scatter(bad, [("a", "b")])
     composite = shuffle_composite(
         [(1, 3), (2,)],
         [LinComb.term("Word", (x, y)), LinComb.term("Word", (z,))],
